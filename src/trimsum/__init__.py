@@ -1,90 +1,13 @@
 """Divisibility tests of the trimming, summing and binomial families,
-over arbitrary bases and arbitrary-precision digit strings."""
+over arbitrary bases and arbitrary-precision digit strings.
 
-from .analyzer import ComparisonTable, CostReport, compare, cost_profile
-from .digits import (
-    DigitString,
-    StackedNumber,
-    add,
-    collapse,
-    lift,
-    parse,
-    scale,
-    split_low,
-    value_compare,
-)
-from .families import (
-    BINOMIAL,
-    DIVISIBLE,
-    FAMILIES,
-    LAST_DIGITS,
-    LEFT_TRIM,
-    NOT_DIVISIBLE,
-    SUM,
-    TALMUD,
-    TRIM,
-    TestRule,
-    Trace,
-    TraceStep,
-    apply_once,
-    binomial_test,
-    divides_via,
-    iterate,
-    last_digits,
-    left_trim,
-    stack_trim,
-    sum_test,
-    talmud,
-    trim,
-)
-from .oracle import FuzzReport, divides, fuzz_equivalence, random_digit_string, remainder
-from .weights import Weight, weight_inverse, weight_rounding, weight_table
+The package root exports what the README's Library section uses; every
+other name is imported from its module (``trimsum.families``,
+``trimsum.oracle``, ...)."""
+
+from .digits import DigitString, parse
+from .families import TestRule, Trace, divides_via, iterate, sum_test
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BINOMIAL",
-    "ComparisonTable",
-    "CostReport",
-    "DIVISIBLE",
-    "DigitString",
-    "FAMILIES",
-    "FuzzReport",
-    "LAST_DIGITS",
-    "LEFT_TRIM",
-    "NOT_DIVISIBLE",
-    "SUM",
-    "StackedNumber",
-    "TALMUD",
-    "TRIM",
-    "TestRule",
-    "Trace",
-    "TraceStep",
-    "Weight",
-    "add",
-    "apply_once",
-    "binomial_test",
-    "collapse",
-    "compare",
-    "cost_profile",
-    "divides",
-    "divides_via",
-    "fuzz_equivalence",
-    "iterate",
-    "last_digits",
-    "left_trim",
-    "lift",
-    "parse",
-    "random_digit_string",
-    "remainder",
-    "scale",
-    "split_low",
-    "stack_trim",
-    "sum_test",
-    "talmud",
-    "trim",
-    "value_compare",
-    "weight_inverse",
-    "weight_rounding",
-    "weight_table",
-]
+__all__ = ["DigitString", "TestRule", "Trace", "divides_via", "iterate", "parse", "sum_test"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digits import DigitString
-from .families import BINOMIAL, LAST_DIGITS, LEFT_TRIM, SUM, TALMUD, TRIM, TestRule, iterate
+from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, iterate
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
 
@@ -47,44 +47,20 @@ class CostReport:
         }
 
 
-def _weight_magnitude(rule: TestRule) -> int:
-    if rule.family in (TRIM, SUM):
-        return abs(rule.weight.omega)
-    if rule.family in (BINOMIAL, LEFT_TRIM):
-        return abs(rule.binomial_weight)
-    if rule.family == TALMUD:
-        return 2
-    return 0
-
-
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
     """Instrument one full run of the rule's verdict iteration."""
     trace = iterate(a, rule)
+    family = FAMILY_TABLE[rule.family]
     lengths = [len(a)] + [len(step.collapsed) for step in trace.steps]
-    if rule.family in (SUM, BINOMIAL):
-        # one multiply-add per digit position beyond the first, per application
-        ops = sum(n - 1 for n in lengths[:-1]) if trace.steps else 0
-    elif rule.family == LAST_DIGITS:
-        ops = 0
-    else:
-        ops = len(trace.steps)
     return CostReport(
         rule.q,
         rule.base,
         rule.family,
-        _weight_magnitude(rule),
+        family.magnitude(rule),
         len(trace.steps),
-        ops,
+        family.digit_ops(lengths),
         max(lengths),
     )
-
-
-def _rule_for(family: str, q: int, base: int) -> TestRule:
-    if family == TRIM:
-        return TestRule.trim(q, base)
-    if family == SUM:
-        return TestRule.sum(q, base)
-    return TestRule.binomial(q, base)
 
 
 @dataclass(frozen=True)
@@ -104,7 +80,7 @@ def compare(q_list, a_list, base: int = 10) -> ComparisonTable:
     for q in q_list:
         for a in a_list:
             for family in _COMPARE_FAMILIES:
-                report = cost_profile(a, _rule_for(family, q, base))
+                report = cost_profile(a, TestRule(family, q, base))
                 keyed.append(((q, a.value, family), report))
     keyed.sort(key=lambda pair: pair[0])
     return ComparisonTable(tuple(report for _, report in keyed))

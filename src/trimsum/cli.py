@@ -16,8 +16,8 @@ from .digits import parse
 from .families import (
     BINOMIAL,
     FAMILIES,
+    FAMILY_TABLE,
     LAST_DIGITS,
-    LEFT_TRIM,
     SUM,
     TALMUD,
     TRIM,
@@ -38,21 +38,15 @@ def _add_common(p: argparse.ArgumentParser, with_q: bool = True) -> None:
         p.add_argument("-q", type=int, required=True, help="divisor under test")
     p.add_argument("--base", type=int, default=10, help="radix of the number text (2..36)")
     p.add_argument("--json", action="store_true", help="emit stable JSON instead of text")
+    p.set_defaults(parser=p)
 
 
-def _rule_from(family: str, q: int, base: int) -> TestRule:
-    builders = {
-        TRIM: TestRule.trim,
-        SUM: TestRule.sum,
-        BINOMIAL: TestRule.binomial,
-        LEFT_TRIM: TestRule.left_trim,
-        LAST_DIGITS: TestRule.last_digits,
-    }
-    if family == TALMUD:
-        if q != 7:
-            raise ValueError("the Talmud test is fixed at q=7")
-        return TestRule.talmud()
-    return builders[family](q, base)
+def _rule(args) -> TestRule:
+    """The rule for args.family, with the family's own q when -q is not given."""
+    q = args.q if args.q is not None else FAMILY_TABLE[args.family].default_q
+    if q is None:
+        args.parser.error("argument -q is required for this --family")
+    return TestRule(args.family, q, args.base)
 
 
 def _cmd_weight(args) -> int:
@@ -89,20 +83,18 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    family = args.family
-    q = 7 if family == TALMUD else args.q
-    rule = _rule_from(family, q, args.base)
+    rule = _rule(args)
     a = parse(args.number, args.base)
     result = apply_once(a, rule)
     if args.json:
         payload = {
-            "family": family,
+            "family": rule.family,
             "q": rule.q,
             "base": rule.base,
             "input": a.render(),
             "result": result.render(),
         }
-        if family == LAST_DIGITS:
+        if rule.k is not None:
             payload["k"] = rule.k
         _emit_json(payload)
     else:
@@ -112,12 +104,13 @@ def _cmd_apply(args) -> int:
 
 def _render_trace(trace: Trace) -> str:
     rule = trace.rule
+    chain_op = FAMILY_TABLE[rule.family].chain_op
     omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
     lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
     for i, step in enumerate(trace.steps, start=1):
         coeffs = list(step.stacked.coeffs)
         val = step.collapsed.render()
-        if step.op in ("stack", "left_trim"):
+        if step.op == chain_op:
             lines.append(f"step {i}: {step.op} -> {coeffs} = {val}")
         else:
             lines.append(f"step {i}: {step.op} -> {val}")
@@ -127,10 +120,7 @@ def _render_trace(trace: Trace) -> str:
 
 
 def _cmd_trace(args) -> int:
-    if args.family != TALMUD and args.q is None:
-        args.parser.error("argument -q is required for this --family")
-    q = 7 if args.family == TALMUD and args.q is None else args.q
-    rule = _rule_from(args.family, q, args.base)
+    rule = _rule(args)
     a = parse(args.number, args.base)
     trace = iterate(a, rule, stacked=args.stacked)
     if args.json:
@@ -152,7 +142,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rule = _rule_from(args.family, args.q, args.base)
+    rule = _rule(args)
     report = oracle.fuzz_equivalence(rule, args.trials, args.max_digits, args.seed)
     if args.json:
         _emit_json(report.as_json())
@@ -191,16 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("talmud", help="twice the hundreds plus the last two digits (q=7)")
     _add_common(p, with_q=False)
     p.add_argument("number")
-    p.set_defaults(func=_cmd_apply, family=TALMUD, q=7)
+    p.set_defaults(func=_cmd_apply, family=TALMUD, q=None)
 
     p = sub.add_parser("trace", help="iterate a rule to its verdict, printing each step")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("-q", type=int, default=None, help="divisor (optional for talmud)")
-    p.add_argument("--base", type=int, default=10)
-    p.add_argument("--json", action="store_true")
+    _add_common(p, with_q=False)
     p.add_argument("--stacked", action="store_true", help="trim on stacked coefficients")
     p.add_argument("number")
-    p.set_defaults(func=_cmd_trace, parser=p)
+    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("compare", help="cost table across binomial, sum and trim")
     p.add_argument("-q", required=True, help="comma-separated divisors, e.g. 7,9,11")
@@ -211,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="seeded fuzz: a rule must preserve divisibility")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    _add_common(p)
+    p.add_argument("-q", type=int, default=None, help="divisor (optional for talmud)")
+    _add_common(p, with_q=False)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-digits", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 MAX_TEXT_BASE = 36
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase
-_CHAR_VALUES = {c: i for i, c in enumerate(_DIGIT_CHARS)}
+# both ASCII cases, and nothing else: str.lower() would fold the Kelvin sign to k
+_CHAR_VALUES = {c: i for chars in (_DIGIT_CHARS, _DIGIT_CHARS.upper()) for i, c in enumerate(chars)}
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,6 @@ class DigitString:
         for d in reversed(self.digits):
             v = v * self.base + d
         return self.sign * v
-
-    @property
-    def is_zero(self) -> bool:
-        return self.digits == (0,)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -126,7 +123,7 @@ def _canonical(sign: int, base: int, digits: list[int]) -> DigitString:
 def parse(text: str, base: int = 10) -> DigitString:
     """Parse an optional '-' followed by base-``base`` digit characters.
 
-    Accepts 0-9 and a-z (either case) up to the base; leading zeros are
+    Accepts 0-9 and ASCII a-z (either case) up to the base; leading zeros are
     dropped so the result is canonical.
     """
     if not 2 <= base <= MAX_TEXT_BASE:
@@ -138,7 +135,7 @@ def parse(text: str, base: int = 10) -> DigitString:
         raise ValueError("empty digit string")
     digits = []
     for ch in reversed(body):
-        d = _CHAR_VALUES.get(ch.lower())
+        d = _CHAR_VALUES.get(ch)
         if d is None or d >= base:
             raise ValueError(f"invalid digit {ch!r} for base {base}")
         digits.append(d)

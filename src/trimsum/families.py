@@ -21,9 +21,9 @@ step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
-from . import oracle
 from .digits import DigitString, StackedNumber, add, collapse, lift, scale, split_low
 from .weights import Weight, weight_inverse
 
@@ -43,23 +43,26 @@ NOT_DIVISIBLE = "not_divisible"
 class TestRule:
     """A divisibility test: a family plus the divisor it decides.
 
-    Build rules through the classmethod constructors; they validate the
-    family's preconditions and attach the weight where one is needed.
+    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives
+    the weight and k, so a rule that builds is a sound test.
     """
 
     family: str
     q: int
     base: int = 10
-    weight: Weight | None = None
-    k: int | None = None
+    weight: Weight | None = field(init=False)
+    k: int | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_TABLE:
             raise ValueError(f"unknown family {self.family!r}")
         if self.q < 1:
             raise ValueError(f"divisor must be >= 1, got {self.q}")
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
+        weight, k = FAMILY_TABLE[self.family].derive(self.q, self.base)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "k", k)
 
     @property
     def binomial_weight(self) -> int:
@@ -74,41 +77,28 @@ class TestRule:
 
     @classmethod
     def trim(cls, q: int, base: int = 10) -> TestRule:
-        return cls(TRIM, q, base, weight=weight_inverse(q, base))
+        return cls(TRIM, q, base)
 
     @classmethod
     def sum(cls, q: int, base: int = 10) -> TestRule:
-        return cls(SUM, q, base, weight=weight_inverse(q, base))
+        return cls(SUM, q, base)
 
     @classmethod
     def binomial(cls, q: int, base: int = 10) -> TestRule:
-        if q < 2:
-            raise ValueError(f"binomial test requires q >= 2, got {q}")
         return cls(BINOMIAL, q, base)
 
     @classmethod
     def left_trim(cls, q: int, base: int = 10) -> TestRule:
-        if q < 2:
-            raise ValueError(f"left trim requires q >= 2, got {q}")
         return cls(LEFT_TRIM, q, base)
 
     @classmethod
     def talmud(cls) -> TestRule:
-        return cls(TALMUD, 7, 10)
+        return cls(TALMUD, FAMILY_TABLE[TALMUD].default_q)
 
     @classmethod
     def last_digits(cls, q: int, base: int = 10) -> TestRule:
         """Rule returning the low k digits, for the least k with q | base**k."""
-        if q < 1 or base < 2:
-            raise ValueError(f"need q >= 1 and base >= 2, got q={q} base={base}")
-        k, power = 0, 1
-        # if every prime of q divides the base, k never exceeds log2(q)
-        while power % q and k <= q.bit_length():
-            k += 1
-            power *= base
-        if power % q:
-            raise ValueError(f"q={q} divides no power of base {base}; no last-digits test")
-        return cls(LAST_DIGITS, q, base, k=k)
+        return cls(LAST_DIGITS, q, base)
 
 
 @dataclass(frozen=True)
@@ -220,23 +210,85 @@ def last_digits(a: DigitString, rule: TestRule) -> DigitString:
     return split_low(abs(a), rule.k)[1]
 
 
+def _left_trim_once(a: DigitString, rule: TestRule) -> DigitString:
+    s = lift(abs(a))
+    # left trim of a single digit has nothing to trim; the empty chain is |a|
+    return collapse(left_trim(s, rule)) if len(s.coeffs) > 1 else abs(a)
+
+
+def _derive_inverse(q: int, base: int) -> tuple[Weight | None, int | None]:
+    return weight_inverse(q, base), None
+
+
+def _derive_binomial(q: int, base: int) -> tuple[Weight | None, int | None]:
+    if q < 2:
+        raise ValueError(f"binomial weights base - q need q >= 2, got {q}")
+    return None, None
+
+
+def _derive_talmud(q: int, base: int) -> tuple[Weight | None, int | None]:
+    if (q, base) != (7, 10):
+        raise ValueError(f"the Talmud test is fixed at q=7 in base 10, got q={q} base={base}")
+    return None, None
+
+
+def _derive_last_digits(q: int, base: int) -> tuple[Weight | None, int | None]:
+    k, power = 0, 1
+    # if every prime of q divides the base, k never exceeds log2(q)
+    while power % q and k <= q.bit_length():
+        k += 1
+        power *= base
+    if power % q:
+        raise ValueError(f"q={q} divides no power of base {base}; no last-digits test")
+    return None, k
+
+
+def _per_step(lengths: list[int]) -> int:
+    return len(lengths) - 1
+
+
+def _per_digit(lengths: list[int]) -> int:
+    # one multiply-add per digit position beyond the first, per application
+    return sum(n - 1 for n in lengths[:-1])
+
+
+@dataclass(frozen=True)
+class Family:
+    """What sets one test family apart; ``FAMILY_TABLE`` has one record each."""
+
+    derive: Callable[[int, int], tuple[Weight | None, int | None]]  # checks (q, base), returns (weight, k)
+    step: Callable[[DigitString, TestRule], DigitString]  # one application to a canonical value
+    magnitude: Callable[[TestRule], int]  # the |weight| the cost table reports
+    digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
+    chain: Callable[[StackedNumber, TestRule], StackedNumber] | None = None  # the stacked step
+    chain_op: str | None = None  # the op name of the stacked chain's trace steps
+    always_stacked: bool = False  # iterate runs the stacked chain even without stacked=True
+    default_q: int | None = None  # the divisor the family is fixed at, if any
+
+
+FAMILY_TABLE = {
+    TRIM: Family(
+        _derive_inverse, trim, lambda r: abs(r.omega), _per_step, chain=stack_trim, chain_op="stack"
+    ),
+    LEFT_TRIM: Family(
+        _derive_binomial,
+        _left_trim_once,
+        lambda r: abs(r.binomial_weight),
+        _per_step,
+        chain=left_trim,
+        chain_op="left_trim",
+        always_stacked=True,
+    ),
+    SUM: Family(_derive_inverse, sum_test, lambda r: abs(r.omega), _per_digit),
+    BINOMIAL: Family(_derive_binomial, binomial_test, lambda r: abs(r.binomial_weight), _per_digit),
+    TALMUD: Family(_derive_talmud, lambda a, r: talmud(a), lambda r: 2, _per_step, default_q=7),
+    LAST_DIGITS: Family(_derive_last_digits, last_digits, lambda r: 0, lambda lengths: 0),
+}
+
+
 def apply_once(a: DigitString, rule: TestRule) -> DigitString:
     """One application of the rule's reduction, as a canonical value."""
-    if rule.family == TRIM:
-        return trim(a, rule)
-    if rule.family == SUM:
-        return sum_test(a, rule)
-    if rule.family == BINOMIAL:
-        return binomial_test(a, rule)
-    if rule.family == TALMUD:
-        return talmud(a)
-    if rule.family == LAST_DIGITS:
-        return last_digits(a, rule)
-    # left trim of a single digit has nothing to trim; the empty chain is |a|
-    s = lift(abs(a))
-    if len(s.coeffs) == 1:
-        return abs(a)
-    return collapse(left_trim(s, rule))
+    return FAMILY_TABLE[rule.family].step(a, rule)
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
@@ -244,22 +296,22 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
 
     Plain mode applies the rule to canonical values and stops once the
     magnitude falls below base**2 or a step fails to shrink it; the
-    verdict is then decided by direct remainder. With ``stacked=True``
+    verdict is then the last value mod q. With ``stacked=True``
     (trim only) the chain instead runs on stacked coefficients for
     exactly length-1 steps, whose terminal single coefficient is the
     weighted digit sum. Left trimming always runs its stacked chain.
     """
-    if rule.family == LEFT_TRIM:
-        return _chain_stacked(a, rule, left_trim, "left_trim")
-    if rule.family == TRIM and stacked:
-        return _chain_stacked(a, rule, stack_trim, "stack")
+    family = FAMILY_TABLE[rule.family]
+    if family.chain is not None and (stacked or family.always_stacked):
+        return _chain_stacked(a, rule, family.chain, family.chain_op)
     if stacked:
-        raise ValueError(f"stacked iteration applies to {TRIM!r} and {LEFT_TRIM!r} rules only")
+        chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain)
+        raise ValueError(f"stacked iteration applies to {chained} rules only")
     return _iterate_plain(a, rule)
 
 
-def _verdict(terminal: DigitString, q: int) -> str:
-    return DIVISIBLE if oracle.remainder(terminal, q) == 0 else NOT_DIVISIBLE
+def _verdict(value: int, q: int) -> str:
+    return DIVISIBLE if value % q == 0 else NOT_DIVISIBLE
 
 
 def _chain_stacked(a: DigitString, rule: TestRule, step_fn, op: str) -> Trace:
@@ -269,21 +321,22 @@ def _chain_stacked(a: DigitString, rule: TestRule, step_fn, op: str) -> Trace:
         s = step_fn(s, rule)
         steps.append(TraceStep(op, s, collapse(s)))
     terminal = steps[-1].collapsed if steps else abs(a)
-    return Trace(rule, tuple(steps), terminal, _verdict(terminal, rule.q))
+    return Trace(rule, tuple(steps), terminal, _verdict(s.value, rule.q))
 
 
 def _iterate_plain(a: DigitString, rule: TestRule) -> Trace:
     current = abs(a)
+    value = current.value
     bound = rule.base * rule.base
     steps = []
-    while current.value >= bound:
+    while value >= bound:
         out = apply_once(current, rule)
         steps.append(TraceStep(rule.family, lift(out), out))
-        if abs(out.value) >= current.value:
+        previous, current, value = value, abs(out), abs(out.value)
+        if value >= previous:
             break
-        current = abs(out)
     terminal = steps[-1].collapsed if steps else current
-    return Trace(rule, tuple(steps), terminal, _verdict(terminal, rule.q))
+    return Trace(rule, tuple(steps), terminal, _verdict(value, rule.q))
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:

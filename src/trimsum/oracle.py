@@ -10,12 +10,9 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .digits import DigitString
-
-if TYPE_CHECKING:
-    from .families import TestRule
+from .families import TestRule, apply_once
 
 
 def remainder(a: DigitString, q: int) -> int:
@@ -49,7 +46,7 @@ def random_digit_string(
 
 @dataclass(frozen=True)
 class FuzzReport:
-    rule: "TestRule"
+    rule: TestRule
     trials: int
     mismatches: int
     mean_length_drop: float
@@ -65,18 +62,16 @@ class FuzzReport:
         }
 
 
-def fuzz_equivalence(
-    rule: "TestRule", trials: int, max_digits: int = 60, seed: int = 0
-) -> FuzzReport:
+def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: int = 0) -> FuzzReport:
     """Seeded equivalence fuzz: q | a must match q | f(a) on every trial.
 
     Deterministic for a given seed. mean_length_drop is the average of
     length(a) - length(f(a)), the measurable shrink per application.
     """
-    from .families import apply_once  # here to avoid an import cycle
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if max_digits < 1:
+        raise ValueError(f"max_digits must be >= 1, got {max_digits}")
     rng = random.Random(seed)
     mismatches = 0
     drops = []

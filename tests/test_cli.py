@@ -158,6 +158,18 @@ def test_check_json_deterministic(capsys):
     assert doc["rule"] == {"family": "sum", "q": 39, "base": 10, "omega": 4}
 
 
+def test_check_talmud_uses_its_fixed_divisor(capsys):
+    code, out, err = run(capsys, "check", "--family", "talmud", "--trials", "200", "--seed", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith("family=talmud q=7 base=10 trials=200 seed=3 mismatches=0 ")
+
+
+def test_check_rejects_nonpositive_max_digits(capsys):
+    code, out, err = run(capsys, "check", "--family", "trim", "-q", "7", "--max-digits", "0")
+    assert code == 1 and out == ""
+    assert err == "error: max_digits must be >= 1, got 0\n"
+
+
 def test_domain_errors_exit_one(capsys):
     code, out, err = run(capsys, "trim", "-q", "8", "32184")
     assert code == 1 and out == ""
@@ -179,6 +191,11 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--family", "trim", "32184"])  # missing -q
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "-q" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--family", "sum", "--trials", "5"])  # missing -q
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert "-q" in err

@@ -36,7 +36,10 @@ def test_parse_canonicalizes():
     assert parse("-0", 10).sign == 1
 
 
-@pytest.mark.parametrize("text,base", [("", 10), ("-", 10), ("2", 2), ("g", 16), ("z!", 36)])
+# "1\u212a" ends in the Kelvin sign, which str.lower() folds to an ASCII k
+@pytest.mark.parametrize(
+    "text,base", [("", 10), ("-", 10), ("2", 2), ("g", 16), ("z!", 36), ("1\u212a", 36)]
+)
 def test_parse_rejects_bad_text(text, base):
     with pytest.raises(ValueError):
         parse(text, base)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
 from trimsum.families import (
     DIVISIBLE,
+    FAMILIES,
+    FAMILY_TABLE,
     NOT_DIVISIBLE,
     TestRule,
     apply_once,
@@ -114,6 +116,39 @@ def test_last_digits_rejects_divisors_off_the_base():
     with pytest.raises(ValueError):
         TestRule.last_digits(12)
     assert TestRule.last_digits(3, base=6).k == 1
+
+
+@pytest.mark.parametrize(
+    "family,q,base,k",
+    [
+        ("trim", 7, 10, None),  # 343 = 7**3 was decided with no weight at all
+        ("trim", 5, 7, None),
+        ("left_trim", 7, 10, None),
+        ("sum", 17, 10, None),
+        ("binomial", 7, 10, None),
+        ("talmud", 7, 10, None),
+        ("last_digits", 8, 10, 3),  # k was left unset
+        ("last_digits", 3, 6, 1),
+        ("talmud", 9, 10, ValueError),  # 198 = 9 * 22 was called not divisible
+        ("talmud", 7, 2, ValueError),
+        ("trim", 8, 10, ValueError),
+        ("binomial", 1, 10, ValueError),
+        ("last_digits", 7, 10, ValueError),
+        ("bogus", 7, 10, ValueError),
+    ],
+)
+def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
+    assert set(FAMILY_TABLE) == set(FAMILIES)
+    if k is ValueError:
+        with pytest.raises(ValueError):
+            TestRule(family, q, base)
+        return
+    rule = TestRule(family, q, base)
+    assert rule.k == k
+    assert rule == (TestRule.talmud() if family == "talmud" else getattr(TestRule, family)(q, base))
+    for v in (343, 198, 32184, 7 * 8 * 9 * 11 * 13 * 17, 10**12):
+        a = DigitString.from_int(v, base)
+        assert divides_via(a, rule) == divides(a, q)
 
 
 # --- iteration -------------------------------------------------------------
