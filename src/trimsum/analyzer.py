@@ -9,7 +9,7 @@ binomial summing, and why trimming beats both per decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .digits import DigitString
 from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, iterate
@@ -30,21 +30,10 @@ class CostReport:
     max_intermediate_digits: int
 
     def as_csv_row(self) -> str:
-        return (
-            f"{self.q},{self.base},{self.family},{self.weight_magnitude},"
-            f"{self.iterations},{self.digit_ops},{self.max_intermediate_digits}"
-        )
+        return ",".join(str(f) for f in astuple(self))
 
     def as_json(self) -> dict:
-        return {
-            "q": self.q,
-            "base": self.base,
-            "family": self.family,
-            "weight_magnitude": self.weight_magnitude,
-            "iterations": self.iterations,
-            "digit_ops": self.digit_ops,
-            "max_intermediate_digits": self.max_intermediate_digits,
-        }
+        return asdict(self)
 
 
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:

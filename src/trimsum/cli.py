@@ -59,11 +59,7 @@ def _cmd_weight(args) -> int:
         w = derive[args.method](args.q)
     methods = None
     if args.base == 10:
-        methods = {
-            TABLE: weight_table(args.q).omega,
-            ROUNDING: weight_rounding(args.q).omega,
-            INVERSE: weight_inverse(args.q, 10).omega,
-        }
+        methods = {name: fn(args.q).omega for name, fn in derive.items()}
     agree = len(set(methods.values())) == 1 if methods else None
     if args.json:
         _emit_json(
@@ -108,10 +104,9 @@ def _render_trace(trace: Trace) -> str:
     omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
     lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
     for i, step in enumerate(trace.steps, start=1):
-        coeffs = list(step.stacked.coeffs)
         val = step.collapsed.render()
         if step.op == chain_op:
-            lines.append(f"step {i}: {step.op} -> {coeffs} = {val}")
+            lines.append(f"step {i}: {step.op} -> {list(step.stacked.coeffs)} = {val}")
         else:
             lines.append(f"step {i}: {step.op} -> {val}")
     lines.append(f"terminal: {trace.terminal.render()}")

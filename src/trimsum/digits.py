@@ -105,10 +105,6 @@ class StackedNumber:
     def as_json(self) -> dict:
         return {"base": self.base, "coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> StackedNumber:
-        return cls(int(obj["base"]), tuple(int(c) for c in obj["coeffs"]))
-
 
 def _canonical(sign: int, base: int, digits: list[int]) -> DigitString:
     while len(digits) > 1 and digits[-1] == 0:
@@ -142,20 +138,6 @@ def parse(text: str, base: int = 10) -> DigitString:
     return _canonical(sign, base, digits)
 
 
-def split_low(a: DigitString, k: int) -> tuple[DigitString, DigitString]:
-    """Split a nonnegative value as a = base**k * high + low.
-
-    k may exceed the length of a, in which case high is zero.
-    """
-    if k < 0:
-        raise ValueError(f"split point must be nonnegative, got {k}")
-    if a.sign < 0:
-        raise ValueError("split_low is defined for nonnegative values; take abs() first")
-    high = _canonical(1, a.base, list(a.digits[k:]))
-    low = _canonical(1, a.base, list(a.digits[:k]))
-    return high, low
-
-
 def lift(a: DigitString) -> StackedNumber:
     """The stacked view of a canonical digit string (same value)."""
     coeffs = a.digits if a.sign > 0 else tuple(-d for d in a.digits)
@@ -165,25 +147,3 @@ def lift(a: DigitString) -> StackedNumber:
 def collapse(s: StackedNumber) -> DigitString:
     """Carry-propagate a stacked number back to its unique canonical form."""
     return DigitString.from_int(s.value, s.base)
-
-
-def _check_same_base(a: DigitString, b: DigitString) -> None:
-    if a.base != b.base:
-        raise ValueError(f"base mismatch: {a.base} vs {b.base}")
-
-
-def add(a: DigitString, b: DigitString) -> DigitString:
-    _check_same_base(a, b)
-    return DigitString.from_int(a.value + b.value, a.base)
-
-
-def scale(a: DigitString, factor: int) -> DigitString:
-    """Exact product of a digit string with a machine integer."""
-    return DigitString.from_int(a.value * factor, a.base)
-
-
-def value_compare(a: DigitString, b: DigitString) -> int:
-    """-1, 0 or +1 as the value of a is below, equal to or above b's."""
-    _check_same_base(a, b)
-    av, bv = a.value, b.value
-    return (av > bv) - (av < bv)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .digits import DigitString, StackedNumber, add, collapse, lift, scale, split_low
+from .digits import DigitString, StackedNumber, _canonical, collapse, lift
 from .weights import Weight, weight_inverse
 
 TRIM = "trim"
@@ -56,6 +56,10 @@ class TestRule:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_TABLE:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("q", "base"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.q < 1:
             raise ValueError(f"divisor must be >= 1, got {self.q}")
         if self.base < 2:
@@ -103,9 +107,24 @@ class TestRule:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One chain step: only the number it built, in the form it built it.
+
+    A stacked or left-trim step stores a StackedNumber, a plain step a
+    DigitString; ``stacked`` and ``collapsed`` derive the other form on request.
+    """
+
     op: str
-    stacked: StackedNumber
-    collapsed: DigitString
+    number: StackedNumber | DigitString
+
+    @property
+    def stacked(self) -> StackedNumber:
+        n = self.number
+        return n if isinstance(n, StackedNumber) else lift(n)
+
+    @property
+    def collapsed(self) -> DigitString:
+        n = self.number
+        return collapse(n) if isinstance(n, StackedNumber) else n
 
 
 @dataclass(frozen=True)
@@ -141,8 +160,8 @@ def trim(a: DigitString, rule: TestRule) -> DigitString:
     """One right trim: everything but the last digit, plus omega times it."""
     _expect(rule, TRIM)
     _expect_base(a.base, rule)
-    abar, a0 = split_low(abs(a), 1)
-    return add(abar, scale(a0, rule.weight.omega))
+    high, low = divmod(abs(a.value), a.base)
+    return DigitString.from_int(high + rule.weight.omega * low, a.base)
 
 
 def stack_trim(s: StackedNumber, rule: TestRule) -> StackedNumber:
@@ -199,15 +218,15 @@ def talmud(a: DigitString) -> DigitString:
     """Twice the hundreds part plus the last two digits (base 10, q = 7)."""
     if a.base != 10:
         raise ValueError("the Talmud test is a base-10 test")
-    high, low = split_low(abs(a), 2)
-    return add(scale(high, 2), low)
+    high, low = divmod(abs(a.value), 100)
+    return DigitString.from_int(2 * high + low, 10)
 
 
 def last_digits(a: DigitString, rule: TestRule) -> DigitString:
     """The low k digits of |a|; a test for q whenever q divides base**k."""
     _expect(rule, LAST_DIGITS)
     _expect_base(a.base, rule)
-    return split_low(abs(a), rule.k)[1]
+    return _canonical(1, a.base, list(a.digits[: rule.k]))
 
 
 def _left_trim_once(a: DigitString, rule: TestRule) -> DigitString:
@@ -319,9 +338,8 @@ def _chain_stacked(a: DigitString, rule: TestRule, step_fn, op: str) -> Trace:
     steps = []
     while len(s.coeffs) > 1:
         s = step_fn(s, rule)
-        steps.append(TraceStep(op, s, collapse(s)))
-    terminal = steps[-1].collapsed if steps else abs(a)
-    return Trace(rule, tuple(steps), terminal, _verdict(s.value, rule.q))
+        steps.append(TraceStep(op, s))
+    return Trace(rule, tuple(steps), collapse(s), _verdict(s.value, rule.q))
 
 
 def _iterate_plain(a: DigitString, rule: TestRule) -> Trace:
@@ -331,7 +349,7 @@ def _iterate_plain(a: DigitString, rule: TestRule) -> Trace:
     steps = []
     while value >= bound:
         out = apply_once(current, rule)
-        steps.append(TraceStep(rule.family, lift(out), out))
+        steps.append(TraceStep(rule.family, out))
         previous, current, value = value, abs(out), abs(out.value)
         if value >= previous:
             break

@@ -1,21 +1,11 @@
-import json
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trimsum.digits import (
-    DigitString,
-    StackedNumber,
-    add,
-    collapse,
-    lift,
-    parse,
-    scale,
-    split_low,
-    value_compare,
-)
+from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
+from trimsum.families import TestRule, last_digits, stack_trim, talmud, trim
 
 ints = st.integers(min_value=-(10**45), max_value=10**45)
 bases = st.sampled_from([2, 7, 10, 16, 36])
@@ -75,26 +65,35 @@ def test_round_trip_seeded_bulk():
 
 
 def test_split_examples():
+    # the low part is last_digits; the high part shows through talmud (k=2)
+    # and through trim by q=1, whose weight 0 keeps exactly the high part (k=1)
     a = parse("32184")
-    assert split_low(a, 2) == (parse("321"), parse("84"))
-    assert split_low(a, 1) == (parse("3218"), parse("4"))
-    assert split_low(parse("5"), 1) == (parse("0"), parse("5"))
+    assert last_digits(a, TestRule.last_digits(100)) == parse("84")
+    assert talmud(a) == parse(str(2 * 321 + 84))
+    assert last_digits(a, TestRule.last_digits(10)) == parse("4")
+    assert trim(a, TestRule.trim(1)) == parse("3218")
+    assert last_digits(parse("5"), TestRule.last_digits(10)) == parse("5")
+    assert trim(parse("5"), TestRule.trim(1)) == parse("0")
 
 
 @given(v=st.integers(min_value=0, max_value=10**40), base=bases)
 def test_split_identity_every_k(v, base):
     a = DigitString.from_int(v, base)
     for k in range(len(a) + 2):
-        high, low = split_low(a, k)
-        assert base**k * high.value + low.value == v
+        rule = TestRule.last_digits(base**k, base)
+        assert rule.k == k
+        low = last_digits(a, rule)
+        assert (v - low.value) % base**k == 0 and 0 <= low.value < base**k
         assert len(low) <= max(k, 1)
 
 
 def test_split_rejects_bad_input():
+    # last_digits reads |a|, and takes only a last-digits rule in the value's base
+    assert last_digits(parse("-5"), TestRule.last_digits(10)) == parse("5")
     with pytest.raises(ValueError):
-        split_low(parse("-5"), 1)
+        last_digits(parse("5"), TestRule.trim(7))
     with pytest.raises(ValueError):
-        split_low(parse("5"), -1)
+        last_digits(parse("5", 16), TestRule.last_digits(8))
 
 
 def test_collapse_examples():
@@ -139,25 +138,14 @@ def test_divisibility_is_representation_invariant(coeffs, q):
     assert (s.value % q == 0) == (collapse(s).value % q == 0)
 
 
-def test_add_scale_examples():
-    assert add(parse("3218"), scale(parse("4"), -2)) == parse("3210")
-    assert add(parse("0"), parse("0")) == parse("0")
-    assert add(parse("3218"), scale(parse("4"), 4)) == parse("3234")
-
-
 def test_base_mismatch_rejected():
+    # a step refuses a value whose base differs from its rule's
     with pytest.raises(ValueError):
-        add(parse("10", 10), parse("10", 16))
+        trim(parse("10", 16), TestRule.trim(7))
     with pytest.raises(ValueError):
-        value_compare(parse("10", 2), parse("10", 3))
-
-
-@given(x=ints, y=ints, m=st.integers(min_value=-999, max_value=999))
-def test_arithmetic_matches_integers(x, y, m):
-    a, b = DigitString.from_int(x), DigitString.from_int(y)
-    assert add(a, b).value == x + y
-    assert scale(a, m).value == x * m
-    assert value_compare(a, b) == (x > y) - (x < y)
+        stack_trim(lift(parse("10", 16)), TestRule.trim(7))
+    with pytest.raises(ValueError):
+        talmud(parse("10", 16))
 
 
 def test_digit_string_validation():
@@ -178,4 +166,3 @@ def test_stacked_number_validation_and_json():
         StackedNumber(10, ())
     s = StackedNumber(10, (8 + (-2) * 4, 1, 2, 3))
     assert s.as_json() == {"base": 10, "coeffs": [0, 1, 2, 3]}
-    assert StackedNumber.from_json(json.loads(json.dumps(s.as_json()))) == s

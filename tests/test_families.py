@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trimsum import families
 from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
 from trimsum.families import (
     DIVISIBLE,
@@ -40,6 +41,7 @@ def test_trim_examples():
     assert trim(parse("49"), TestRule.trim(7)) == parse("-14")
     assert trim(parse("3198"), TestRule.trim(17)) == parse("279")
     assert trim(parse("3234"), TestRule.trim(13)) == parse("339")
+    assert trim(parse("0"), TestRule.trim(7)) == parse("0")
     # single digit: nothing left of the last digit
     assert trim(parse("6"), TestRule.trim(7)).value == -2 * 6
 
@@ -135,6 +137,14 @@ def test_last_digits_rejects_divisors_off_the_base():
         ("binomial", 1, 10, ValueError),
         ("last_digits", 7, 10, ValueError),
         ("bogus", 7, 10, ValueError),
+        # q and base must be ints: these raised TypeError or AttributeError, or built
+        ("trim", 7.0, 10, ValueError),
+        ("trim", "7", 10, ValueError),
+        ("last_digits", 8.0, 10, ValueError),
+        ("trim", True, 10, ValueError),
+        ("binomial", 7.5, 10, ValueError),
+        ("trim", 7, 10.0, ValueError),
+        ("sum", 7, True, ValueError),
     ],
 )
 def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
@@ -194,6 +204,21 @@ def test_iterate_stops_when_a_step_fails_to_shrink():
     assert trace.verdict == NOT_DIVISIBLE
 
 
+def test_chains_collapse_only_their_terminal(monkeypatch):
+    calls = []
+
+    def counting_collapse(s):
+        calls.append(s)
+        return collapse(s)
+
+    monkeypatch.setattr(families, "collapse", counting_collapse)
+    trace = iterate(parse("3" * 50), TestRule.left_trim(7))
+    assert len(trace.steps) == 49
+    assert len(calls) == 1
+    trace.as_json()  # renders each step's collapsed value, built on request
+    assert len(calls) == 1 + 49
+
+
 def test_iterate_rejects_stacked_for_summing_families():
     with pytest.raises(ValueError):
         iterate(A, TestRule.sum(7), stacked=True)
@@ -248,6 +273,29 @@ def test_identities_hold_in_other_bases(v, base, q):
     if q >= 2:
         left = iterate(a, TestRule.left_trim(q, base)).terminal
         assert left.value == binomial_test(a, TestRule.binomial(q, base)).value
+
+
+def _thousand_digit_texts(base):
+    chars = "0123456789abcdefghijklmnopqrstuvwxyz"[:base]
+    rng = random.Random(base)
+    yield rng.choice(chars[1:]) + "".join(rng.choice(chars) for _ in range(999))
+    yield chars[-1] * 1000
+    yield "1" + "0" * 999
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_chains_match_integers_at_a_thousand_digits(base):
+    for text in _thousand_digit_texts(base):
+        a, v = parse(text, base), int(text, base)
+        assert len(a) == 1000
+        for q in (max(base - 1, 2), base + 1, 1000003):
+            left = iterate(a, TestRule.left_trim(q, base))
+            assert (left.verdict == DIVISIBLE) == (v % q == 0)
+            assert left.terminal == binomial_test(a, TestRule.binomial(q, base))
+            if math.gcd(q, base) == 1:
+                stacked = iterate(a, TestRule.trim(q, base), stacked=True)
+                assert (stacked.verdict == DIVISIBLE) == (v % q == 0)
+                assert stacked.terminal == sum_test(a, TestRule.sum(q, base))
 
 
 # --- algebraic relations ---------------------------------------------------
