@@ -6,8 +6,8 @@ other name is imported from its module (``trimsum.families``,
 ``trimsum.oracle``, ...)."""
 
 from .digits import DigitString, parse
-from .families import TestRule, Trace, divides_via, iterate, sum_test
+from .families import TestRule, Trace, apply_once, divides_via, iterate
 
 __version__ = "0.1.0"
 
-__all__ = ["DigitString", "TestRule", "Trace", "divides_via", "iterate", "parse", "sum_test"]
+__all__ = ["DigitString", "TestRule", "Trace", "apply_once", "divides_via", "iterate", "parse"]

@@ -22,6 +22,25 @@ _DIGIT_CHARS = string.digits + string.ascii_lowercase
 _CHAR_VALUES = {c: i for chars in (_DIGIT_CHARS, _DIGIT_CHARS.upper()) for i, c in enumerate(chars)}
 
 
+def fold(coeffs: tuple[int, ...], x: int) -> int:
+    """sum(coeffs[i] * x**i), by Horner's rule from the top coefficient down."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
+
+
+def _check_ints(name: str, values: tuple[int, ...]) -> None:
+    # one C-level pass: a non-empty tuple whose items are all exactly int (bool is not)
+    if type(values) is not tuple or set(map(type, values)) != {int}:
+        raise ValueError(f"{name} must be a non-empty tuple of ints, got {values!r:.60}")
+
+
+def _check_base(base: int) -> None:
+    if type(base) is not int or base < 2:
+        raise ValueError(f"base must be an int >= 2, got {base!r}")
+
+
 @dataclass(frozen=True)
 class DigitString:
     """Canonical form: sign * sum(digits[i] * base**i).
@@ -34,14 +53,12 @@ class DigitString:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not self.digits:
-            raise ValueError("digit vector must not be empty")
-        if any(not 0 <= d < self.base for d in self.digits):
-            raise ValueError(f"digit out of range for base {self.base}: {self.digits}")
+        _check_base(self.base)
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be the int +1 or -1, got {self.sign!r}")
+        _check_ints("digits", self.digits)
+        if min(self.digits) < 0 or max(self.digits) >= self.base:
+            raise ValueError(f"digit out of range for base {self.base}: {self.digits!r:.60}")
         if len(self.digits) > 1 and self.digits[-1] == 0:
             raise ValueError("leading zero digit")
         if self.digits == (0,) and self.sign < 0:
@@ -49,8 +66,7 @@ class DigitString:
 
     @classmethod
     def from_int(cls, value: int, base: int = 10) -> DigitString:
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
+        _check_base(base)
         mag = abs(value)
         digits = []
         while mag:
@@ -60,10 +76,7 @@ class DigitString:
 
     @property
     def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return self.sign * v
+        return self.sign * fold(self.digits, self.base)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -90,30 +103,24 @@ class StackedNumber:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if not self.coeffs:
-            raise ValueError("stacked number needs at least one coefficient")
+        _check_base(self.base)
+        _check_ints("coefficients", self.coeffs)
+
+    @classmethod
+    def _trusted(cls, base: int, coeffs: tuple[int, ...]) -> StackedNumber:
+        """Wrap int arithmetic on checked coefficients without a second pass over them.
+
+        A chain step builds one of these per step; checking every item again
+        would double the cost of a stacked or left-trim chain.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "base", base)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
 
     @property
     def value(self) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.base + c
-        return v
-
-    def as_json(self) -> dict:
-        return {"base": self.base, "coeffs": list(self.coeffs)}
-
-
-def _canonical(sign: int, base: int, digits: list[int]) -> DigitString:
-    while len(digits) > 1 and digits[-1] == 0:
-        digits.pop()
-    if not digits:
-        digits = [0]
-    if digits == [0]:
-        sign = 1
-    return DigitString(sign, base, tuple(digits))
+        return fold(self.coeffs, self.base)
 
 
 def parse(text: str, base: int = 10) -> DigitString:
@@ -135,7 +142,11 @@ def parse(text: str, base: int = 10) -> DigitString:
         if d is None or d >= base:
             raise ValueError(f"invalid digit {ch!r} for base {base}")
         digits.append(d)
-    return _canonical(sign, base, digits)
+    while len(digits) > 1 and digits[-1] == 0:
+        digits.pop()
+    if digits == [0]:
+        sign = 1
+    return DigitString(sign, base, tuple(digits))
 
 
 def lift(a: DigitString) -> StackedNumber:

@@ -13,10 +13,12 @@ Two conventions are easy to transpose and are fixed here once:
   up (j = 0 on the last digit), with (base - q)**0 = 1 even when
   base == q.
 
-All families act on |a|. Divisibility does not depend on sign, and
-intermediate results may themselves go negative (trimming 49 by sevens
-gives -14); the driver renormalises to the magnitude before the next
-step.
+Each family is one integer formula in its ``FAMILY_TABLE`` record, read
+off the digits of |a| with ``digits.fold``. Divisibility does not depend
+on sign, and intermediate results may themselves go negative (trimming
+49 by sevens gives -14); a DigitString's digits are those of its
+magnitude, so the next step reads |value|. Only ``apply_once`` and
+``iterate`` turn the formulas' integers back into digit vectors.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .digits import DigitString, StackedNumber, _canonical, collapse, lift
-from .weights import Weight, weight_inverse
+from .digits import DigitString, StackedNumber, collapse, fold, lift
+from .weights import weight_inverse
 
 TRIM = "trim"
 LEFT_TRIM = "left_trim"
@@ -44,13 +46,13 @@ class TestRule:
     """A divisibility test: a family plus the divisor it decides.
 
     The family's record in ``FAMILY_TABLE`` checks (q, base) and derives
-    the weight and k, so a rule that builds is a sound test.
+    the weight omega and k, so a rule that builds is a sound test.
     """
 
     family: str
     q: int
     base: int = 10
-    weight: Weight | None = field(init=False)
+    omega: int | None = field(init=False)
     k: int | None = field(init=False)
 
     def __post_init__(self) -> None:
@@ -64,17 +66,13 @@ class TestRule:
             raise ValueError(f"divisor must be >= 1, got {self.q}")
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        weight, k = FAMILY_TABLE[self.family].derive(self.q, self.base)
-        object.__setattr__(self, "weight", weight)
+        omega, k = FAMILY_TABLE[self.family].derive(self.q, self.base)
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
 
     @property
     def binomial_weight(self) -> int:
         return self.base - self.q
-
-    @property
-    def omega(self) -> int | None:
-        return self.weight.omega if self.weight is not None else None
 
     def as_json(self) -> dict:
         return {"family": self.family, "q": self.q, "base": self.base, "omega": self.omega}
@@ -146,112 +144,68 @@ class Trace:
         }
 
 
-def _expect(rule: TestRule, *families: str) -> None:
-    if rule.family not in families:
-        raise ValueError(f"rule family {rule.family!r} not usable here (need {' or '.join(families)})")
+def _trim(d: tuple[int, ...], r: TestRule) -> int:
+    """Right trim: everything but the last digit, plus omega times it."""
+    return fold(d[1:], r.base) + r.omega * d[0]
 
 
-def _expect_base(base: int, rule: TestRule) -> None:
-    if base != rule.base:
-        raise ValueError(f"base mismatch: value in base {base}, rule in base {rule.base}")
-
-
-def trim(a: DigitString, rule: TestRule) -> DigitString:
-    """One right trim: everything but the last digit, plus omega times it."""
-    _expect(rule, TRIM)
-    _expect_base(a.base, rule)
-    high, low = divmod(abs(a.value), a.base)
-    return DigitString.from_int(high + rule.weight.omega * low, a.base)
-
-
-def stack_trim(s: StackedNumber, rule: TestRule) -> StackedNumber:
-    """Right trim on stacked coefficients: fold omega * coeffs[0] into coeffs[1].
+def _stack_trim(c: tuple[int, ...], r: TestRule) -> tuple[int, ...]:
+    """Right trim on stacked coefficients: fold omega * c[0] into c[1].
 
     Higher coefficients are untouched, so iterating never propagates a
     carry; that is what keeps the chain's terminal equal to the weighted
     digit sum.
     """
-    _expect(rule, TRIM)
-    _expect_base(s.base, rule)
-    w = rule.weight.omega
-    c = s.coeffs
-    if len(c) == 1:
-        return StackedNumber(s.base, (w * c[0],))
-    return StackedNumber(s.base, (c[1] + w * c[0],) + c[2:])
+    return (c[1] + r.omega * c[0],) + c[2:]
 
 
-def left_trim(s: StackedNumber, rule: TestRule) -> StackedNumber:
+def _left_trim_chain(c: tuple[int, ...], r: TestRule) -> tuple[int, ...]:
     """Left trim: fold (base - q) * top coefficient into the next slot down."""
-    _expect(rule, LEFT_TRIM)
-    _expect_base(s.base, rule)
-    if len(s.coeffs) < 2:
-        raise ValueError("left trim needs at least two coefficients")
-    c = s.coeffs
-    return StackedNumber(s.base, c[:-2] + (c[-2] + rule.binomial_weight * c[-1],))
+    return c[:-2] + (c[-2] + r.binomial_weight * c[-1],)
 
 
-def sum_test(a: DigitString, rule: TestRule) -> DigitString:
-    """Weighted digit sum with omega**j applied from the top digit down."""
-    _expect(rule, SUM)
-    _expect_base(a.base, rule)
-    w = rule.weight.omega
-    digits = abs(a).digits
-    acc = digits[0]
-    for d in digits[1:]:
-        acc = d + w * acc
-    return DigitString.from_int(acc, a.base)
-
-
-def binomial_test(a: DigitString, rule: TestRule) -> DigitString:
-    """Weighted digit sum with (base - q)**j applied from the last digit up."""
-    _expect(rule, BINOMIAL)
-    _expect_base(a.base, rule)
-    w = rule.binomial_weight
-    digits = abs(a).digits
-    acc = digits[-1]
-    for d in reversed(digits[:-1]):
-        acc = d + w * acc
-    return DigitString.from_int(acc, a.base)
-
-
-def talmud(a: DigitString) -> DigitString:
-    """Twice the hundreds part plus the last two digits (base 10, q = 7)."""
-    if a.base != 10:
-        raise ValueError("the Talmud test is a base-10 test")
-    high, low = divmod(abs(a.value), 100)
-    return DigitString.from_int(2 * high + low, 10)
-
-
-def last_digits(a: DigitString, rule: TestRule) -> DigitString:
-    """The low k digits of |a|; a test for q whenever q divides base**k."""
-    _expect(rule, LAST_DIGITS)
-    _expect_base(a.base, rule)
-    return _canonical(1, a.base, list(a.digits[: rule.k]))
-
-
-def _left_trim_once(a: DigitString, rule: TestRule) -> DigitString:
-    s = lift(abs(a))
+def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
     # left trim of a single digit has nothing to trim; the empty chain is |a|
-    return collapse(left_trim(s, rule)) if len(s.coeffs) > 1 else abs(a)
+    return fold(_left_trim_chain(d, r), r.base) if len(d) > 1 else d[0]
 
 
-def _derive_inverse(q: int, base: int) -> tuple[Weight | None, int | None]:
-    return weight_inverse(q, base), None
+def _sum(d: tuple[int, ...], r: TestRule) -> int:
+    """Weighted digit sum with omega**j applied from the top digit down."""
+    return fold(d[::-1], r.omega)
 
 
-def _derive_binomial(q: int, base: int) -> tuple[Weight | None, int | None]:
+def _binomial(d: tuple[int, ...], r: TestRule) -> int:
+    """Weighted digit sum with (base - q)**j applied from the last digit up."""
+    return fold(d, r.binomial_weight)
+
+
+def _talmud(d: tuple[int, ...], r: TestRule) -> int:
+    """Twice the hundreds part plus the last two digits (base 10, q = 7)."""
+    return 2 * fold(d[2:], 10) + fold(d[:2], 10)
+
+
+def _last_digits(d: tuple[int, ...], r: TestRule) -> int:
+    """The low k digits; a test for q whenever q divides base**k."""
+    return fold(d[: r.k], r.base)
+
+
+def _derive_inverse(q: int, base: int) -> tuple[int | None, int | None]:
+    return weight_inverse(q, base).omega, None
+
+
+def _derive_binomial(q: int, base: int) -> tuple[int | None, int | None]:
     if q < 2:
         raise ValueError(f"binomial weights base - q need q >= 2, got {q}")
     return None, None
 
 
-def _derive_talmud(q: int, base: int) -> tuple[Weight | None, int | None]:
+def _derive_talmud(q: int, base: int) -> tuple[int | None, int | None]:
     if (q, base) != (7, 10):
         raise ValueError(f"the Talmud test is fixed at q=7 in base 10, got q={q} base={base}")
     return None, None
 
 
-def _derive_last_digits(q: int, base: int) -> tuple[Weight | None, int | None]:
+def _derive_last_digits(q: int, base: int) -> tuple[int | None, int | None]:
     k, power = 0, 1
     # if every prime of q divides the base, k never exceeds log2(q)
     while power % q and k <= q.bit_length():
@@ -275,11 +229,11 @@ def _per_digit(lengths: list[int]) -> int:
 class Family:
     """What sets one test family apart; ``FAMILY_TABLE`` has one record each."""
 
-    derive: Callable[[int, int], tuple[Weight | None, int | None]]  # checks (q, base), returns (weight, k)
-    step: Callable[[DigitString, TestRule], DigitString]  # one application to a canonical value
+    derive: Callable[[int, int], tuple[int | None, int | None]]  # checks (q, base), returns (omega, k)
+    step: Callable[[tuple[int, ...], TestRule], int]  # one application, from the digits of |a|
     magnitude: Callable[[TestRule], int]  # the |weight| the cost table reports
     digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
-    chain: Callable[[StackedNumber, TestRule], StackedNumber] | None = None  # the stacked step
+    chain: Callable[[tuple[int, ...], TestRule], tuple[int, ...]] | None = None  # the stacked step
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
     always_stacked: bool = False  # iterate runs the stacked chain even without stacked=True
     default_q: int | None = None  # the divisor the family is fixed at, if any
@@ -287,27 +241,33 @@ class Family:
 
 FAMILY_TABLE = {
     TRIM: Family(
-        _derive_inverse, trim, lambda r: abs(r.omega), _per_step, chain=stack_trim, chain_op="stack"
+        _derive_inverse, _trim, lambda r: abs(r.omega), _per_step, chain=_stack_trim, chain_op="stack"
     ),
     LEFT_TRIM: Family(
         _derive_binomial,
-        _left_trim_once,
+        _left_trim,
         lambda r: abs(r.binomial_weight),
         _per_step,
-        chain=left_trim,
+        chain=_left_trim_chain,
         chain_op="left_trim",
         always_stacked=True,
     ),
-    SUM: Family(_derive_inverse, sum_test, lambda r: abs(r.omega), _per_digit),
-    BINOMIAL: Family(_derive_binomial, binomial_test, lambda r: abs(r.binomial_weight), _per_digit),
-    TALMUD: Family(_derive_talmud, lambda a, r: talmud(a), lambda r: 2, _per_step, default_q=7),
-    LAST_DIGITS: Family(_derive_last_digits, last_digits, lambda r: 0, lambda lengths: 0),
+    SUM: Family(_derive_inverse, _sum, lambda r: abs(r.omega), _per_digit),
+    BINOMIAL: Family(_derive_binomial, _binomial, lambda r: abs(r.binomial_weight), _per_digit),
+    TALMUD: Family(_derive_talmud, _talmud, lambda r: 2, _per_step, default_q=7),
+    LAST_DIGITS: Family(_derive_last_digits, _last_digits, lambda r: 0, lambda lengths: 0),
 }
 
 
 def apply_once(a: DigitString, rule: TestRule) -> DigitString:
-    """One application of the rule's reduction, as a canonical value."""
-    return FAMILY_TABLE[rule.family].step(a, rule)
+    """One application of the rule's reduction to |a|, as a canonical value."""
+    if a.base != rule.base:
+        raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
+    return DigitString.from_int(FAMILY_TABLE[rule.family].step(a.digits, rule), a.base)
+
+
+# perfbench/ladder.py times one trim step under this name
+trim = apply_once
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
@@ -320,41 +280,42 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     exactly length-1 steps, whose terminal single coefficient is the
     weighted digit sum. Left trimming always runs its stacked chain.
     """
+    if a.base != rule.base:
+        raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
     family = FAMILY_TABLE[rule.family]
     if family.chain is not None and (stacked or family.always_stacked):
         return _chain_stacked(a, rule, family.chain, family.chain_op)
     if stacked:
         chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain)
         raise ValueError(f"stacked iteration applies to {chained} rules only")
-    return _iterate_plain(a, rule)
+    return _iterate_plain(a, rule, family.step)
 
 
 def _verdict(value: int, q: int) -> str:
     return DIVISIBLE if value % q == 0 else NOT_DIVISIBLE
 
 
-def _chain_stacked(a: DigitString, rule: TestRule, step_fn, op: str) -> Trace:
+def _chain_stacked(a: DigitString, rule: TestRule, chain, op: str) -> Trace:
     s = lift(abs(a))
     steps = []
     while len(s.coeffs) > 1:
-        s = step_fn(s, rule)
+        s = StackedNumber._trusted(s.base, chain(s.coeffs, rule))
         steps.append(TraceStep(op, s))
     return Trace(rule, tuple(steps), collapse(s), _verdict(s.value, rule.q))
 
 
-def _iterate_plain(a: DigitString, rule: TestRule) -> Trace:
-    current = abs(a)
-    value = current.value
+def _iterate_plain(a: DigitString, rule: TestRule, step) -> Trace:
+    current, value = abs(a), abs(a.value)
     bound = rule.base * rule.base
     steps = []
     while value >= bound:
-        out = apply_once(current, rule)
-        steps.append(TraceStep(rule.family, out))
-        previous, current, value = value, abs(out), abs(out.value)
+        out = step(current.digits, rule)
+        current = DigitString.from_int(out, rule.base)
+        steps.append(TraceStep(rule.family, current))
+        previous, value = value, abs(out)
         if value >= previous:
             break
-    terminal = steps[-1].collapsed if steps else current
-    return Trace(rule, tuple(steps), terminal, _verdict(value, rule.q))
+    return Trace(rule, tuple(steps), current, _verdict(value, rule.q))
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:

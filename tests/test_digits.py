@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
-from trimsum.families import TestRule, last_digits, stack_trim, talmud, trim
+from trimsum.families import TestRule, apply_once, iterate
 
 ints = st.integers(min_value=-(10**45), max_value=10**45)
 bases = st.sampled_from([2, 7, 10, 16, 36])
@@ -68,12 +68,12 @@ def test_split_examples():
     # the low part is last_digits; the high part shows through talmud (k=2)
     # and through trim by q=1, whose weight 0 keeps exactly the high part (k=1)
     a = parse("32184")
-    assert last_digits(a, TestRule.last_digits(100)) == parse("84")
-    assert talmud(a) == parse(str(2 * 321 + 84))
-    assert last_digits(a, TestRule.last_digits(10)) == parse("4")
-    assert trim(a, TestRule.trim(1)) == parse("3218")
-    assert last_digits(parse("5"), TestRule.last_digits(10)) == parse("5")
-    assert trim(parse("5"), TestRule.trim(1)) == parse("0")
+    assert apply_once(a, TestRule.last_digits(100)) == parse("84")
+    assert apply_once(a, TestRule.talmud()) == parse(str(2 * 321 + 84))
+    assert apply_once(a, TestRule.last_digits(10)) == parse("4")
+    assert apply_once(a, TestRule.trim(1)) == parse("3218")
+    assert apply_once(parse("5"), TestRule.last_digits(10)) == parse("5")
+    assert apply_once(parse("5"), TestRule.trim(1)) == parse("0")
 
 
 @given(v=st.integers(min_value=0, max_value=10**40), base=bases)
@@ -82,18 +82,16 @@ def test_split_identity_every_k(v, base):
     for k in range(len(a) + 2):
         rule = TestRule.last_digits(base**k, base)
         assert rule.k == k
-        low = last_digits(a, rule)
+        low = apply_once(a, rule)
         assert (v - low.value) % base**k == 0 and 0 <= low.value < base**k
         assert len(low) <= max(k, 1)
 
 
 def test_split_rejects_bad_input():
-    # last_digits reads |a|, and takes only a last-digits rule in the value's base
-    assert last_digits(parse("-5"), TestRule.last_digits(10)) == parse("5")
+    # a last-digits step reads |a|, and takes only a rule in the value's base
+    assert apply_once(parse("-5"), TestRule.last_digits(10)) == parse("5")
     with pytest.raises(ValueError):
-        last_digits(parse("5"), TestRule.trim(7))
-    with pytest.raises(ValueError):
-        last_digits(parse("5", 16), TestRule.last_digits(8))
+        apply_once(parse("5", 16), TestRule.last_digits(8))
 
 
 def test_collapse_examples():
@@ -139,13 +137,13 @@ def test_divisibility_is_representation_invariant(coeffs, q):
 
 
 def test_base_mismatch_rejected():
-    # a step refuses a value whose base differs from its rule's
+    # apply_once and iterate refuse a value whose base differs from its rule's
     with pytest.raises(ValueError):
-        trim(parse("10", 16), TestRule.trim(7))
+        apply_once(parse("10", 16), TestRule.trim(7))
     with pytest.raises(ValueError):
-        stack_trim(lift(parse("10", 16)), TestRule.trim(7))
+        iterate(parse("10", 16), TestRule.trim(7), stacked=True)
     with pytest.raises(ValueError):
-        talmud(parse("10", 16))
+        apply_once(parse("10", 16), TestRule.talmud())
 
 
 def test_digit_string_validation():
@@ -156,13 +154,29 @@ def test_digit_string_validation():
         lambda: DigitString(-1, 10, (0,)),  # negative zero
         lambda: DigitString(2, 10, (1,)),
         lambda: DigitString(1, 1, (0,)),
+        # values must be ints and digits a tuple: these built, or raised TypeError
+        lambda: DigitString(1, 10, (1.5,)),
+        lambda: DigitString(1, 10, (True,)),
+        lambda: DigitString(1.0, 10, (1,)),
+        lambda: DigitString(True, 10, (1,)),
+        lambda: DigitString(1, 10.0, (1,)),
+        lambda: DigitString(1, True, (1,)),
+        lambda: DigitString(1, 10, [1, 2]),
+        lambda: DigitString(1, 10, "12"),
     ]:
         with pytest.raises(ValueError):
             bad()
 
 
 def test_stacked_number_validation_and_json():
-    with pytest.raises(ValueError):
-        StackedNumber(10, ())
-    s = StackedNumber(10, (8 + (-2) * 4, 1, 2, 3))
-    assert s.as_json() == {"base": 10, "coeffs": [0, 1, 2, 3]}
+    for bad in [
+        lambda: StackedNumber(10, ()),
+        lambda: StackedNumber(10, (1.5, 2)),  # its value read 21.5
+        lambda: StackedNumber(10, (1, False)),
+        lambda: StackedNumber(10, [1, 2]),
+        lambda: StackedNumber(10.0, (1, 2)),
+        lambda: StackedNumber(1, (1, 2)),
+    ]:
+        with pytest.raises(ValueError):
+            bad()
+    assert StackedNumber(10, (8 + (-2) * 4, 1, 2, 3)).value == 3210

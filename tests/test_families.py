@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimsum import families
-from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
+from trimsum.digits import DigitString, collapse, parse
 from trimsum.families import (
     DIVISIBLE,
     FAMILIES,
@@ -15,15 +15,8 @@ from trimsum.families import (
     NOT_DIVISIBLE,
     TestRule,
     apply_once,
-    binomial_test,
     divides_via,
     iterate,
-    last_digits,
-    left_trim,
-    stack_trim,
-    sum_test,
-    talmud,
-    trim,
 )
 from trimsum.oracle import divides, random_digit_string
 
@@ -37,13 +30,13 @@ nonneg = st.integers(min_value=0, max_value=10**30)
 
 
 def test_trim_examples():
-    assert trim(A, TestRule.trim(7)) == parse("3210")
-    assert trim(parse("49"), TestRule.trim(7)) == parse("-14")
-    assert trim(parse("3198"), TestRule.trim(17)) == parse("279")
-    assert trim(parse("3234"), TestRule.trim(13)) == parse("339")
-    assert trim(parse("0"), TestRule.trim(7)) == parse("0")
+    assert apply_once(A, TestRule.trim(7)) == parse("3210")
+    assert apply_once(parse("49"), TestRule.trim(7)) == parse("-14")
+    assert apply_once(parse("3198"), TestRule.trim(17)) == parse("279")
+    assert apply_once(parse("3234"), TestRule.trim(13)) == parse("339")
+    assert apply_once(parse("0"), TestRule.trim(7)) == parse("0")
     # single digit: nothing left of the last digit
-    assert trim(parse("6"), TestRule.trim(7)).value == -2 * 6
+    assert apply_once(parse("6"), TestRule.trim(7)).value == -2 * 6
 
 
 def test_trim_requires_coprime_divisor():
@@ -54,60 +47,51 @@ def test_trim_requires_coprime_divisor():
 
 
 def test_stack_trim_examples():
-    r9 = TestRule.trim(9)
-    s = stack_trim(lift(A), r9)
-    assert s.coeffs == (8 + 4, 1, 2, 3)
-    assert stack_trim(s, r9).coeffs == (1 + 8 + 4, 2, 3)
-    assert stack_trim(lift(A), TestRule.trim(7)).coeffs == (0, 1, 2, 3)
+    steps = iterate(A, TestRule.trim(9), stacked=True).steps
+    assert steps[0].stacked.coeffs == (8 + 4, 1, 2, 3)
+    assert steps[1].stacked.coeffs == (1 + 8 + 4, 2, 3)
+    assert iterate(A, TestRule.trim(7), stacked=True).steps[0].stacked.coeffs == (0, 1, 2, 3)
 
 
 def test_sum_test_examples():
-    assert sum_test(A, TestRule.sum(7)) == parse("3")
-    assert sum_test(A, TestRule.sum(9)) == parse("18")
-    assert sum_test(A, TestRule.sum(11)) == parse("-2")
-    assert sum_test(A, TestRule.sum(17)) == parse("1518")
-    assert sum_test(A, TestRule.sum(39)) == parse("1563")
-    assert sum_test(parse("8"), TestRule.sum(17)) == parse("8")
+    assert apply_once(A, TestRule.sum(7)) == parse("3")
+    assert apply_once(A, TestRule.sum(9)) == parse("18")
+    assert apply_once(A, TestRule.sum(11)) == parse("-2")
+    assert apply_once(A, TestRule.sum(17)) == parse("1518")
+    assert apply_once(A, TestRule.sum(39)) == parse("1563")
+    assert apply_once(parse("8"), TestRule.sum(17)) == parse("8")
 
 
 def test_binomial_test_examples():
-    assert binomial_test(A, TestRule.binomial(7)) == parse("334")
-    assert binomial_test(parse("334"), TestRule.binomial(7)) == parse("40")
-    assert binomial_test(A, TestRule.binomial(9)) == parse("18")  # plain digit sum
+    assert apply_once(A, TestRule.binomial(7)) == parse("334")
+    assert apply_once(parse("334"), TestRule.binomial(7)) == parse("40")
+    assert apply_once(A, TestRule.binomial(9)) == parse("18")  # plain digit sum
     # base - q = 0: degenerates to the last digit
-    assert binomial_test(A, TestRule.binomial(10)) == parse("4")
+    assert apply_once(A, TestRule.binomial(10)) == parse("4")
 
 
 def test_left_trim_chain_representations():
-    rule = TestRule.left_trim(7)
-    s = left_trim(lift(A), rule)
-    assert s.coeffs == (4, 8, 1, 11)
-    s = left_trim(s, rule)
-    assert s.coeffs == (4, 8, 34)
-    s = left_trim(s, rule)
-    assert s.coeffs == (4, 110)
-    s = left_trim(s, rule)
-    assert s.coeffs == (334,)
-    assert collapse(s) == parse("334")
-
-
-def test_left_trim_needs_two_coefficients():
-    with pytest.raises(ValueError):
-        left_trim(StackedNumber(10, (5,)), TestRule.left_trim(7))
+    steps = iterate(A, TestRule.left_trim(7)).steps
+    assert steps[0].stacked.coeffs == (4, 8, 1, 11)
+    assert steps[1].stacked.coeffs == (4, 8, 34)
+    assert steps[2].stacked.coeffs == (4, 110)
+    assert steps[3].stacked.coeffs == (334,)
+    assert collapse(steps[3].stacked) == parse("334")
 
 
 def test_talmud_examples():
-    assert talmud(A) == parse("726")
-    assert talmud(parse("99")) == parse("99")
-    assert talmud(parse("726")) == parse("40")  # 2*7 + 26
+    rule = TestRule.talmud()
+    assert apply_once(A, rule) == parse("726")
+    assert apply_once(parse("99"), rule) == parse("99")
+    assert apply_once(parse("726"), rule) == parse("40")  # 2*7 + 26
     with pytest.raises(ValueError):
-        talmud(parse("11", 2))
+        apply_once(parse("11", 2), rule)
 
 
 def test_last_digits_examples():
-    assert last_digits(A, TestRule.last_digits(8)) == parse("184")
-    assert last_digits(A, TestRule.last_digits(2)) == parse("4")
-    assert last_digits(A, TestRule.last_digits(4)) == parse("84")  # 4 | 84, so 4 | 32184
+    assert apply_once(A, TestRule.last_digits(8)) == parse("184")
+    assert apply_once(A, TestRule.last_digits(2)) == parse("4")
+    assert apply_once(A, TestRule.last_digits(4)) == parse("84")  # 4 | 84, so 4 | 32184
     assert TestRule.last_digits(8).k == 3
     assert TestRule.last_digits(4).k == 2
 
@@ -159,6 +143,7 @@ def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
     for v in (343, 198, 32184, 7 * 8 * 9 * 11 * 13 * 17, 10**12):
         a = DigitString.from_int(v, base)
         assert divides_via(a, rule) == divides(a, q)
+        assert type(FAMILY_TABLE[family].step(a.digits, rule)) is int
 
 
 # --- iteration -------------------------------------------------------------
@@ -248,7 +233,7 @@ def test_trace_json_shape_and_stability():
 def test_stacked_trim_chain_equals_weighted_sum(v, q):
     a = DigitString.from_int(v)
     terminal = iterate(a, TestRule.trim(q), stacked=True).terminal
-    assert terminal.value == sum_test(a, TestRule.sum(q)).value
+    assert terminal.value == apply_once(a, TestRule.sum(q)).value
 
 
 @settings(deadline=None)
@@ -256,7 +241,7 @@ def test_stacked_trim_chain_equals_weighted_sum(v, q):
 def test_left_trim_chain_equals_binomial_sum(v, q):
     a = DigitString.from_int(v)
     terminal = iterate(a, TestRule.left_trim(q)).terminal
-    assert terminal.value == binomial_test(a, TestRule.binomial(q)).value
+    assert terminal.value == apply_once(a, TestRule.binomial(q)).value
 
 
 @settings(deadline=None)
@@ -269,33 +254,55 @@ def test_identities_hold_in_other_bases(v, base, q):
     a = DigitString.from_int(v, base)
     if math.gcd(q, base) == 1:
         stacked = iterate(a, TestRule.trim(q, base), stacked=True).terminal
-        assert stacked.value == sum_test(a, TestRule.sum(q, base)).value
+        assert stacked.value == apply_once(a, TestRule.sum(q, base)).value
     if q >= 2:
         left = iterate(a, TestRule.left_trim(q, base)).terminal
-        assert left.value == binomial_test(a, TestRule.binomial(q, base)).value
+        assert left.value == apply_once(a, TestRule.binomial(q, base)).value
 
 
-def _thousand_digit_texts(base):
+def _long_digit_texts(base, length):
     chars = "0123456789abcdefghijklmnopqrstuvwxyz"[:base]
     rng = random.Random(base)
-    yield rng.choice(chars[1:]) + "".join(rng.choice(chars) for _ in range(999))
-    yield chars[-1] * 1000
-    yield "1" + "0" * 999
+    yield rng.choice(chars[1:]) + "".join(rng.choice(chars) for _ in range(length - 1))
+    yield chars[-1] * length
+    yield "1" + "0" * (length - 1)
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
 def test_chains_match_integers_at_a_thousand_digits(base):
-    for text in _thousand_digit_texts(base):
+    for text in _long_digit_texts(base, 1000):
         a, v = parse(text, base), int(text, base)
         assert len(a) == 1000
         for q in (max(base - 1, 2), base + 1, 1000003):
             left = iterate(a, TestRule.left_trim(q, base))
             assert (left.verdict == DIVISIBLE) == (v % q == 0)
-            assert left.terminal == binomial_test(a, TestRule.binomial(q, base))
+            assert left.terminal == apply_once(a, TestRule.binomial(q, base))
             if math.gcd(q, base) == 1:
                 stacked = iterate(a, TestRule.trim(q, base), stacked=True)
                 assert (stacked.verdict == DIVISIBLE) == (v % q == 0)
-                assert stacked.terminal == sum_test(a, TestRule.sum(q, base))
+                assert stacked.terminal == apply_once(a, TestRule.sum(q, base))
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_plain_chains_match_integers_at_three_hundred_digits(base):
+    qs = [q for q in (max(base - 1, 2), base + 1, 1000003) if math.gcd(q, base) == 1]
+    rules = [TestRule.trim(q, base) for q in qs] + ([TestRule.talmud()] if base == 10 else [])
+    for text in _long_digit_texts(base, 300):
+        a, v = parse(text, base), int(text, base)
+        assert len(a) == 300
+        for rule in rules:
+            trace = iterate(a, rule)
+            x = previous = v
+            for step in trace.steps:
+                previous = abs(x)
+                if rule.family == "talmud":
+                    x = 2 * (previous // 100) + previous % 100
+                else:
+                    x = previous // base + rule.omega * (previous % base)
+                assert step.number.value == x
+            assert trace.steps and trace.terminal.value == x
+            assert abs(x) < base * base or abs(x) >= previous
+            assert (trace.verdict == DIVISIBLE) == (v % rule.q == 0)
 
 
 # --- algebraic relations ---------------------------------------------------
@@ -305,21 +312,21 @@ def test_chains_match_integers_at_a_thousand_digits(base):
 def test_tripled_divisor_gives_the_same_trim(v, q):
     if q % 10 in (3, 7):
         a = DigitString.from_int(v)
-        assert trim(a, TestRule.trim(q)) == trim(a, TestRule.trim(3 * q))
+        assert apply_once(a, TestRule.trim(q)) == apply_once(a, TestRule.trim(3 * q))
 
 
 @given(v=nonneg, q=coprime_q)
 def test_corrected_remainder_relations(v, q):
     a = DigitString.from_int(v)
     omega = TestRule.trim(q).omega
-    assert 10 * trim(a, TestRule.trim(q)).value % q == v % q
-    assert sum_test(a, TestRule.sum(q)).value % q == omega ** (len(a) - 1) * v % q
+    assert 10 * apply_once(a, TestRule.trim(q)).value % q == v % q
+    assert apply_once(a, TestRule.sum(q)).value % q == omega ** (len(a) - 1) * v % q
 
 
 @given(v=nonneg, q=st.integers(min_value=2, max_value=9999))
 def test_binomial_preserves_remainders(v, q):
     a = DigitString.from_int(v)
-    assert binomial_test(a, TestRule.binomial(q)).value % q == v % q
+    assert apply_once(a, TestRule.binomial(q)).value % q == v % q
 
 
 @given(v=nonneg)
@@ -327,13 +334,13 @@ def test_nine_and_eleven_reduce_to_classic_digit_sums(v):
     a = DigitString.from_int(v)
     digit_sum = sum(a.digits)
     alternating = sum(d if i % 2 == 0 else -d for i, d in enumerate(a.digits))
-    assert binomial_test(a, TestRule.binomial(9)).value == digit_sum
-    assert binomial_test(a, TestRule.binomial(11)).value == alternating
+    assert apply_once(a, TestRule.binomial(9)).value == digit_sum
+    assert apply_once(a, TestRule.binomial(11)).value == alternating
     # omega for 9 is 1 = 10 - 9, so the two summing families coincide
-    assert sum_test(a, TestRule.sum(9)).value == digit_sum
+    assert apply_once(a, TestRule.sum(9)).value == digit_sum
     # omega for 11 is -1 = 10 - 11, but the weights index from opposite
     # ends, so the sums agree only up to the factor (-1)**n
-    s11 = sum_test(a, TestRule.sum(11)).value
+    s11 = apply_once(a, TestRule.sum(11)).value
     assert s11 == (-1) ** (len(a) - 1) * alternating
     assert (s11 % 11 == 0) == (alternating % 11 == 0)
 
@@ -343,7 +350,7 @@ def test_sign_never_changes_the_verdict(v, q):
     a = DigitString.from_int(v)
     rule = TestRule.trim(q)
     assert divides_via(a, rule) == (v % q == 0)
-    assert trim(a, rule) == trim(abs(a), rule)
+    assert apply_once(a, rule) == apply_once(abs(a), rule)
 
 
 # --- every step of every family preserves divisibility ---------------------
