@@ -106,18 +106,6 @@ class StackedNumber:
         _check_base(self.base)
         _check_ints("coefficients", self.coeffs)
 
-    @classmethod
-    def _trusted(cls, base: int, coeffs: tuple[int, ...]) -> StackedNumber:
-        """Wrap int arithmetic on checked coefficients without a second pass over them.
-
-        A chain step builds one of these per step; checking every item again
-        would double the cost of a stacked or left-trim chain.
-        """
-        s = object.__new__(cls)
-        object.__setattr__(s, "base", base)
-        object.__setattr__(s, "coeffs", coeffs)
-        return s
-
     @property
     def value(self) -> int:
         return fold(self.coeffs, self.base)

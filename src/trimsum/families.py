@@ -18,7 +18,8 @@ off the digits of |a| with ``digits.fold``. Divisibility does not depend
 on sign, and intermediate results may themselves go negative (trimming
 49 by sevens gives -14); a DigitString's digits are those of its
 magnitude, so the next step reads |value|. Only ``apply_once`` and
-``iterate`` turn the formulas' integers back into digit vectors.
+``iterate`` turn the formulas' integers back into digits; a stacked chain
+keeps bare coefficient tuples and collapses only its terminal.
 """
 
 from __future__ import annotations
@@ -107,22 +108,23 @@ class TestRule:
 class TraceStep:
     """One chain step: only the number it built, in the form it built it.
 
-    A stacked or left-trim step stores a StackedNumber, a plain step a
-    DigitString; ``stacked`` and ``collapsed`` derive the other form on request.
+    A stacked or left-trim step stores its coefficient tuple, a plain step its
+    DigitString; ``stacked`` and ``collapsed`` build the other form on request.
     """
 
     op: str
-    number: StackedNumber | DigitString
+    number: tuple[int, ...] | DigitString
+    base: int
 
     @property
     def stacked(self) -> StackedNumber:
         n = self.number
-        return n if isinstance(n, StackedNumber) else lift(n)
+        return lift(n) if isinstance(n, DigitString) else StackedNumber(self.base, n)
 
     @property
     def collapsed(self) -> DigitString:
         n = self.number
-        return collapse(n) if isinstance(n, StackedNumber) else n
+        return n if isinstance(n, DigitString) else collapse(self.stacked)
 
 
 @dataclass(frozen=True)
@@ -296,26 +298,25 @@ def _verdict(value: int, q: int) -> str:
 
 
 def _chain_stacked(a: DigitString, rule: TestRule, chain, op: str) -> Trace:
-    s = lift(abs(a))
+    c = a.digits  # the digits of |a|, read as coefficients
     steps = []
-    while len(s.coeffs) > 1:
-        s = StackedNumber._trusted(s.base, chain(s.coeffs, rule))
-        steps.append(TraceStep(op, s))
-    return Trace(rule, tuple(steps), collapse(s), _verdict(s.value, rule.q))
+    while len(c) > 1:
+        c = chain(c, rule)
+        steps.append(TraceStep(op, c, rule.base))
+    return Trace(rule, tuple(steps), collapse(StackedNumber(rule.base, c)), _verdict(c[0], rule.q))
 
 
 def _iterate_plain(a: DigitString, rule: TestRule, step) -> Trace:
-    current, value = abs(a), abs(a.value)
-    bound = rule.base * rule.base
+    current = abs(a)
     steps = []
-    while value >= bound:
-        out = step(current.digits, rule)
-        current = DigitString.from_int(out, rule.base)
-        steps.append(TraceStep(rule.family, current))
-        previous, value = value, abs(out)
-        if value >= previous:
+    while len(current.digits) > 2:  # |v| >= base**2
+        d = current.digits
+        current = DigitString.from_int(step(d, rule), rule.base)
+        steps.append(TraceStep(rule.family, current, rule.base))
+        e = current.digits  # canonical: a longer tuple is larger; ties compare from the top
+        if len(e) > len(d) or len(e) == len(d) and e[::-1] >= d[::-1]:
             break
-    return Trace(rule, tuple(steps), current, _verdict(value, rule.q))
+    return Trace(rule, tuple(steps), current, _verdict(current.value, rule.q))
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:

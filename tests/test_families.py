@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimsum import families
+from trimsum import digits, families
 from trimsum.digits import DigitString, collapse, parse
 from trimsum.families import (
     DIVISIBLE,
@@ -189,6 +189,34 @@ def test_iterate_stops_when_a_step_fails_to_shrink():
     assert trace.verdict == NOT_DIVISIBLE
 
 
+def test_iterate_compares_equal_lengths_from_the_top():
+    # omega = 99 for 989: 191 -> 19 + 99 = 118 shrinks, then 11 + 99*8 = 803 does not
+    assert [s.number for s in iterate(parse("191"), TestRule.trim(989)).steps] == [
+        parse("118"),
+        parse("803"),
+    ]
+    assert [s.number for s in iterate(parse("101"), TestRule.trim(989)).steps] == [parse("109")]
+    # an equal image is no shrink either
+    trace = iterate(parse("184"), TestRule.last_digits(8))
+    assert [s.number for s in trace.steps] == [parse("184")]
+    assert trace.verdict == DIVISIBLE
+
+
+def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
+    fold, lengths = digits.fold, []
+
+    def recording_fold(coeffs, x):
+        lengths.append(len(coeffs))
+        return fold(coeffs, x)
+
+    monkeypatch.setattr(digits, "fold", recording_fold)
+    monkeypatch.setattr(families, "fold", recording_fold)
+    rule = TestRule.last_digits(8)
+    assert divides_via(parse("9" * 2997 + "184"), rule) is True
+    assert divides_via(parse("9" * 2997 + "185"), rule) is False
+    assert lengths and max(lengths) <= rule.k
+
+
 def test_chains_collapse_only_their_terminal(monkeypatch):
     calls = []
 
@@ -281,6 +309,21 @@ def test_chains_match_integers_at_a_thousand_digits(base):
                 stacked = iterate(a, TestRule.trim(q, base), stacked=True)
                 assert (stacked.verdict == DIVISIBLE) == (v % q == 0)
                 assert stacked.terminal == apply_once(a, TestRule.sum(q, base))
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_single_pass_verdicts_match_integers_at_four_thousand_digits(base):
+    near = [q for q in (base - 1, base + 1) if q >= 2]
+    rules = [TestRule.sum(q, base) for q in near] + [TestRule.binomial(q, base) for q in near]
+    rules += [TestRule.last_digits(q, base) for q in (base, base**3)]
+    for text in _long_digit_texts(base, 4000):
+        a, v = parse(text, base), int(text, base)
+        assert len(a) == 4000
+        for rule in rules:
+            trace = iterate(a, rule)
+            assert (trace.verdict == DIVISIBLE) == (v % rule.q == 0), (text[:20], rule)
+            if rule.family != "sum":  # binomial and last digits keep the remainder itself
+                assert trace.terminal.value % rule.q == v % rule.q
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])

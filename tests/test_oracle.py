@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -106,3 +107,15 @@ def test_trim_length_drop_reported_not_asserted(capsys):
         if len(a) > len(DigitString.from_int(rule.omega)) + 2 and len(apply_once(a, rule)) >= len(a):
             violations += 1
     print(f"trim length-drop violations beyond len(omega)+2: {violations}")
+
+
+def test_fuzz_memory_does_not_grow_with_trials():
+    rule = TestRule.trim(7)
+    tracemalloc.start()
+    try:
+        report = fuzz_equivalence(rule, trials=10_000, max_digits=1, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.mismatches == 0
+    assert peak < 32 * 1024
