@@ -45,7 +45,7 @@ def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
         rule.q,
         rule.base,
         rule.family,
-        family.magnitude(rule),
+        abs(family.weight(rule)),
         len(trace.steps),
         family.digit_ops(lengths),
         max(lengths),
@@ -64,12 +64,19 @@ class ComparisonTable:
 
 
 def compare(q_list, a_list, base: int = 10) -> ComparisonTable:
-    """One cost row per (q, a, family), sorted so output is reproducible."""
+    """One cost row per (q, a, family) with a test for q, sorted so output is reproducible."""
     keyed = []
     for q in q_list:
+        rules = []
+        for family in _COMPARE_FAMILIES:
+            try:
+                rules.append(TestRule(family, q, base))
+            except ValueError as exc:
+                error = exc  # raised if no family has a test for q
+        if not rules:
+            raise error
         for a in a_list:
-            for family in _COMPARE_FAMILIES:
-                report = cost_profile(a, TestRule(family, q, base))
-                keyed.append(((q, a.value, family), report))
+            for rule in rules:
+                keyed.append(((q, a.value, rule.family), cost_profile(a, rule)))
     keyed.sort(key=lambda pair: pair[0])
     return ComparisonTable(tuple(report for _, report in keyed))

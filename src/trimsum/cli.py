@@ -100,13 +100,12 @@ def _cmd_apply(args) -> int:
 
 def _render_trace(trace: Trace) -> str:
     rule = trace.rule
-    chain_op = FAMILY_TABLE[rule.family].chain_op
     omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
     lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
     for i, step in enumerate(trace.steps, start=1):
         val = step.collapsed.render()
-        if step.op == chain_op:
-            lines.append(f"step {i}: {step.op} -> {list(step.stacked.coeffs)} = {val}")
+        if isinstance(step.number, tuple):  # a stacked chain step: show its coefficients
+            lines.append(f"step {i}: {step.op} -> {list(step.number)} = {val}")
         else:
             lines.append(f"step {i}: {step.op} -> {val}")
     lines.append(f"terminal: {trace.terminal.render()}")

@@ -14,18 +14,20 @@ Two conventions are easy to transpose and are fixed here once:
   base == q.
 
 Each family is one integer formula in its ``FAMILY_TABLE`` record, read
-off the digits of |a| with ``digits.fold``. Divisibility does not depend
-on sign, and intermediate results may themselves go negative (trimming
-49 by sevens gives -14); a DigitString's digits are those of its
-magnitude, so the next step reads |value|. Only ``apply_once`` and
-``iterate`` turn the formulas' integers back into digits; a stacked chain
-keeps bare coefficient tuples and collapses only its terminal.
+off the digits of |a| with ``digits.fold``; divisibility does not depend
+on sign, and a result may go negative (trimming 49 by sevens gives -14).
+The stacked trim and left-trim chains are the sum and binomial formulas
+run one digit at a time: a running Horner fold that rewrites no digits.
+One step source, ``_chain``, makes each chain's numbers; ``iterate``
+records them as a ``Trace`` and ``divides_via`` keeps only the last.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .digits import DigitString, StackedNumber, collapse, fold, lift
 from .weights import weight_inverse
@@ -70,10 +72,6 @@ class TestRule:
         omega, k = FAMILY_TABLE[self.family].derive(self.q, self.base)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
-
-    @property
-    def binomial_weight(self) -> int:
-        return self.base - self.q
 
     def as_json(self) -> dict:
         return {"family": self.family, "q": self.q, "base": self.base, "omega": self.omega}
@@ -151,24 +149,10 @@ def _trim(d: tuple[int, ...], r: TestRule) -> int:
     return fold(d[1:], r.base) + r.omega * d[0]
 
 
-def _stack_trim(c: tuple[int, ...], r: TestRule) -> tuple[int, ...]:
-    """Right trim on stacked coefficients: fold omega * c[0] into c[1].
-
-    Higher coefficients are untouched, so iterating never propagates a
-    carry; that is what keeps the chain's terminal equal to the weighted
-    digit sum.
-    """
-    return (c[1] + r.omega * c[0],) + c[2:]
-
-
-def _left_trim_chain(c: tuple[int, ...], r: TestRule) -> tuple[int, ...]:
-    """Left trim: fold (base - q) * top coefficient into the next slot down."""
-    return c[:-2] + (c[-2] + r.binomial_weight * c[-1],)
-
-
 def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
-    # left trim of a single digit has nothing to trim; the empty chain is |a|
-    return fold(_left_trim_chain(d, r), r.base) if len(d) > 1 else d[0]
+    """Left trim, |a| less q * top * base**(n - 2): (base - q) * top folded one digit down."""
+    top = r.q * d[-1] * r.base ** (len(d) - 2) if len(d) > 1 else 0
+    return fold(d, r.base) - top
 
 
 def _sum(d: tuple[int, ...], r: TestRule) -> int:
@@ -178,7 +162,7 @@ def _sum(d: tuple[int, ...], r: TestRule) -> int:
 
 def _binomial(d: tuple[int, ...], r: TestRule) -> int:
     """Weighted digit sum with (base - q)**j applied from the last digit up."""
-    return fold(d, r.binomial_weight)
+    return fold(d, r.base - r.q)
 
 
 def _talmud(d: tuple[int, ...], r: TestRule) -> int:
@@ -233,9 +217,9 @@ class Family:
 
     derive: Callable[[int, int], tuple[int | None, int | None]]  # checks (q, base), returns (omega, k)
     step: Callable[[tuple[int, ...], TestRule], int]  # one application, from the digits of |a|
-    magnitude: Callable[[TestRule], int]  # the |weight| the cost table reports
+    weight: Callable[[TestRule], int]  # a stacked chain folds with it; the cost table shows |weight|
     digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
-    chain: Callable[[tuple[int, ...], TestRule], tuple[int, ...]] | None = None  # the stacked step
+    chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
     always_stacked: bool = False  # iterate runs the stacked chain even without stacked=True
     default_q: int | None = None  # the divisor the family is fixed at, if any
@@ -243,19 +227,19 @@ class Family:
 
 FAMILY_TABLE = {
     TRIM: Family(
-        _derive_inverse, _trim, lambda r: abs(r.omega), _per_step, chain=_stack_trim, chain_op="stack"
+        _derive_inverse, _trim, lambda r: r.omega, _per_step, chain_order=1, chain_op="stack"
     ),
     LEFT_TRIM: Family(
         _derive_binomial,
         _left_trim,
-        lambda r: abs(r.binomial_weight),
+        lambda r: r.base - r.q,
         _per_step,
-        chain=_left_trim_chain,
+        chain_order=-1,
         chain_op="left_trim",
         always_stacked=True,
     ),
-    SUM: Family(_derive_inverse, _sum, lambda r: abs(r.omega), _per_digit),
-    BINOMIAL: Family(_derive_binomial, _binomial, lambda r: abs(r.binomial_weight), _per_digit),
+    SUM: Family(_derive_inverse, _sum, lambda r: r.omega, _per_digit),
+    BINOMIAL: Family(_derive_binomial, _binomial, lambda r: r.base - r.q, _per_digit),
     TALMUD: Family(_derive_talmud, _talmud, lambda r: 2, _per_step, default_q=7),
     LAST_DIGITS: Family(_derive_last_digits, _last_digits, lambda r: 0, lambda lengths: 0),
 }
@@ -272,53 +256,63 @@ def apply_once(a: DigitString, rule: TestRule) -> DigitString:
 trim = apply_once
 
 
-def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict, recording every step.
+def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Iterator]:
+    """The stacked chain's fold order (None if plain), and the chain's start and step results.
 
-    Plain mode applies the rule to canonical values and stops once the
-    magnitude falls below base**2 or a step fails to shrink it; the
-    verdict is then the last value mod q. With ``stacked=True``
-    (trim only) the chain instead runs on stacked coefficients for
-    exactly length-1 steps, whose terminal single coefficient is the
-    weighted digit sum. Left trimming always runs its stacked chain.
+    A stacked chain is the running fold acc = acc * weight + next digit, made
+    one step at a time: trim's from the last digit up with omega (ending at the
+    sum test), left trim's from the top digit down with base - q (the binomial test).
     """
     if a.base != rule.base:
         raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
     family = FAMILY_TABLE[rule.family]
-    if family.chain is not None and (stacked or family.always_stacked):
-        return _chain_stacked(a, rule, family.chain, family.chain_op)
+    if family.chain_order and (stacked or family.always_stacked):
+        order, weight = family.chain_order, family.weight(rule)
+        return order, accumulate(a.digits[::order], lambda acc, d: acc * weight + d)
     if stacked:
-        chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain)
+        chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain_order)
         raise ValueError(f"stacked iteration applies to {chained} rules only")
-    return _iterate_plain(a, rule, family.step)
+    return None, _plain_chain(a, rule, family.step)
 
 
-def _verdict(value: int, q: int) -> str:
-    return DIVISIBLE if value % q == 0 else NOT_DIVISIBLE
-
-
-def _chain_stacked(a: DigitString, rule: TestRule, chain, op: str) -> Trace:
-    c = a.digits  # the digits of |a|, read as coefficients
-    steps = []
-    while len(c) > 1:
-        c = chain(c, rule)
-        steps.append(TraceStep(op, c, rule.base))
-    return Trace(rule, tuple(steps), collapse(StackedNumber(rule.base, c)), _verdict(c[0], rule.q))
-
-
-def _iterate_plain(a: DigitString, rule: TestRule, step) -> Trace:
+def _plain_chain(a: DigitString, rule: TestRule, step) -> Iterator[DigitString]:
+    """Canonical values from |a|, stepping while |v| >= base**2 until a step fails to shrink it."""
     current = abs(a)
-    steps = []
-    while len(current.digits) > 2:  # |v| >= base**2
+    yield current
+    while len(current.digits) > 2:
         d = current.digits
         current = DigitString.from_int(step(d, rule), rule.base)
-        steps.append(TraceStep(rule.family, current, rule.base))
+        yield current
         e = current.digits  # canonical: a longer tuple is larger; ties compare from the top
         if len(e) > len(d) or len(e) == len(d) and e[::-1] >= d[::-1]:
             break
-    return Trace(rule, tuple(steps), current, _verdict(current.value, rule.q))
+
+
+def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
+    """Drive a rule to a verdict, recording every step of its chain.
+
+    Plain mode applies the rule to canonical values; the verdict is the
+    terminal mod q. ``stacked=True`` (trim only) runs the stacked chain,
+    as left trimming always does: step i puts the fold of i + 1 digits in
+    the last folded digit's slot, beside the digits not yet folded.
+    """
+    order, numbers = _chain(a, rule, stacked)
+    numbers = list(numbers)
+    last = numbers[-1]
+    if order is None:
+        steps = [TraceStep(rule.family, v, rule.base) for v in numbers[1:]]
+        terminal, value = last, last.value
+    else:
+        d, op = a.digits[::order], FAMILY_TABLE[rule.family].chain_op
+        steps = [
+            TraceStep(op, ((acc,) + d[folded:])[::order], rule.base)
+            for folded, acc in enumerate(numbers[1:], 2)
+        ]
+        terminal, value = DigitString.from_int(last, rule.base), last
+    return Trace(rule, tuple(steps), terminal, DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a by iterating the rule."""
-    return iterate(a, rule).verdict == DIVISIBLE
+    """Decide q | a by running the rule's chain, keeping only its current number."""
+    last = deque(_chain(a, rule, False)[1], maxlen=1)[0]
+    return (last if type(last) is int else last.value) % rule.q == 0

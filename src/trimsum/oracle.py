@@ -8,10 +8,14 @@ of a rule preserves divisibility against that referee.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .digits import DigitString
 from .families import TestRule, apply_once
+
+# fuzz_equivalence's caps: a run's time grows with trials * max_digits
+MAX_TRIALS = 10**6
+MAX_DIGITS = 10**4
 
 
 def remainder(a: DigitString, q: int) -> int:
@@ -52,13 +56,7 @@ class FuzzReport:
     seed: int
 
     def as_json(self) -> dict:
-        return {
-            "rule": self.rule.as_json(),
-            "trials": self.trials,
-            "mismatches": self.mismatches,
-            "mean_length_drop": self.mean_length_drop,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "rule": self.rule.as_json()}
 
 
 def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: int = 0) -> FuzzReport:
@@ -67,10 +65,11 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
     Deterministic for a given seed. mean_length_drop is the average of
     length(a) - length(f(a)), the measurable shrink per application.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if max_digits < 1:
-        raise ValueError(f"max_digits must be >= 1, got {max_digits}")
+    for name, value, cap in (("trials", trials, MAX_TRIALS), ("max_digits", max_digits, MAX_DIGITS)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+        if value > cap:
+            raise ValueError(f"{name} must be <= {cap}, got {value}")
     rng = random.Random(seed)
     mismatches = total_drop = 0
     for _ in range(trials):

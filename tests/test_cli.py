@@ -170,6 +170,27 @@ def test_check_rejects_nonpositive_max_digits(capsys):
     assert err == "error: max_digits must be >= 1, got 0\n"
 
 
+def test_check_caps_trials_and_max_digits(capsys):
+    code, out, err = run(capsys, "check", "--family", "trim", "-q", "7", "--trials", "1000001")
+    assert code == 1 and out == ""
+    assert err == "error: trials must be <= 1000000, got 1000001\n"
+    code, out, err = run(capsys, "check", "--family", "trim", "-q", "7", "--max-digits", "10001")
+    assert code == 1 and out == ""
+    assert err == "error: max_digits must be <= 10000, got 10001\n"
+
+
+def test_compare_omits_families_without_a_test_for_q(capsys):
+    code, out, err = run(capsys, "compare", "-q", "1", "32184")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["1,10,sum,0,1,4,5", "1,10,trim,0,3,3,5"]
+    code, out, err = run(capsys, "compare", "-q", "4", "32184")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["4,10,binomial,6,4,12,5"]
+    code, out, err = run(capsys, "compare", "-q", "0", "32184")
+    assert code == 1 and out == ""
+    assert err == "error: divisor must be >= 1, got 0\n"
+
+
 def test_domain_errors_exit_one(capsys):
     code, out, err = run(capsys, "trim", "-q", "8", "32184")
     assert code == 1 and out == ""

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -227,9 +228,26 @@ def test_chains_collapse_only_their_terminal(monkeypatch):
     monkeypatch.setattr(families, "collapse", counting_collapse)
     trace = iterate(parse("3" * 50), TestRule.left_trim(7))
     assert len(trace.steps) == 49
-    assert len(calls) == 1
+    assert len(calls) == 0  # the terminal is the fold's final int, converted directly
     trace.as_json()  # renders each step's collapsed value, built on request
-    assert len(calls) == 1 + 49
+    assert len(calls) == 49
+
+
+@pytest.mark.parametrize(
+    "rule,length,limit",
+    [(TestRule.left_trim(7), 3000, 1024 * 1024), (TestRule.trim(7), 300, 64 * 1024)],
+)
+def test_verdicts_keep_only_the_current_number(rule, length, limit):
+    text = next(_long_digit_texts(10, length))
+    a = parse(text)
+    tracemalloc.start()
+    try:
+        verdict = divides_via(a, rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == (int(text) % rule.q == 0)
+    assert peak < limit
 
 
 def test_iterate_rejects_stacked_for_summing_families():
@@ -316,6 +334,7 @@ def test_single_pass_verdicts_match_integers_at_four_thousand_digits(base):
     near = [q for q in (base - 1, base + 1) if q >= 2]
     rules = [TestRule.sum(q, base) for q in near] + [TestRule.binomial(q, base) for q in near]
     rules += [TestRule.last_digits(q, base) for q in (base, base**3)]
+    left_trims = [TestRule.left_trim(q, base) for q in near]
     for text in _long_digit_texts(base, 4000):
         a, v = parse(text, base), int(text, base)
         assert len(a) == 4000
@@ -324,6 +343,8 @@ def test_single_pass_verdicts_match_integers_at_four_thousand_digits(base):
             assert (trace.verdict == DIVISIBLE) == (v % rule.q == 0), (text[:20], rule)
             if rule.family != "sum":  # binomial and last digits keep the remainder itself
                 assert trace.terminal.value % rule.q == v % rule.q
+        for rule in left_trims:  # one running fold, no trace kept
+            assert divides_via(a, rule) == (v % rule.q == 0), (text[:20], rule)
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
@@ -407,21 +428,27 @@ def _family_rules(rng):
     yield TestRule.trim(q)
     yield TestRule.sum(q)
     yield TestRule.binomial(rng.randint(2, 9999))
+    yield TestRule.left_trim(rng.randint(2, 9999))
     yield TestRule.talmud()
     i, j = rng.randint(0, 8), rng.randint(0, 8)
     yield TestRule.last_digits(2 ** max(i, 1) * 5**j)
 
 
 def test_each_trace_step_preserves_divisibility():
+    # the verdict path (divides_via) against the trace path (iterate), on every family
     rng = random.Random(5150)
-    for _ in range(200):
-        a = random_digit_string(rng, max_digits=30)
+    fixed = [parse(x) for x in ("0", "7", "-3", "-49")]
+    for a in fixed + [random_digit_string(rng, max_digits=30) for _ in range(200)]:
         for rule in _family_rules(rng):
             expected = divides(a, rule.q)
-            trace = iterate(a, rule)
-            for step in trace.steps:
-                assert divides(step.collapsed, rule.q) == expected
-            assert (trace.verdict == DIVISIBLE) == expected
+            traces = [iterate(a, rule)]
+            if rule.family == "trim":
+                traces.append(iterate(a, rule, stacked=True))
+            for trace in traces:
+                for step in trace.steps:
+                    assert divides(step.collapsed, rule.q) == expected
+                assert (trace.verdict == DIVISIBLE) == expected
+            assert divides_via(a, rule) == expected
 
 
 def test_apply_once_covers_left_trim_including_single_digits():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trimsum import oracle
 from trimsum.digits import DigitString, parse
 from trimsum.families import TestRule, apply_once
-from trimsum.oracle import divides, fuzz_equivalence, random_digit_string, remainder
+from trimsum.oracle import MAX_DIGITS, MAX_TRIALS, divides, fuzz_equivalence, random_digit_string, remainder
 
 
 def test_remainder_examples():
@@ -92,6 +93,27 @@ def test_fuzz_report_json_shape():
 def test_fuzz_rejects_zero_trials():
     with pytest.raises(ValueError):
         fuzz_equivalence(TestRule.trim(7), 0)
+
+
+@pytest.mark.parametrize(
+    "trials,max_digits,message",
+    [
+        (MAX_TRIALS + 1, 60, f"trials must be <= {MAX_TRIALS}"),
+        (1, MAX_DIGITS + 1, f"max_digits must be <= {MAX_DIGITS}"),
+    ],
+)
+def test_fuzz_caps_trials_and_digits_before_any_trial(monkeypatch, trials, max_digits, message):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(oracle, "random_digit_string", no_trial)
+    with pytest.raises(ValueError, match=message):
+        fuzz_equivalence(TestRule.trim(7), trials, max_digits)
+
+
+def test_fuzz_accepts_the_digit_cap():
+    report = fuzz_equivalence(TestRule.last_digits(8), 2, max_digits=MAX_DIGITS, seed=1)
+    assert report.trials == 2 and report.mismatches == 0
 
 
 def test_trim_length_drop_reported_not_asserted(capsys):
