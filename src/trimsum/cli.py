@@ -51,30 +51,25 @@ def _rule(args) -> TestRule:
 
 def _cmd_weight(args) -> int:
     derive = {TABLE: weight_table, ROUNDING: weight_rounding, INVERSE: weight_inverse}
-    if args.method == INVERSE:
-        w = weight_inverse(args.q, args.base)
-    else:
-        if args.base != 10:
-            raise ValueError(f"method {args.method!r} is base-10 only; use --method inverse")
-        w = derive[args.method](args.q)
-    methods = None
-    if args.base == 10:
-        methods = {name: fn(args.q).omega for name, fn in derive.items()}
+    if args.method != INVERSE and args.base != 10:
+        raise ValueError(f"method {args.method!r} is base-10 only; use --method inverse")
+    omega = derive[args.method](args.q) if args.base == 10 else weight_inverse(args.q, args.base)
+    methods = {name: fn(args.q) for name, fn in derive.items()} if args.base == 10 else None
     agree = len(set(methods.values())) == 1 if methods else None
     if args.json:
         _emit_json(
             {
                 "q": args.q,
                 "base": args.base,
-                "omega": w.omega,
-                "method": w.method,
+                "omega": omega,
+                "method": args.method,
                 "methods": methods,
                 "agree": agree,
             }
         )
     else:
         tail = "n/a" if agree is None else ("yes" if agree else "NO")
-        print(f"q={args.q} base={args.base} omega={w.omega:+d} method={w.method} agree={tail}")
+        print(f"q={args.q} base={args.base} omega={omega:+d} method={args.method} agree={tail}")
     return 0
 
 

@@ -117,6 +117,8 @@ def parse(text: str, base: int = 10) -> DigitString:
     Accepts 0-9 and ASCII a-z (either case) up to the base; leading zeros are
     dropped so the result is canonical.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, got {text!r:.60}")
     if not 2 <= base <= MAX_TEXT_BASE:
         raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {base}")
     body, sign = text, 1

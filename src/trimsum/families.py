@@ -1,9 +1,9 @@
 """The divisibility-test families and their iteration driver.
 
-Families: right trimming (weight on the last digit), left trimming
-(weight base - q on the top digit, always run on stacked coefficients),
-weighted summing, binomial summing, the historical base-10 test for 7,
-and last-digits tests for divisors of a power of the base.
+Families: right trimming, Talmud (any q with base**2 = 2 mod q; 7 in base
+10 is the historical case) and last digits, which share one formula,
+``_split``; left trimming (weight base - q on the top digit, always run on
+stacked coefficients); weighted summing; and binomial summing.
 
 Two conventions are easy to transpose and are fixed here once:
 
@@ -144,9 +144,15 @@ class Trace:
         }
 
 
-def _trim(d: tuple[int, ...], r: TestRule) -> int:
-    """Right trim: everything but the last digit, plus omega times it."""
-    return fold(d[1:], r.base) + r.omega * d[0]
+def _split(d: tuple[int, ...], r: TestRule, k: int, alpha: int, beta: int) -> int:
+    """Split |a| = h * base**k + l and return alpha * h + beta * l.
+
+    Trim is (k, alpha, beta) = (1, 1, omega), Talmud (2, 2, 1), last digits (k, 0, 1),
+    which reads only the low k digits. It is a test for q when beta is a unit mod q
+    and alpha = beta * base**k (mod q), for then the result is beta * |a| (mod q).
+    """
+    high = alpha * fold(d[k:], r.base) if alpha else 0
+    return high + beta * fold(d[:k], r.base)
 
 
 def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
@@ -165,18 +171,8 @@ def _binomial(d: tuple[int, ...], r: TestRule) -> int:
     return fold(d, r.base - r.q)
 
 
-def _talmud(d: tuple[int, ...], r: TestRule) -> int:
-    """Twice the hundreds part plus the last two digits (base 10, q = 7)."""
-    return 2 * fold(d[2:], 10) + fold(d[:2], 10)
-
-
-def _last_digits(d: tuple[int, ...], r: TestRule) -> int:
-    """The low k digits; a test for q whenever q divides base**k."""
-    return fold(d[: r.k], r.base)
-
-
 def _derive_inverse(q: int, base: int) -> tuple[int | None, int | None]:
-    return weight_inverse(q, base).omega, None
+    return weight_inverse(q, base), None
 
 
 def _derive_binomial(q: int, base: int) -> tuple[int | None, int | None]:
@@ -186,8 +182,8 @@ def _derive_binomial(q: int, base: int) -> tuple[int | None, int | None]:
 
 
 def _derive_talmud(q: int, base: int) -> tuple[int | None, int | None]:
-    if (q, base) != (7, 10):
-        raise ValueError(f"the Talmud test is fixed at q=7 in base 10, got q={q} base={base}")
+    if (base * base - 2) % q:
+        raise ValueError(f"the Talmud test needs base**2 = 2 (mod q), got q={q} base={base}")
     return None, None
 
 
@@ -227,7 +223,12 @@ class Family:
 
 FAMILY_TABLE = {
     TRIM: Family(
-        _derive_inverse, _trim, lambda r: r.omega, _per_step, chain_order=1, chain_op="stack"
+        _derive_inverse,
+        lambda d, r: _split(d, r, 1, 1, r.omega),
+        lambda r: r.omega,
+        _per_step,
+        chain_order=1,
+        chain_op="stack",
     ),
     LEFT_TRIM: Family(
         _derive_binomial,
@@ -240,15 +241,25 @@ FAMILY_TABLE = {
     ),
     SUM: Family(_derive_inverse, _sum, lambda r: r.omega, _per_digit),
     BINOMIAL: Family(_derive_binomial, _binomial, lambda r: r.base - r.q, _per_digit),
-    TALMUD: Family(_derive_talmud, _talmud, lambda r: 2, _per_step, default_q=7),
-    LAST_DIGITS: Family(_derive_last_digits, _last_digits, lambda r: 0, lambda lengths: 0),
+    TALMUD: Family(
+        _derive_talmud, lambda d, r: _split(d, r, 2, 2, 1), lambda r: 2, _per_step, default_q=7
+    ),
+    LAST_DIGITS: Family(
+        _derive_last_digits, lambda d, r: _split(d, r, r.k, 0, 1), lambda r: 0, lambda lengths: 0
+    ),
 }
+
+
+def _check_operands(a: DigitString, rule: TestRule) -> None:
+    if not isinstance(a, DigitString) or not isinstance(rule, TestRule):
+        raise ValueError(f"expected a DigitString and a TestRule, got {a!r:.60} and {rule!r:.60}")
+    if a.base != rule.base:
+        raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
 
 
 def apply_once(a: DigitString, rule: TestRule) -> DigitString:
     """One application of the rule's reduction to |a|, as a canonical value."""
-    if a.base != rule.base:
-        raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
+    _check_operands(a, rule)
     return DigitString.from_int(FAMILY_TABLE[rule.family].step(a.digits, rule), a.base)
 
 
@@ -263,8 +274,7 @@ def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, I
     one step at a time: trim's from the last digit up with omega (ending at the
     sum test), left trim's from the top digit down with base - q (the binomial test).
     """
-    if a.base != rule.base:
-        raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
+    _check_operands(a, rule)
     family = FAMILY_TABLE[rule.family]
     if family.chain_order and (stacked or family.always_stacked):
         order, weight = family.chain_order, family.weight(rule)

@@ -2,7 +2,7 @@
 
 Nothing here calls into the test families when computing a remainder;
 this module referees them. The seeded fuzzer checks that one application
-of a rule preserves divisibility against that referee.
+of a rule keeps the remainder congruence its family promises.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .digits import DigitString
-from .families import TestRule, apply_once
+from .families import SUM, TRIM, TestRule, apply_once
 
 # fuzz_equivalence's caps: a run's time grows with trials * max_digits
 MAX_TRIALS = 10**6
@@ -20,6 +20,8 @@ MAX_DIGITS = 10**4
 
 def remainder(a: DigitString, q: int) -> int:
     """value(a) mod q, in [0, q), by the left-to-right digit fold."""
+    if type(q) is not int:
+        raise ValueError(f"modulus must be an int, got {q!r}")
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     r = 0
@@ -60,12 +62,14 @@ class FuzzReport:
 
 
 def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: int = 0) -> FuzzReport:
-    """Seeded equivalence fuzz: q | a must match q | f(a) on every trial.
+    """Seeded, deterministic fuzz: f(|a|) = lam * |a| (mod q) must hold on every trial.
 
-    Deterministic for a given seed. mean_length_drop is the average of
-    length(a) - length(f(a)), the measurable shrink per application.
+    lam, a unit mod q worked out here, is base**-1 for trim, base**-(n - 1) for sum
+    on n digits and 1 otherwise. mean_length_drop averages length(a) - length(f(a)).
     """
     for name, value, cap in (("trials", trials, MAX_TRIALS), ("max_digits", max_digits, MAX_DIGITS)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
         if value > cap:
@@ -75,7 +79,8 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
     for _ in range(trials):
         a = random_digit_string(rng, rule.base, max_digits)
         image = apply_once(a, rule)
-        if divides(a, rule.q) != divides(image, rule.q):
+        lam = pow(rule.base, {TRIM: -1, SUM: 1 - len(a)}.get(rule.family, 0), rule.q)
+        if remainder(image, rule.q) != lam * a.sign * remainder(a, rule.q) % rule.q:
             mismatches += 1
         total_drop += len(a.digits) - len(image.digits)
     return FuzzReport(rule, trials, mismatches, total_drop / trials, seed)

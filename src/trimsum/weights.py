@@ -5,28 +5,19 @@ derivations are provided: a four-case table keyed on the last digit of q
 (base 10 only), a rounding rule that triples q when it ends in 3 or 7 and
 then rounds q/10 to the nearest integer (base 10 only), and the least
 absolute residue of the inverse of the base modulo q, which works in any
-base coprime to q. All three produce the same integer wherever their
-domains overlap, and the canonical method for the test families is
-``inverse``.
+base coprime to q. Each derivation returns the weight itself, an int.
+All three produce the same integer wherever their domains overlap, and
+the canonical method for the test families is ``inverse``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TABLE = "table"
 ROUNDING = "rounding"
 INVERSE = "inverse"
 METHODS = (TABLE, ROUNDING, INVERSE)
-
-
-@dataclass(frozen=True)
-class Weight:
-    q: int
-    base: int
-    omega: int
-    method: str
 
 
 def _check_base10_divisor(q: int) -> None:
@@ -38,7 +29,7 @@ def _check_base10_divisor(q: int) -> None:
         )
 
 
-def weight_table(q: int) -> Weight:
+def weight_table(q: int) -> int:
     """Base-10 weight from the four-case table.
 
     last digit of q:   1        3         7          9
@@ -46,11 +37,10 @@ def weight_table(q: int) -> Weight:
     """
     _check_base10_divisor(q)
     q0, qbar = q % 10, q // 10
-    omega = {1: -qbar, 3: 3 * qbar + 1, 7: -(3 * qbar + 2), 9: qbar + 1}[q0]
-    return Weight(q, 10, omega, TABLE)
+    return {1: -qbar, 3: 3 * qbar + 1, 7: -(3 * qbar + 2), 9: qbar + 1}[q0]
 
 
-def weight_rounding(q: int) -> Weight:
+def weight_rounding(q: int) -> int:
     """Base-10 weight by rounding.
 
     If q ends in 3 or 7, triple it so the last digit becomes 9 or 1. Then
@@ -61,13 +51,11 @@ def weight_rounding(q: int) -> Weight:
     m = 3 * q if q % 10 in (3, 7) else q
     # last digit of m is 1 or 9, so m/10 never lands on a .5 tie
     if m % 10 == 1:
-        omega = -(m // 10)
-    else:
-        omega = m // 10 + 1
-    return Weight(q, 10, omega, ROUNDING)
+        return -(m // 10)
+    return m // 10 + 1
 
 
-def weight_inverse(q: int, base: int = 10) -> Weight:
+def weight_inverse(q: int, base: int = 10) -> int:
     """Least absolute residue of the inverse of the base modulo q.
 
     The result is the unique integer in (-q/2, q/2] with base*omega = 1
@@ -80,5 +68,4 @@ def weight_inverse(q: int, base: int = 10) -> Weight:
     if math.gcd(q, base) != 1:
         raise ValueError(f"q={q} and base={base} share a factor; no trimming weight exists")
     inv = pow(base, -1, q)
-    omega = inv - q if 2 * inv > q else inv
-    return Weight(q, base, omega, INVERSE)
+    return inv - q if 2 * inv > q else inv

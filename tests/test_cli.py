@@ -62,6 +62,37 @@ def test_weight_json(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["-q", "79"], 0, "q=79 base=10 omega=+8 method=inverse agree=yes\n", ""),
+        (
+            ["-q", "7", "--method", "table", "--json"],
+            0,
+            '{\n  "q": 7,\n  "base": 10,\n  "omega": -2,\n  "method": "table",\n  "methods": {\n'
+            '    "table": -2,\n    "rounding": -2,\n    "inverse": -2\n  },\n  "agree": true\n}\n',
+            "",
+        ),
+        (["-q", "5", "--base", "7"], 0, "q=5 base=7 omega=-2 method=inverse agree=n/a\n", ""),
+        (
+            ["-q", "7", "--base", "7", "--method", "rounding"],
+            1,
+            "",
+            "error: method 'rounding' is base-10 only; use --method inverse\n",
+        ),
+        (["-q", "8"], 1, "", "error: q=8 and base=10 share a factor; no trimming weight exists\n"),
+        (
+            ["-q", "15", "--method", "table"],
+            1,
+            "",
+            "error: no base-10 trimming weight for q=15: last digit must be 1, 3, 7 or 9\n",
+        ),
+    ],
+)
+def test_weight_output_is_pinned(capsys, argv, code, out, err):
+    assert run(capsys, "weight", *argv) == (code, out, err)
+
+
 def test_trace_trim_chain(capsys):
     code, out, _ = run(capsys, "trace", "--family", "trim", "-q", "7", "32184")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimsum import digits, families
+from trimsum import analyzer, digits, families
 from trimsum.digits import DigitString, collapse, parse
 from trimsum.families import (
     DIVISIBLE,
@@ -116,8 +116,13 @@ def test_last_digits_rejects_divisors_off_the_base():
         ("talmud", 7, 10, None),
         ("last_digits", 8, 10, 3),  # k was left unset
         ("last_digits", 3, 6, 1),
+        ("talmud", 49, 10, None),  # base**2 = 2 (mod q) is all Talmud needs
+        ("talmud", 14, 10, None),
+        ("talmud", 7, 3, None),
         ("talmud", 9, 10, ValueError),  # 198 = 9 * 22 was called not divisible
         ("talmud", 7, 2, ValueError),
+        ("talmud", 8, 10, ValueError),
+        ("talmud", 7, 16, ValueError),
         ("trim", 8, 10, ValueError),
         ("binomial", 1, 10, ValueError),
         ("last_digits", 7, 10, ValueError),
@@ -140,11 +145,29 @@ def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
         return
     rule = TestRule(family, q, base)
     assert rule.k == k
-    assert rule == (TestRule.talmud() if family == "talmud" else getattr(TestRule, family)(q, base))
+    if family != "talmud":
+        assert rule == getattr(TestRule, family)(q, base)
+    elif (q, base) == (7, 10):  # TestRule.talmud() takes no divisor: it is the historical test
+        assert rule == TestRule.talmud()
     for v in (343, 198, 32184, 7 * 8 * 9 * 11 * 13 * 17, 10**12):
         a = DigitString.from_int(v, base)
         assert divides_via(a, rule) == divides(a, q)
         assert type(FAMILY_TABLE[family].step(a.digits, rule)) is int
+
+
+def test_public_entry_points_reject_wrong_types():
+    rule = TestRule.trim(7)
+    calls = [
+        lambda: apply_once(5, rule),
+        lambda: iterate(5, rule),
+        lambda: divides_via("32184", rule),
+        lambda: divides_via(A, "trim"),
+        lambda: analyzer.cost_profile(5, rule),
+        lambda: parse(5),
+    ]
+    for call in calls:  # each raised AttributeError
+        with pytest.raises(ValueError):
+            call()
 
 
 # --- iteration -------------------------------------------------------------
@@ -351,6 +374,8 @@ def test_single_pass_verdicts_match_integers_at_four_thousand_digits(base):
 def test_plain_chains_match_integers_at_three_hundred_digits(base):
     qs = [q for q in (max(base - 1, 2), base + 1, 1000003) if math.gcd(q, base) == 1]
     rules = [TestRule.trim(q, base) for q in qs] + ([TestRule.talmud()] if base == 10 else [])
+    if base == 36:
+        rules.append(TestRule("talmud", 647, 36))  # 36**2 = 1296 = 2 * 647 + 2
     for text in _long_digit_texts(base, 300):
         a, v = parse(text, base), int(text, base)
         assert len(a) == 300
@@ -360,7 +385,7 @@ def test_plain_chains_match_integers_at_three_hundred_digits(base):
             for step in trace.steps:
                 previous = abs(x)
                 if rule.family == "talmud":
-                    x = 2 * (previous // 100) + previous % 100
+                    x = 2 * (previous // base**2) + previous % base**2
                 else:
                     x = previous // base + rule.omega * (previous % base)
                 assert step.number.value == x

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trimsum import oracle
+from trimsum import families, oracle
 from trimsum.digits import DigitString, parse
 from trimsum.families import TestRule, apply_once
 from trimsum.oracle import MAX_DIGITS, MAX_TRIALS, divides, fuzz_equivalence, random_digit_string, remainder
@@ -109,6 +110,35 @@ def test_fuzz_caps_trials_and_digits_before_any_trial(monkeypatch, trials, max_d
     monkeypatch.setattr(oracle, "random_digit_string", no_trial)
     with pytest.raises(ValueError, match=message):
         fuzz_equivalence(TestRule.trim(7), trials, max_digits)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: remainder(parse("5"), 7.5),  # returned 5.0
+        lambda: remainder(parse("5"), True),
+        lambda: fuzz_equivalence(TestRule.trim(7), 10.5),  # raised TypeError
+        lambda: fuzz_equivalence(TestRule.trim(7), True),  # ran one trial
+        lambda: fuzz_equivalence(TestRule.trim(7), 10, 60.0),
+    ],
+)
+def test_oracle_rejects_non_int_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_fuzz_catches_a_step_that_keeps_divisibility_but_not_the_remainder(monkeypatch):
+    # a negated trim step gives -omega * |a| (mod q): q | a is kept, the congruence is not
+    trim = families.FAMILY_TABLE["trim"]
+    negated = dataclasses.replace(trim, step=lambda d, r: -trim.step(d, r))
+    monkeypatch.setitem(families.FAMILY_TABLE, "trim", negated)
+    rule = TestRule.trim(7)
+    rng, off_congruence = random.Random(0), 0
+    for _ in range(1000):  # the draws fuzz_equivalence(rule, 1000, seed=0) makes
+        a = random_digit_string(rng)
+        assert divides(a, 7) == divides(apply_once(a, rule), 7)
+        off_congruence += not divides(a, 7)  # -omega * |a| = omega * |a| only when 7 | a
+    assert fuzz_equivalence(rule, 1000, seed=0).mismatches == off_congruence > 0
 
 
 def test_fuzz_accepts_the_digit_cap():

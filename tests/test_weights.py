@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trimsum.weights import (
-    INVERSE,
-    ROUNDING,
-    TABLE,
-    weight_inverse,
-    weight_rounding,
-    weight_table,
-)
+from trimsum.weights import weight_inverse, weight_rounding, weight_table
 
 COPRIME_Q = [q for q in range(1, 10_000) if q % 2 and q % 5]
 
@@ -21,8 +14,7 @@ COPRIME_Q = [q for q in range(1, 10_000) if q % 2 and q % 5]
     [(7, -2), (9, 1), (11, -1), (13, 4), (17, -5), (21, -2), (39, 4), (79, 8), (181, -18)],
 )
 def test_table_known_values(q, omega):
-    w = weight_table(q)
-    assert (w.omega, w.base, w.method) == (omega, 10, TABLE)
+    assert weight_table(q) == omega
 
 
 @pytest.mark.parametrize("q", [0, -3, 2, 4, 10, 15, 25])
@@ -34,18 +26,16 @@ def test_table_rejects_inadmissible_divisors(q):
 
 
 def test_rounding_examples():
-    assert weight_rounding(79).omega == 8
-    assert weight_rounding(17).omega == -5  # tripled to 51, 5.1 rounds down
-    assert weight_rounding(23).omega == 7  # 10 * 7 = 70 = 3 * 23 + 1
-    assert weight_rounding(23).method == ROUNDING
+    assert weight_rounding(79) == 8
+    assert weight_rounding(17) == -5  # tripled to 51, 5.1 rounds down
+    assert weight_rounding(23) == 7  # 10 * 7 = 70 = 3 * 23 + 1
 
 
 def test_inverse_examples():
-    assert weight_inverse(7, 10).omega == -2
-    assert weight_inverse(3, 2).omega == -1  # 2 * -1 = 1 (mod 3): alternating bit sum
-    assert weight_inverse(1, 10).omega == 0
-    assert weight_inverse(5, 7).omega == -2  # 7 * -2 = -14 = 1 (mod 5)
-    assert weight_inverse(5, 7).method == INVERSE
+    assert weight_inverse(7, 10) == -2
+    assert weight_inverse(3, 2) == -1  # 2 * -1 = 1 (mod 3): alternating bit sum
+    assert weight_inverse(1, 10) == 0
+    assert weight_inverse(5, 7) == -2  # 7 * -2 = -14 = 1 (mod 5)
 
 
 def test_inverse_rejects_bad_input():
@@ -61,13 +51,13 @@ def test_inverse_rejects_bad_input():
 
 def test_three_methods_agree_below_ten_thousand():
     for q in COPRIME_Q:
-        t = weight_table(q).omega
-        assert t == weight_rounding(q).omega == weight_inverse(q, 10).omega, q
+        t = weight_table(q)
+        assert t == weight_rounding(q) == weight_inverse(q, 10), q
 
 
 def test_defining_congruence_base_ten():
     for q in COPRIME_Q:
-        assert 10 * weight_table(q).omega % q == 1 % q
+        assert 10 * weight_table(q) % q == 1 % q
 
 
 @pytest.mark.parametrize("base", [2, 3, 7, 16])
@@ -75,7 +65,7 @@ def test_defining_congruence_and_residue_bound_other_bases(base):
     for q in range(1, 1000):
         if math.gcd(q, base) != 1:
             continue
-        omega = weight_inverse(q, base).omega
+        omega = weight_inverse(q, base)
         assert base * omega % q == 1 % q
         assert -q / 2 < omega <= q / 2
 
@@ -83,17 +73,17 @@ def test_defining_congruence_and_residue_bound_other_bases(base):
 def test_tripling_leaves_weight_unchanged():
     for q in COPRIME_Q:
         if q % 10 in (3, 7):
-            assert weight_table(q).omega == weight_table(3 * q).omega
+            assert weight_table(q) == weight_table(3 * q)
 
 
 def test_table_magnitude_bound():
     # |omega| never exceeds ceil(3q/10): the divisor scales down by 10 or 10/3
     for q in COPRIME_Q:
-        assert abs(weight_table(q).omega) <= -(-3 * q // 10)
+        assert abs(weight_table(q)) <= -(-3 * q // 10)
 
 
 @given(q=st.integers(min_value=1, max_value=10**6).filter(lambda q: q % 2 and q % 5))
 def test_rounding_never_needs_a_tie_break(q):
     m = 3 * q if q % 10 in (3, 7) else q
     assert m % 10 in (1, 9)
-    assert weight_rounding(q).omega == weight_table(q).omega
+    assert weight_rounding(q) == weight_table(q)
