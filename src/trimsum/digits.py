@@ -8,6 +8,13 @@ trimming chains manipulate.
 
 Digits are stored least significant first so that dropping the last
 digit and dropping the top digit are both cheap slices.
+
+Conversion between digits and ``int`` is divide and conquer (Brent and
+Zimmermann, *Modern Computer Arithmetic*, section 1.7): ``fold`` splits
+the index range in half and joins the halves with a power x**h, and
+``DigitString.from_int`` splits the value with divmod by base**h, each
+squaring its powers once per call. Below ``_LEAF`` digits they fall back
+to Horner's rule and to one divmod per digit.
 """
 
 from __future__ import annotations
@@ -22,12 +29,61 @@ _DIGIT_CHARS = string.digits + string.ascii_lowercase
 _CHAR_VALUES = {c: i for chars in (_DIGIT_CHARS, _DIGIT_CHARS.upper()) for i, c in enumerate(chars)}
 
 
+# a leaf: the most digits a conversion handles with one plain loop
+_LEAF = 64
+
+
 def fold(coeffs: tuple[int, ...], x: int) -> int:
-    """sum(coeffs[i] * x**i), by Horner's rule from the top coefficient down."""
-    v = 0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
+    """sum(coeffs[i] * x**i): Horner's rule on at most _LEAF coefficients, else halves joined by powers of x."""
+    n = len(coeffs)
+    if n <= _LEAF:
+        v = 0
+        for c in reversed(coeffs):
+            v = v * x + c
+        return v
+    powers = [x**_LEAF]  # powers[i] = x**(_LEAF * 2**i)
+    while _LEAF << len(powers) < n:
+        powers.append(powers[-1] * powers[-1])
+    return _fold(coeffs, 0, n, x, powers, len(powers))
+
+
+def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int) -> int:
+    """fold(coeffs[lo:hi], x), where hi - lo <= _LEAF * 2**level, without slicing coeffs."""
+    if level == 0:
+        v = 0
+        for i in range(hi - 1, lo - 1, -1):
+            v = v * x + coeffs[i]
+        return v
+    mid = lo + (_LEAF << (level - 1))
+    if hi <= mid:
+        return _fold(coeffs, lo, hi, x, powers, level - 1)
+    low = _fold(coeffs, lo, mid, x, powers, level - 1)
+    return low + powers[level - 1] * _fold(coeffs, mid, hi, x, powers, level - 1)
+
+
+def _expand(out: list[int], v: int, base: int, powers: list[int], level: int, pad: bool) -> None:
+    """Append the digits of 0 <= v < base**(_LEAF * 2**level) to out, least significant first.
+
+    With pad, exactly _LEAF * 2**level of them; without, none above the top nonzero
+    digit. powers[i] = base**(_LEAF * 2**i). A module-level function that is handed
+    out, so no closure cycle keeps the list alive after the call.
+    """
+    if level == 0:
+        if pad:
+            for _ in range(_LEAF):
+                v, d = divmod(v, base)
+                out.append(d)
+        else:
+            while v:
+                v, d = divmod(v, base)
+                out.append(d)
+        return
+    high, low = divmod(v, powers[level - 1])
+    _expand(out, low, base, powers, level - 1, pad or high > 0)
+    if high:
+        _expand(out, high, base, powers, level - 1, pad)
+    elif pad:
+        out.extend([0] * (_LEAF << (level - 1)))
 
 
 def _check_ints(name: str, values: tuple[int, ...]) -> None:
@@ -66,12 +122,17 @@ class DigitString:
 
     @classmethod
     def from_int(cls, value: int, base: int = 10) -> DigitString:
+        if type(value) is not int:
+            raise ValueError(f"value must be an int, got {value!r:.60}")
         _check_base(base)
         mag = abs(value)
-        digits = []
-        while mag:
-            mag, d = divmod(mag, base)
-            digits.append(d)
+        # powers[i] = base**(_LEAF * 2**i), until mag < base**(_LEAF * 2**len(powers)) is
+        # sure from bit lengths: mag < 2**_LEAF <= base**_LEAF, or p * p >= 2**(2 * len(p) - 2)
+        powers: list[int] = []
+        while mag.bit_length() >= (2 * powers[-1].bit_length() - 1 if powers else _LEAF + 1):
+            powers.append(powers[-1] * powers[-1] if powers else base**_LEAF)
+        digits: list[int] = []
+        _expand(digits, mag, base, powers, len(powers), False)
         return cls(1 if value >= 0 else -1, base, tuple(digits) or (0,))
 
     @property
@@ -119,8 +180,8 @@ def parse(text: str, base: int = 10) -> DigitString:
     """
     if not isinstance(text, str):
         raise ValueError(f"text must be a str, got {text!r:.60}")
-    if not 2 <= base <= MAX_TEXT_BASE:
-        raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {base}")
+    if type(base) is not int or not 2 <= base <= MAX_TEXT_BASE:
+        raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {base!r}")
     body, sign = text, 1
     if body.startswith("-"):
         body, sign = body[1:], -1

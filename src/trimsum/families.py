@@ -14,12 +14,16 @@ Two conventions are easy to transpose and are fixed here once:
   base == q.
 
 Each family is one integer formula in its ``FAMILY_TABLE`` record, read
-off the digits of |a| with ``digits.fold``; divisibility does not depend
-on sign, and a result may go negative (trimming 49 by sevens gives -14).
-The stacked trim and left-trim chains are the sum and binomial formulas
-run one digit at a time: a running Horner fold that rewrites no digits.
-One step source, ``_chain``, makes each chain's numbers; ``iterate``
-records them as a ``Trace`` and ``divides_via`` keeps only the last.
+off |a| given as its digits or as an int; divisibility does not depend on
+sign, and a result may go negative (trimming 49 by sevens gives -14).
+A plain chain takes its first step on the digits of |a| and every later
+step on the previous step's int: trim, Talmud and last digits split it
+with divmod, sum and binomial expand it to digits, and nothing converts
+to a ``DigitString`` but a trace. The stacked trim and left-trim chains
+are the sum and binomial formulas run one digit at a time: a running
+Horner fold that rewrites no digits. One step source, ``_chain``, makes
+each chain's numbers; ``iterate`` records them as a ``Trace`` and
+``divides_via`` keeps only the last.
 """
 
 from __future__ import annotations
@@ -144,15 +148,25 @@ class Trace:
         }
 
 
-def _split(d: tuple[int, ...], r: TestRule, k: int, alpha: int, beta: int) -> int:
+# a step's input: |a| as its digit tuple (apply_once, a plain chain's first step) or as an int
+_Magnitude = tuple[int, ...] | int
+
+
+def _digits(x: _Magnitude, base: int) -> tuple[int, ...]:
+    return DigitString.from_int(x, base).digits if type(x) is int else x
+
+
+def _split(x: _Magnitude, r: TestRule, k: int, alpha: int, beta: int) -> int:
     """Split |a| = h * base**k + l and return alpha * h + beta * l.
 
     Trim is (k, alpha, beta) = (1, 1, omega), Talmud (2, 2, 1), last digits (k, 0, 1),
     which reads only the low k digits. It is a test for q when beta is a unit mod q
     and alpha = beta * base**k (mod q), for then the result is beta * |a| (mod q).
     """
-    high = alpha * fold(d[k:], r.base) if alpha else 0
-    return high + beta * fold(d[:k], r.base)
+    if not alpha:
+        return beta * (x % r.base**k if type(x) is int else fold(x[:k], r.base))
+    high, low = divmod(x if type(x) is int else fold(x, r.base), r.base**k)
+    return alpha * high + beta * low
 
 
 def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
@@ -161,14 +175,14 @@ def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
     return fold(d, r.base) - top
 
 
-def _sum(d: tuple[int, ...], r: TestRule) -> int:
+def _sum(x: _Magnitude, r: TestRule) -> int:
     """Weighted digit sum with omega**j applied from the top digit down."""
-    return fold(d[::-1], r.omega)
+    return fold(_digits(x, r.base)[::-1], r.omega)
 
 
-def _binomial(d: tuple[int, ...], r: TestRule) -> int:
+def _binomial(x: _Magnitude, r: TestRule) -> int:
     """Weighted digit sum with (base - q)**j applied from the last digit up."""
-    return fold(d, r.base - r.q)
+    return fold(_digits(x, r.base), r.base - r.q)
 
 
 def _derive_inverse(q: int, base: int) -> tuple[int | None, int | None]:
@@ -212,7 +226,7 @@ class Family:
     """What sets one test family apart; ``FAMILY_TABLE`` has one record each."""
 
     derive: Callable[[int, int], tuple[int | None, int | None]]  # checks (q, base), returns (omega, k)
-    step: Callable[[tuple[int, ...], TestRule], int]  # one application, from the digits of |a|
+    step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
     weight: Callable[[TestRule], int]  # a stacked chain folds with it; the cost table shows |weight|
     digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
     chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
@@ -285,17 +299,37 @@ def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, I
     return None, _plain_chain(a, rule, family.step)
 
 
-def _plain_chain(a: DigitString, rule: TestRule, step) -> Iterator[DigitString]:
-    """Canonical values from |a|, stepping while |v| >= base**2 until a step fails to shrink it."""
-    current = abs(a)
-    yield current
-    while len(current.digits) > 2:
-        d = current.digits
-        current = DigitString.from_int(step(d, rule), rule.base)
-        yield current
-        e = current.digits  # canonical: a longer tuple is larger; ties compare from the top
-        if len(e) > len(d) or len(e) == len(d) and e[::-1] >= d[::-1]:
-            break
+def _plain_chain(a: DigitString, rule: TestRule, step) -> Iterator[DigitString | int]:
+    """|a|, then each step's int, stepping while |v| >= base**2 until a step fails to shrink |v|.
+
+    The first step reads the digits of |a|: trim and Talmud fold them once, last
+    digits only its low k, sum and binomial use them as they are. Every later step
+    reads the previous step's int; only sum and binomial expand it to digits.
+    """
+    yield abs(a)
+    x, base = a.digits, rule.base
+    if len(x) < 3:
+        return
+    while True:
+        v = step(x, rule)
+        yield v
+        m = abs(v)
+        if m < base * base or not _smaller(m, x, base):
+            return
+        x = m
+
+
+def _smaller(m: int, x: _Magnitude, base: int) -> bool:
+    """m < |a|, for |a| given as an int or as its digits.
+
+    n digits make |a| >= base**(n - 1), so a shorter m needs no fold: bit lengths
+    settle most cases (base >= 2**(bit_length(base) - 1)), base**(n - 1) the rest
+    but an m as long as |a|.
+    """
+    if type(x) is int:
+        return m < x
+    n = len(x) - 1
+    return m.bit_length() <= n * (base.bit_length() - 1) or m < base**n or m < fold(x, base)
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
@@ -309,16 +343,17 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     order, numbers = _chain(a, rule, stacked)
     numbers = list(numbers)
     last = numbers[-1]
-    if order is None:
-        steps = [TraceStep(rule.family, v, rule.base) for v in numbers[1:]]
-        terminal, value = last, last.value
+    value = last if type(last) is int else last.value
+    if order is None:  # a plain step is an int; the trace shows its DigitString
+        steps = [TraceStep(rule.family, DigitString.from_int(v, rule.base), rule.base) for v in numbers[1:]]
+        terminal = steps[-1].number if steps else last
     else:
         d, op = a.digits[::order], FAMILY_TABLE[rule.family].chain_op
         steps = [
             TraceStep(op, ((acc,) + d[folded:])[::order], rule.base)
             for folded, acc in enumerate(numbers[1:], 2)
         ]
-        terminal, value = DigitString.from_int(last, rule.base), last
+        terminal = DigitString.from_int(last, rule.base)
     return Trace(rule, tuple(steps), terminal, DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE)
 
 

@@ -20,6 +20,8 @@ MAX_DIGITS = 10**4
 
 def remainder(a: DigitString, q: int) -> int:
     """value(a) mod q, in [0, q), by the left-to-right digit fold."""
+    if not isinstance(a, DigitString):
+        raise ValueError(f"expected a DigitString, got {a!r:.60}")
     if type(q) is not int:
         raise ValueError(f"modulus must be an int, got {q!r}")
     if q < 1:
@@ -67,6 +69,10 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
     lam, a unit mod q worked out here, is base**-1 for trim, base**-(n - 1) for sum
     on n digits and 1 otherwise. mean_length_drop averages length(a) - length(f(a)).
     """
+    if not isinstance(rule, TestRule):
+        raise ValueError(f"expected a TestRule, got {rule!r:.60}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r:.60}")
     for name, value, cap in (("trials", trials, MAX_TRIALS), ("max_digits", max_digits, MAX_DIGITS)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trimsum import digits
 from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
 from trimsum.families import TestRule, apply_once, iterate
 
@@ -180,3 +181,59 @@ def test_stacked_number_validation_and_json():
         with pytest.raises(ValueError):
             bad()
     assert StackedNumber(10, (8 + (-2) * 4, 1, 2, 3)).value == 3210
+
+
+def test_from_int_rejects_values_that_are_not_ints():
+    # "5" raised TypeError, True returned 1 and 5.0 failed with a digits message
+    for bad in ("5", True, 5.0, None):
+        with pytest.raises(ValueError, match="value must be an int"):
+            DigitString.from_int(bad)
+    with pytest.raises(ValueError, match="base must be an int >= 2"):
+        DigitString.from_int(5, 1)
+
+
+@pytest.mark.parametrize("base", ["10", 10.0, True, None])
+def test_parse_rejects_a_base_that_is_not_an_int(base):
+    with pytest.raises(ValueError, match="text form supports bases"):  # "10" raised TypeError
+        parse("5", base)
+
+
+def _conversion_lengths():
+    """The leaf size and its neighbours, and every power of two +-1, up to 10**4 digits."""
+    lengths = {digits._LEAF - 1, digits._LEAF, digits._LEAF + 1, 10**4}
+    p = 1
+    while p <= 10**4:
+        lengths |= {p - 1, p, p + 1}
+        p *= 2
+    return sorted(n for n in lengths if 1 <= n <= 10**4)
+
+
+def _horner(coeffs, x, modulus=None):
+    """The test's own fold, one coefficient at a time from the top, optionally mod a modulus."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c if modulus is None else (v * x + c) % modulus
+    return v
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_divide_and_conquer_round_trips(base):
+    prime = 2**61 - 1  # values checked mod a prime: the test's own loop stays linear
+    rng = random.Random(base)
+    for n in _conversion_lengths():
+        top = (rng.randrange(1, base),)
+        mixed = tuple(rng.choices(range(base), k=n - 1)) + top
+        zeros = (0,) * (n - 1) + top  # a run of zeros under the top digit
+        for ds in (mixed, zeros, (base - 1,) * n):
+            v = digits.fold(ds, base)
+            assert v % prime == _horner(ds, base, prime), (base, n)
+            assert DigitString.from_int(v, base).digits == ds, (base, n)
+        assert DigitString.from_int(-digits.fold(mixed, base), base) == DigitString(-1, base, mixed)
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, -7])
+def test_fold_with_signed_coefficients(x):
+    rng = random.Random(x)
+    for n in [0] + _conversion_lengths():
+        coeffs = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+        assert digits.fold(coeffs, x) == _horner(coeffs, x), n

@@ -394,6 +394,61 @@ def test_plain_chains_match_integers_at_three_hundred_digits(base):
             assert (trace.verdict == DIVISIBLE) == (v % rule.q == 0)
 
 
+def _remainder(ds, base, q):
+    """|a| mod q by the test's own digit loop: int(text) refuses texts over 4300 digits."""
+    r = 0
+    for d in reversed(ds):
+        r = (r * base + d) % q
+    return r
+
+
+def _less(ds, base, r):
+    """The canonical digits of |a| - r, for 0 <= r <= |a|, by borrowing from the low end."""
+    out, borrow = [], r
+    for d in ds:
+        borrow, d = divmod(d - borrow, base)
+        out.append(d)
+        borrow = -borrow
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
+    fold, from_int, folded, converted = families.fold, DigitString.from_int.__func__, [], []
+
+    def recording_fold(coeffs, x):
+        folded.append(len(coeffs))
+        return fold(coeffs, x)
+
+    def counting_from_int(cls, value, base=10):
+        converted.append(value)
+        return from_int(cls, value, base)
+
+    monkeypatch.setattr(families, "fold", recording_fold)
+    monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
+    a = parse(next(_long_digit_texts(10, 3000)))
+    for rule in (TestRule.trim(7), TestRule.talmud()):
+        folded.clear()
+        assert divides_via(a, rule) is (_remainder(a.digits, 10, rule.q) == 0)
+        assert folded == [3000] and converted == []
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_plain_verdicts_at_ten_thousand_digits(base):
+    qs = [q for q in (base - 1, base + 1, 1000003) if math.gcd(q, base) == 1]
+    rules = [TestRule.trim(q, base) for q in qs]
+    rules += {10: [TestRule.talmud()], 36: [TestRule("talmud", 647, 36)]}.get(base, [])
+    for text in _long_digit_texts(base, 10**4):
+        a = parse(text, base)
+        for rule in rules:
+            r = _remainder(a.digits, base, rule.q)
+            assert divides_via(a, rule) is (r == 0), (text[:20], rule)
+            if r:  # and the multiple of q just below |a|
+                multiple = DigitString(1, base, _less(a.digits, base, r))
+                assert divides_via(multiple, rule) is True, (text[:20], rule)
+
+
 # --- algebraic relations ---------------------------------------------------
 
 

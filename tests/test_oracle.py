@@ -171,3 +171,17 @@ def test_fuzz_memory_does_not_grow_with_trials():
         tracemalloc.stop()
     assert report.mismatches == 0
     assert peak < 32 * 1024
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: remainder("5", 7),  # raised AttributeError
+        lambda: fuzz_equivalence("trim", 10),  # raised AttributeError
+        lambda: fuzz_equivalence(TestRule.trim(7), 10, 5, "x"),  # reported seed='x'
+        lambda: fuzz_equivalence(TestRule.trim(7), 10, 5, True),
+    ],
+)
+def test_oracle_rejects_a_value_rule_or_seed_of_the_wrong_type(call):
+    with pytest.raises(ValueError):
+        call()
