@@ -34,7 +34,7 @@ _LEAF = 64
 
 
 def fold(coeffs: tuple[int, ...], x: int) -> int:
-    """sum(coeffs[i] * x**i): Horner's rule on at most _LEAF coefficients, else halves joined by powers of x."""
+    """sum(coeffs[i] * x**i): Horner's rule up to _LEAF coefficients, else halves joined by powers of x."""
     n = len(coeffs)
     if n <= _LEAF:
         v = 0
@@ -65,8 +65,8 @@ def _expand(out: list[int], v: int, base: int, powers: list[int], level: int, pa
     """Append the digits of 0 <= v < base**(_LEAF * 2**level) to out, least significant first.
 
     With pad, exactly _LEAF * 2**level of them; without, none above the top nonzero
-    digit. powers[i] = base**(_LEAF * 2**i). A module-level function that is handed
-    out, so no closure cycle keeps the list alive after the call.
+    digit. powers[i] = base**(_LEAF * 2**i). Module level and handed the list, so no
+    closure cycle keeps the list alive after the call.
     """
     if level == 0:
         if pad:
@@ -127,7 +127,7 @@ class DigitString:
         _check_base(base)
         mag = abs(value)
         # powers[i] = base**(_LEAF * 2**i), until mag < base**(_LEAF * 2**len(powers)) is
-        # sure from bit lengths: mag < 2**_LEAF <= base**_LEAF, or p * p >= 2**(2 * len(p) - 2)
+        # sure from bit lengths: mag < 2**_LEAF <= base**_LEAF, or p * p >= 2**(2 * p.bit_length() - 2)
         powers: list[int] = []
         while mag.bit_length() >= (2 * powers[-1].bit_length() - 1 if powers else _LEAF + 1):
             powers.append(powers[-1] * powers[-1] if powers else base**_LEAF)
