@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, astuple, dataclass
 
 from .digits import DigitString
-from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, iterate
+from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _steps
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
 
@@ -37,19 +37,12 @@ class CostReport:
 
 
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
-    """Instrument one full run of the rule's verdict iteration."""
-    trace = iterate(a, rule)
+    """Instrument one full run of the rule's verdict chain, keeping only its step lengths."""
+    steps = _steps(a, rule, False)  # checks the operands before len(a) reads them
     family = FAMILY_TABLE[rule.family]
-    lengths = [len(a)] + [len(step.collapsed) for step in trace.steps]
-    return CostReport(
-        rule.q,
-        rule.base,
-        rule.family,
-        abs(family.weight(rule)),
-        len(trace.steps),
-        family.digit_ops(lengths),
-        max(lengths),
-    )
+    lengths = [len(a), *(len(step.collapsed) for step in steps)]
+    weight, ops = abs(family.weight(rule)), family.digit_ops(lengths)
+    return CostReport(rule.q, rule.base, rule.family, weight, len(lengths) - 1, ops, max(lengths))
 
 
 @dataclass(frozen=True)
@@ -65,18 +58,20 @@ class ComparisonTable:
 
 def compare(q_list, a_list, base: int = 10) -> ComparisonTable:
     """One cost row per (q, a, family) with a test for q, sorted so output is reproducible."""
-    keyed = []
+    rules = []
     for q in q_list:
-        rules = []
+        count = len(rules)
         for family in _COMPARE_FAMILIES:
             try:
                 rules.append(TestRule(family, q, base))
             except ValueError as exc:
                 error = exc  # raised if no family has a test for q
-        if not rules:
+        if len(rules) == count:
             raise error
-        for a in a_list:
-            for rule in rules:
-                keyed.append(((q, a.value, rule.family), cost_profile(a, rule)))
+    keyed = []
+    for a in a_list if rules else ():  # no rule reads the inputs, so neither does the sort
+        reports = [cost_profile(a, rule) for rule in rules]  # each checks a before a.value reads it
+        value = a.value
+        keyed += [((r.q, value, r.family), r) for r in reports]
     keyed.sort(key=lambda pair: pair[0])
     return ComparisonTable(tuple(report for _, report in keyed))

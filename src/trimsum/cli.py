@@ -22,7 +22,6 @@ from .families import (
     TALMUD,
     TRIM,
     TestRule,
-    Trace,
     apply_once,
     iterate,
 )
@@ -93,21 +92,6 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _render_trace(trace: Trace) -> str:
-    rule = trace.rule
-    omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
-    lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
-    for i, step in enumerate(trace.steps, start=1):
-        val = step.collapsed.render()
-        if isinstance(step.number, tuple):  # a stacked chain step: show its coefficients
-            lines.append(f"step {i}: {step.op} -> {list(step.number)} = {val}")
-        else:
-            lines.append(f"step {i}: {step.op} -> {val}")
-    lines.append(f"terminal: {trace.terminal.render()}")
-    lines.append(f"verdict: {trace.verdict.replace('_', ' ')}")
-    return "\n".join(lines)
-
-
 def _cmd_trace(args) -> int:
     rule = _rule(args)
     a = parse(args.number, args.base)
@@ -115,7 +99,7 @@ def _cmd_trace(args) -> int:
     if args.json:
         _emit_json(trace.as_json())
     else:
-        print(_render_trace(trace))
+        print(trace.render())
     return 0
 
 
@@ -199,9 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -22,8 +22,9 @@ with divmod, sum and binomial expand it to digits, and nothing converts
 to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
 Horner fold that rewrites no digits. One step source, ``_chain``, makes
-each chain's numbers; ``iterate`` records them as a ``Trace`` and
-``divides_via`` keeps only the last.
+each chain's numbers: ``divides_via`` keeps only the last, and ``_steps``
+turns them into trace steps one at a time, which ``iterate`` records as a
+``Trace`` and ``analyzer.cost_profile`` reads for their lengths only.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TestRule:
     k: int | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_TABLE:
+        if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("q", "base"):
             value = getattr(self, name)
@@ -146,6 +147,18 @@ class Trace:
             "terminal": self.terminal.render(),
             "verdict": self.verdict,
         }
+
+    def render(self) -> str:
+        """The ``trace`` command's text; a stacked chain step also shows its coefficients."""
+        rule = self.rule
+        omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
+        lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
+        for i, step in enumerate(self.steps, start=1):
+            coeffs = f"{list(step.number)} = " if isinstance(step.number, tuple) else ""
+            lines.append(f"step {i}: {step.op} -> {coeffs}{step.collapsed.render()}")
+        lines.append(f"terminal: {self.terminal.render()}")
+        lines.append(f"verdict: {self.verdict.replace('_', ' ')}")
+        return "\n".join(lines)
 
 
 # a step's input: |a| as its digit tuple (apply_once, a plain chain's first step) or as an int
@@ -332,29 +345,32 @@ def _smaller(m: int, x: _Magnitude, base: int) -> bool:
     return m.bit_length() <= n * (base.bit_length() - 1) or m < base**n or m < fold(x, base)
 
 
+def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]:
+    """The chain's steps, one at a time, each in the form its chain built it; checks operands first.
+
+    A stacked chain's step i holds the fold of i + 1 digits in the last folded digit's
+    slot, beside the digits not yet folded, so its last step is the 1-tuple of the fold.
+    """
+    order, numbers = _chain(a, rule, stacked)
+    next(numbers)  # the chain's start: |a|, or the stacked fold's first digit
+    if order is None:
+        return (TraceStep(rule.family, DigitString.from_int(v, rule.base), rule.base) for v in numbers)
+    d, op = a.digits[::order], FAMILY_TABLE[rule.family].chain_op
+    return (
+        TraceStep(op, ((acc,) + d[folded:])[::order], rule.base) for folded, acc in enumerate(numbers, 2)
+    )
+
+
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     """Drive a rule to a verdict, recording every step of its chain.
 
-    Plain mode applies the rule to canonical values; the verdict is the
-    terminal mod q. ``stacked=True`` (trim only) runs the stacked chain,
-    as left trimming always does: step i puts the fold of i + 1 digits in
-    the last folded digit's slot, beside the digits not yet folded.
+    The verdict is the terminal mod q. ``stacked=True`` (trim only) runs the
+    stacked chain, as left trimming always does.
     """
-    order, numbers = _chain(a, rule, stacked)
-    numbers = list(numbers)
-    last = numbers[-1]
-    value = last if type(last) is int else last.value
-    if order is None:  # a plain step is an int; the trace shows its DigitString
-        steps = [TraceStep(rule.family, DigitString.from_int(v, rule.base), rule.base) for v in numbers[1:]]
-        terminal = steps[-1].number if steps else last
-    else:
-        d, op = a.digits[::order], FAMILY_TABLE[rule.family].chain_op
-        steps = [
-            TraceStep(op, ((acc,) + d[folded:])[::order], rule.base)
-            for folded, acc in enumerate(numbers[1:], 2)
-        ]
-        terminal = DigitString.from_int(last, rule.base)
-    return Trace(rule, tuple(steps), terminal, DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE)
+    steps = tuple(_steps(a, rule, stacked))
+    value = steps[-1].stacked.value if steps else abs(a).value
+    terminal = DigitString.from_int(value, rule.base)
+    return Trace(rule, steps, terminal, DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:

@@ -2,10 +2,13 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 
-from trimsum.analyzer import CSV_HEADER, compare, cost_profile
+import pytest
+
+from trimsum.analyzer import CSV_HEADER, CostReport, compare, cost_profile
 from trimsum.digits import parse
-from trimsum.families import TestRule
+from trimsum.families import FAMILIES, FAMILY_TABLE, TestRule, iterate
 from trimsum.oracle import random_digit_string
 
 A = parse("32184")
@@ -85,3 +88,51 @@ def test_json_mirrors_csv():
     assert doc[0]["family"] == "binomial" and doc[2]["family"] == "trim"
     csv_line = table.to_csv().splitlines()[1]
     assert csv_line == ",".join(str(v) for v in doc[0].values())
+
+
+def _row_from_trace(a, rule):
+    """The cost row read off a whole recorded trace."""
+    steps = iterate(a, rule).steps
+    family = FAMILY_TABLE[rule.family]
+    lengths = [len(a)] + [len(step.collapsed) for step in steps]
+    weight = abs(family.weight(rule))
+    return CostReport(rule.q, rule.base, rule.family, weight, len(steps), family.digit_ops(lengths), max(lengths))
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cost_rows_match_the_recorded_trace(family, base):
+    rng = random.Random(base * 100 + FAMILIES.index(family))
+    rules = []
+    for q in range(1, 120):
+        try:
+            rules.append(TestRule(family, q, base))
+        except ValueError:
+            pass
+    for _ in range(40):
+        a = random_digit_string(rng, base, max_digits=80)
+        rule = rng.choice(rules)
+        assert cost_profile(a, rule) == _row_from_trace(a, rule), (a, rule)
+
+
+def test_compare_rejects_inputs_that_are_not_digit_strings():
+    for bad in ("32184", 32184):  # each raised AttributeError from the sort key
+        with pytest.raises(ValueError):
+            compare([7], [bad])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda a: compare([7], [a]), lambda a: cost_profile(a, TestRule.left_trim(7))],
+    ids=["compare", "left_trim_cost_profile"],
+)
+def test_cost_rows_keep_no_trace(run):
+    rng = random.Random(1000)
+    a = parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(999)))
+    tracemalloc.start()
+    try:
+        run(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024  # a whole 1000-digit trace takes about 4 MiB

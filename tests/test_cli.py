@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from trimsum import cli
 from trimsum.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "compare_golden.csv"
@@ -152,6 +153,85 @@ def test_trace_json_golden(capsys):
     assert list(doc) == ["rule", "steps", "terminal", "verdict"]
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["--family", "sum", "-q", "17", "32184"],
+            "rule: family=sum q=17 base=10 omega=-5\n"
+            "step 1: sum -> 1518\n"
+            "step 2: sum -> -999\n"
+            "step 3: sum -> 189\n"
+            "step 4: sum -> 186\n"
+            "step 5: sum -> 111\n"
+            "step 6: sum -> 21\n"
+            "terminal: 21\n"
+            "verdict: not divisible\n",
+        ),
+        (  # the one step does not shrink, so it is also the terminal
+            ["--family", "binomial", "-q", "39", "32184"],
+            "rule: family=binomial q=39 base=10\n"
+            "step 1: binomial -> 2073678\n"
+            "terminal: 2073678\n"
+            "verdict: not divisible\n",
+        ),
+        (
+            ["--family", "last_digits", "-q", "8", "32184"],
+            "rule: family=last_digits q=8 base=10\n"
+            "step 1: last_digits -> 184\n"
+            "step 2: last_digits -> 184\n"
+            "terminal: 184\n"
+            "verdict: divisible\n",
+        ),
+        (
+            ["--family", "trim", "-q", "7", "5"],
+            "rule: family=trim q=7 base=10 omega=-2\nterminal: 5\nverdict: not divisible\n",
+        ),
+        (
+            ["--family", "left_trim", "-q", "7", "--", "-4"],
+            "rule: family=left_trim q=7 base=10\nterminal: 4\nverdict: not divisible\n",
+        ),
+        (  # base - q = -1: a negative coefficient, and negative collapsed values
+            ["--family", "left_trim", "-q", "11", "32184"],
+            "rule: family=left_trim q=11 base=10\n"
+            "step 1: left_trim -> [4, 8, 1, -1] = -816\n"
+            "step 2: left_trim -> [4, 8, 2] = 284\n"
+            "step 3: left_trim -> [4, 6] = 64\n"
+            "step 4: left_trim -> [-2] = -2\n"
+            "terminal: -2\n"
+            "verdict: not divisible\n",
+        ),
+        (
+            ["--family", "trim", "-q", "37", "--base", "36", "--stacked", "z3k9"],
+            "rule: family=trim q=37 base=36 omega=-1\n"
+            "step 1: stack -> [11, 3, 35] = z3b\n"
+            "step 2: stack -> [-8, 35] = ys\n"
+            "step 3: stack -> [43] = 17\n"
+            "terminal: 17\n"
+            "verdict: not divisible\n",
+        ),
+    ],
+)
+def test_trace_text_is_pinned(capsys, argv, expected):
+    assert run(capsys, "trace", *argv) == (0, expected, "")
+
+
+def test_trace_json_left_trim_golden(capsys):
+    doc = {  # key order included: the text must be exactly this document at indent 2
+        "rule": {"family": "left_trim", "q": 7, "base": 10, "omega": None},
+        "steps": [
+            {"op": "left_trim", "coeffs": [4, 8, 1, 11], "collapsed": "11184"},
+            {"op": "left_trim", "coeffs": [4, 8, 34], "collapsed": "3484"},
+            {"op": "left_trim", "coeffs": [4, 110], "collapsed": "1104"},
+            {"op": "left_trim", "coeffs": [334], "collapsed": "334"},
+        ],
+        "terminal": "334",
+        "verdict": "not_divisible",
+    }
+    expected = json.dumps(doc, indent=2) + "\n"
+    assert run(capsys, "trace", "--family", "left_trim", "-q", "7", "--json", "32184") == (0, expected, "")
+
+
 def test_talmud_trace_default_q(capsys):
     code, out, _ = run(capsys, "trace", "--family", "talmud", "32184")
     assert code == 0
@@ -255,3 +335,20 @@ def test_usage_errors_exit_two(capsys):
         main(["bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_with_no_state_carried_over(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", None)  # main must not build another
+    stacked = run(capsys, "trace", "--family", "trim", "-q", "9", "--stacked", "32184")
+    assert stacked[1].startswith("rule: family=trim q=9 base=10 omega=+1\nstep 1: stack -> [12, 1, 2, 3]")
+    plain = run(capsys, "trace", "--family", "trim", "-q", "9", "32184")
+    assert plain[1].splitlines()[1] == "step 1: trim -> 3222"
+    assert run(capsys, "trim", "-q", "13", "32184") == (0, "3234\n", "")
+    assert run(capsys, "talmud", "32184") == (0, "726\n", "")  # talmud's q default is still None
+    code, out, _ = run(capsys, "talmud", "--json", "32184")
+    assert (code, json.loads(out)["q"]) == (0, 7)
+    with pytest.raises(SystemExit) as exc:
+        main(["trim", "-q", "seven", "32184"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "trim", "-q", "7", "32184") == (0, "3210\n", "")

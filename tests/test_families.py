@@ -135,6 +135,7 @@ def test_last_digits_rejects_divisors_off_the_base():
         ("binomial", 7.5, 10, ValueError),
         ("trim", 7, 10.0, ValueError),
         ("sum", 7, True, ValueError),
+        (["trim"], 7, 10, ValueError),  # a family that is not a str raised TypeError: unhashable type
     ],
 )
 def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
