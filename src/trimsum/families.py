@@ -22,9 +22,9 @@ with divmod, sum and binomial expand it to digits, and nothing converts
 to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
 Horner fold that rewrites no digits. One step source, ``_chain``, makes
-each chain's numbers: ``divides_via`` keeps only the last, and ``_steps``
-turns them into trace steps one at a time, which ``iterate`` records as a
-``Trace`` and ``analyzer.cost_profile`` reads for their lengths only.
+each chain's numbers: ``iterate`` and ``divides_via`` keep only the last,
+and ``_steps`` turns them into trace steps one at a time, which a ``Trace``
+collects the first time its steps are read.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .digits import DigitString, StackedNumber, collapse, fold, lift
@@ -132,31 +133,42 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
+    """A chain's verdict and terminal; ``steps`` runs the chain again the first time it is read.
+
+    Traces are equal when their rule, input and chain kind (``stacked``) are.
+    """
+
     rule: TestRule
-    steps: tuple[TraceStep, ...]
-    terminal: DigitString
-    verdict: str
+    a: DigitString
+    stacked: bool
+    terminal: DigitString = field(compare=False)
+    verdict: str = field(compare=False)
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(_steps(self.a, self.rule, self.stacked))
 
     def as_json(self) -> dict:
+        terminal = self.terminal.render()  # rejects a base without a text form before any step is built
         return {
             "rule": self.rule.as_json(),
             "steps": [
                 {"op": s.op, "coeffs": list(s.stacked.coeffs), "collapsed": s.collapsed.render()}
                 for s in self.steps
             ],
-            "terminal": self.terminal.render(),
+            "terminal": terminal,
             "verdict": self.verdict,
         }
 
     def render(self) -> str:
         """The ``trace`` command's text; a stacked chain step also shows its coefficients."""
-        rule = self.rule
+        rule, terminal = self.rule, self.terminal.render()  # checks the base, as in as_json
         omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
         lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
         for i, step in enumerate(self.steps, start=1):
             coeffs = f"{list(step.number)} = " if isinstance(step.number, tuple) else ""
             lines.append(f"step {i}: {step.op} -> {coeffs}{step.collapsed.render()}")
-        lines.append(f"terminal: {self.terminal.render()}")
+        lines.append(f"terminal: {terminal}")
         lines.append(f"verdict: {self.verdict.replace('_', ' ')}")
         return "\n".join(lines)
 
@@ -361,19 +373,25 @@ def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]
     )
 
 
+def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> int:
+    """The chain's last number as an int, keeping only the current number while it runs."""
+    last = deque(_chain(a, rule, stacked)[1], maxlen=1)[0]
+    return last if type(last) is int else last.value
+
+
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict, recording every step of its chain.
+    """Drive a rule to a verdict, keeping only the chain's current number.
 
     The verdict is the terminal mod q. ``stacked=True`` (trim only) runs the
-    stacked chain, as left trimming always does.
+    stacked chain, as left trimming always does. The trace's steps are built
+    from a second run of the chain, only if they are read.
     """
-    steps = tuple(_steps(a, rule, stacked))
-    value = steps[-1].stacked.value if steps else abs(a).value
-    terminal = DigitString.from_int(value, rule.base)
-    return Trace(rule, steps, terminal, DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE)
+    value = _terminal(a, rule, stacked)
+    stacked = stacked or FAMILY_TABLE[rule.family].always_stacked
+    verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
+    return Trace(rule, a, stacked, DigitString.from_int(value, rule.base), verdict)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
     """Decide q | a by running the rule's chain, keeping only its current number."""
-    last = deque(_chain(a, rule, False)[1], maxlen=1)[0]
-    return (last if type(last) is int else last.value) % rule.q == 0
+    return _terminal(a, rule, False) % rule.q == 0

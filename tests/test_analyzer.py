@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from trimsum.analyzer import CSV_HEADER, CostReport, compare, cost_profile
-from trimsum.digits import parse
+from trimsum.digits import DigitString, parse
 from trimsum.families import FAMILIES, FAMILY_TABLE, TestRule, iterate
 from trimsum.oracle import random_digit_string
 
@@ -136,3 +136,20 @@ def test_cost_rows_keep_no_trace(run):
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024  # a whole 1000-digit trace takes about 4 MiB
+
+
+def test_cost_profile_counts_digits_without_converting(monkeypatch):
+    from_int, converted = DigitString.from_int.__func__, []
+
+    def counting_from_int(cls, value, base=10):
+        converted.append(value)
+        return from_int(cls, value, base)
+
+    monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
+    rng = random.Random(300)
+    a = parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(299)))
+    for rule in (TestRule.trim(7), TestRule.talmud()):
+        report = cost_profile(a, rule)
+        assert converted == [] and report.iterations > 100
+        assert report == _row_from_trace(a, rule)  # which converts every step
+        converted.clear()

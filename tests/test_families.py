@@ -274,6 +274,55 @@ def test_verdicts_keep_only_the_current_number(rule, length, limit):
     assert peak < limit
 
 
+@pytest.mark.parametrize("rule", [TestRule.trim(7), TestRule.left_trim(7)], ids=["stacked_trim", "left_trim"])
+def test_verdict_only_traces_keep_only_the_current_number(rule):
+    text = next(_long_digit_texts(10, 3000))
+    a = parse(text)
+    tracemalloc.start()
+    try:
+        verdict = iterate(a, rule, stacked=True).verdict
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == (DIVISIBLE if int(text) % 7 == 0 else NOT_DIVISIBLE)
+    assert peak < 1024 * 1024  # the steps of a 3000-digit stacked chain take about 35 MiB
+
+
+def test_trace_builds_its_steps_once_and_only_when_read(monkeypatch):
+    from_int, converted = DigitString.from_int.__func__, []
+
+    def counting_from_int(cls, value, base=10):
+        converted.append(value)
+        return from_int(cls, value, base)
+
+    monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
+    trace = iterate(parse("9" * 40 + "1"), TestRule.trim(7))
+    assert "steps" not in trace.__dict__ and len(converted) == 1  # the terminal, converted once
+    assert trace.steps is trace.steps
+    assert len(converted) == 1 + len(trace.steps)
+    assert iterate(A, TestRule.trim(7), stacked=True) != iterate(A, TestRule.trim(7))
+    assert iterate(A, TestRule.left_trim(7), stacked=True) == iterate(A, TestRule.left_trim(7))
+
+
+def test_lazy_steps_match_the_step_stream():
+    rng = random.Random(4242)
+    for a in [parse("0"), parse("-7"), A] + [random_digit_string(rng, max_digits=40) for _ in range(20)]:
+        for rule in _family_rules(rng):
+            runs = [False, True] if rule.family == "trim" else [False]
+            for stacked in runs:
+                trace = iterate(a, rule, stacked=stacked)
+                assert trace.steps == tuple(families._steps(a, rule, stacked)), (a, rule, stacked)
+                assert trace == iterate(a, rule, stacked=stacked)
+
+
+def test_traces_check_the_base_before_building_steps():
+    trace = iterate(DigitString.from_int(32184, 40), TestRule.trim(7, 40))
+    for render in (trace.as_json, trace.render):
+        with pytest.raises(ValueError):
+            render()
+        assert "steps" not in trace.__dict__
+
+
 def test_iterate_rejects_stacked_for_summing_families():
     with pytest.raises(ValueError):
         iterate(A, TestRule.sum(7), stacked=True)
