@@ -373,7 +373,7 @@ def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]
     )
 
 
-def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> int:
+def _terminal_value(a: DigitString, rule: TestRule, stacked: bool) -> int:
     """The chain's last number as an int, keeping only the current number while it runs."""
     last = deque(_chain(a, rule, stacked)[1], maxlen=1)[0]
     return last if type(last) is int else last.value
@@ -386,7 +386,7 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     stacked chain, as left trimming always does. The trace's steps are built
     from a second run of the chain, only if they are read.
     """
-    value = _terminal(a, rule, stacked)
+    value = _terminal_value(a, rule, stacked)
     stacked = stacked or FAMILY_TABLE[rule.family].always_stacked
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
     return Trace(rule, a, stacked, DigitString.from_int(value, rule.base), verdict)
@@ -394,4 +394,4 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
     """Decide q | a by running the rule's chain, keeping only its current number."""
-    return _terminal(a, rule, False) % rule.q == 0
+    return _terminal_value(a, rule, False) % rule.q == 0
