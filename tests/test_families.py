@@ -274,13 +274,15 @@ def test_verdicts_keep_only_the_current_number(rule, length, limit):
     assert peak < limit
 
 
-@pytest.mark.parametrize("rule", [TestRule.trim(7), TestRule.left_trim(7)], ids=["stacked_trim", "left_trim"])
-def test_verdict_only_traces_keep_only_the_current_number(rule):
+@pytest.mark.parametrize(
+    "rule,stacked", [(TestRule.trim(7), True), (TestRule.left_trim(7), False)], ids=["stacked_trim", "left_trim"]
+)
+def test_verdict_only_traces_keep_only_the_current_number(rule, stacked):
     text = next(_long_digit_texts(10, 3000))
     a = parse(text)
     tracemalloc.start()
     try:
-        verdict = iterate(a, rule, stacked=True).verdict
+        verdict = iterate(a, rule, stacked=stacked).verdict
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
