@@ -1,10 +1,10 @@
 """Signed integers as digit vectors in an arbitrary base.
 
-Two representations. ``DigitString`` is the canonical positional form:
+One number type. ``DigitString`` is the canonical positional form:
 digits in [0, base), least significant first, no leading zeros.
-``StackedNumber`` relaxes that: any signed integer may sit in a digit
-position (the "fifteen hundred" reading of 1500), which is the form the
-trimming chains manipulate.
+``StackedNumber`` is only a record of a stacked chain step's coefficients,
+where any signed integer may sit in a digit position (the "fifteen
+hundred" reading of 1500); its value is ``fold(coeffs, base)``.
 
 Digits are stored least significant first so that dropping the last
 digit and dropping the top digit are both cheap slices.
@@ -155,9 +155,9 @@ class DigitString:
 
 @dataclass(frozen=True)
 class StackedNumber:
-    """Positional form whose coefficients may be any signed integers.
+    """A stacked chain step's coefficients: any signed integers, least significant first.
 
-    value = sum(coeffs[i] * base**i); coefficients least significant first.
+    It stands for fold(coeffs, base) = sum(coeffs[i] * base**i); only ``TraceStep.stacked`` builds one.
     """
 
     base: int
@@ -166,10 +166,6 @@ class StackedNumber:
     def __post_init__(self) -> None:
         _check_base(self.base)
         _check_ints("coefficients", self.coeffs)
-
-    @property
-    def value(self) -> int:
-        return fold(self.coeffs, self.base)
 
 
 def parse(text: str, base: int = 10) -> DigitString:
@@ -199,13 +195,3 @@ def parse(text: str, base: int = 10) -> DigitString:
         sign = 1
     return DigitString(sign, base, tuple(digits))
 
-
-def lift(a: DigitString) -> StackedNumber:
-    """The stacked view of a canonical digit string (same value)."""
-    coeffs = a.digits if a.sign > 0 else tuple(-d for d in a.digits)
-    return StackedNumber(a.base, coeffs)
-
-
-def collapse(s: StackedNumber) -> DigitString:
-    """Carry-propagate a stacked number back to its unique canonical form."""
-    return DigitString.from_int(s.value, s.base)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .digits import DigitString, StackedNumber, collapse, fold, lift
+from .digits import DigitString, StackedNumber, fold
 from .weights import weight_inverse
 
 TRIM = "trim"
@@ -113,7 +113,8 @@ class TraceStep:
     """One chain step: only the number it built, in the form it built it.
 
     A stacked or left-trim step stores its coefficient tuple, a plain step its
-    DigitString; ``stacked`` and ``collapsed`` build the other form on request.
+    DigitString. On request, ``stacked`` gives a plain step's signed digits and
+    ``collapsed`` a stacked step's canonical form, fold(coeffs, base).
     """
 
     op: str
@@ -123,12 +124,14 @@ class TraceStep:
     @property
     def stacked(self) -> StackedNumber:
         n = self.number
-        return lift(n) if isinstance(n, DigitString) else StackedNumber(self.base, n)
+        if isinstance(n, DigitString):
+            n = n.digits if n.sign > 0 else tuple(-d for d in n.digits)
+        return StackedNumber(self.base, n)
 
     @property
     def collapsed(self) -> DigitString:
         n = self.number
-        return n if isinstance(n, DigitString) else collapse(self.stacked)
+        return n if isinstance(n, DigitString) else DigitString.from_int(fold(n, self.base), self.base)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 from trimsum.analyzer import CSV_HEADER, CostReport, compare, cost_profile
 from trimsum.digits import DigitString, parse
-from trimsum.families import FAMILIES, FAMILY_TABLE, TestRule, iterate
+from trimsum.families import FAMILIES, TestRule, iterate
 from trimsum.oracle import random_digit_string
 
 A = parse("32184")
@@ -91,12 +91,22 @@ def test_json_mirrors_csv():
 
 
 def _row_from_trace(a, rule):
-    """The cost row read off a whole recorded trace."""
+    """The cost row read off a whole recorded trace, with each family's weight and work written here."""
     steps = iterate(a, rule).steps
-    family = FAMILY_TABLE[rule.family]
+    family, q, base = rule.family, rule.q, rule.base
     lengths = [len(a)] + [len(step.collapsed) for step in steps]
-    weight = abs(family.weight(rule))
-    return CostReport(rule.q, rule.base, rule.family, weight, len(steps), family.digit_ops(lengths), max(lengths))
+    if family in ("trim", "sum"):
+        inverse = pow(base, -1, q)  # the least absolute inverse of the base mod q
+        weight = min(inverse, q - inverse)
+    elif family in ("left_trim", "binomial"):
+        weight = abs(base - q)
+    else:
+        weight = {"talmud": 2, "last_digits": 0}[family]
+    if family in ("sum", "binomial"):  # one multiply-add per input digit beyond the first, per application
+        ops = sum(n - 1 for n in lengths[:-1])
+    else:  # one per step; last digits only reads its low digits
+        ops = 0 if family == "last_digits" else len(steps)
+    return CostReport(q, base, family, weight, len(steps), ops, max(lengths))
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])

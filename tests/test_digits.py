@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trimsum import digits
-from trimsum.digits import DigitString, StackedNumber, collapse, lift, parse
-from trimsum.families import TestRule, apply_once, iterate
+from trimsum.digits import DigitString, StackedNumber, fold, parse
+from trimsum.families import TestRule, TraceStep, apply_once, iterate
 
 ints = st.integers(min_value=-(10**45), max_value=10**45)
 bases = st.sampled_from([2, 7, 10, 16, 36])
@@ -95,11 +95,19 @@ def test_split_rejects_bad_input():
         apply_once(parse("5", 16), TestRule.last_digits(8))
 
 
+def _collapsed(coeffs, base=10):
+    """Collapse: the canonical form of a stacked step with these coefficients.
+
+    A plain step's ``stacked`` accessor is the lift, its signed digits.
+    """
+    return TraceStep("stack", coeffs, base).collapsed
+
+
 def test_collapse_examples():
-    assert collapse(StackedNumber(10, (12, 1, 2, 3))) == parse("3222")
-    assert collapse(StackedNumber(10, (4, 8, 1, 1, 1))) == parse("11184")
-    assert collapse(StackedNumber(10, (0,))) == parse("0")
-    assert collapse(StackedNumber(10, (-14,))) == parse("-14")
+    assert _collapsed((12, 1, 2, 3)) == parse("3222")
+    assert _collapsed((4, 8, 1, 1, 1)) == parse("11184")
+    assert _collapsed((0,)) == parse("0")
+    assert _collapsed((-14,)) == parse("-14")
 
 
 @given(
@@ -107,10 +115,11 @@ def test_collapse_examples():
     coeffs=st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=12),
 )
 def test_collapse_preserves_value(base, coeffs):
-    s = StackedNumber(base, tuple(coeffs))
+    step = TraceStep("stack", tuple(coeffs), base)
     expected = sum(c * base**i for i, c in enumerate(coeffs))
-    assert s.value == expected
-    assert collapse(s).value == expected
+    assert step.stacked == StackedNumber(base, tuple(coeffs))
+    assert fold(step.stacked.coeffs, base) == expected
+    assert step.collapsed.value == expected
 
 
 def test_collapse_soundness_seeded_bulk():
@@ -118,14 +127,15 @@ def test_collapse_soundness_seeded_bulk():
     for _ in range(10_000):
         base = rng.choice([2, 7, 10, 16])
         coeffs = tuple(rng.randint(-(10**6), 10**6) for _ in range(rng.randint(1, 10)))
-        s = StackedNumber(base, coeffs)
-        assert collapse(s).value == sum(c * base**i for i, c in enumerate(coeffs))
+        assert _collapsed(coeffs, base).value == sum(c * base**i for i, c in enumerate(coeffs))
 
 
 @given(v=ints, base=bases)
 def test_collapse_after_lift_is_identity(v, base):
     ds = DigitString.from_int(v, base)
-    assert collapse(lift(ds)) == ds
+    coeffs = TraceStep("trim", ds, base).stacked.coeffs
+    assert coeffs == tuple(ds.sign * d for d in ds.digits)
+    assert _collapsed(coeffs, base) == ds
 
 
 @given(
@@ -133,8 +143,7 @@ def test_collapse_after_lift_is_identity(v, base):
     q=st.integers(min_value=1, max_value=997),
 )
 def test_divisibility_is_representation_invariant(coeffs, q):
-    s = StackedNumber(10, tuple(coeffs))
-    assert (s.value % q == 0) == (collapse(s).value % q == 0)
+    assert (fold(tuple(coeffs), 10) % q == 0) == (_collapsed(tuple(coeffs)).value % q == 0)
 
 
 def test_base_mismatch_rejected():
@@ -180,7 +189,7 @@ def test_stacked_number_validation_and_json():
     ]:
         with pytest.raises(ValueError):
             bad()
-    assert StackedNumber(10, (8 + (-2) * 4, 1, 2, 3)).value == 3210
+    assert fold(StackedNumber(10, (8 + (-2) * 4, 1, 2, 3)).coeffs, 10) == 3210
 
 
 def test_from_int_rejects_values_that_are_not_ints():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimsum import analyzer, digits, families
-from trimsum.digits import DigitString, collapse, parse
+from trimsum.digits import DigitString, parse
 from trimsum.families import (
     DIVISIBLE,
     FAMILIES,
@@ -77,7 +77,7 @@ def test_left_trim_chain_representations():
     assert steps[1].stacked.coeffs == (4, 8, 34)
     assert steps[2].stacked.coeffs == (4, 110)
     assert steps[3].stacked.coeffs == (334,)
-    assert collapse(steps[3].stacked) == parse("334")
+    assert steps[3].collapsed == parse("334")
 
 
 def test_talmud_examples():
@@ -243,13 +243,13 @@ def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
 
 
 def test_chains_collapse_only_their_terminal(monkeypatch):
-    calls = []
+    fold, calls = families.fold, []
 
-    def counting_collapse(s):
-        calls.append(s)
-        return collapse(s)
+    def counting_fold(coeffs, x):
+        calls.append(coeffs)
+        return fold(coeffs, x)
 
-    monkeypatch.setattr(families, "collapse", counting_collapse)
+    monkeypatch.setattr(families, "fold", counting_fold)
     trace = iterate(parse("3" * 50), TestRule.left_trim(7))
     assert len(trace.steps) == 49
     assert len(calls) == 0  # the terminal is the fold's final int, converted directly
@@ -344,6 +344,45 @@ def test_trace_json_shape_and_stability():
     assert doc["rule"] == {"family": "trim", "q": 7, "base": 10, "omega": -2}
     assert doc["steps"][0] == {"op": "trim", "coeffs": [0, 1, 2, 3], "collapsed": "3210"}
     assert json.dumps(doc) == json.dumps(iterate(A, TestRule.trim(7)).as_json())
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_render_and_json_show_the_same_steps(base):
+    rng = random.Random(base)
+    cases = [(parse("49"), TestRule.trim(7), False)] if base == 10 else []  # 49 trims to -14
+    for family in FAMILIES:
+        for q in (*range(1, 40), 647):  # 36**2 = 2 (mod 647): a Talmud rule in base 36
+            try:
+                rule = TestRule(family, q, base)
+            except ValueError:
+                continue
+            for stacked in (False, True) if family == "trim" else (False,):
+                cases += [(random_digit_string(rng, base, max_digits=30), rule, stacked) for _ in range(3)]
+    assert {rule.family for _, rule, _ in cases} == set(FAMILIES)
+    assert {True, False} <= {a.sign < 0 for a, _, _ in cases if a.digits != (0,)}
+    negative_steps = stacked_steps = 0
+    for a, rule, stacked in cases:
+        trace = iterate(a, rule, stacked=stacked)
+        doc, lines = trace.as_json(), trace.render().split("\n")
+        r = doc["rule"]
+        omega = "" if r["omega"] is None else f" omega={r['omega']:+d}"
+        assert lines[0] == f"rule: family={r['family']} q={r['q']} base={r['base']}{omega}"
+        assert len(lines) == len(doc["steps"]) + 3
+        for i, (line, step) in enumerate(zip(lines[1:-2], doc["steps"]), start=1):
+            text, coeffs = step["collapsed"], step["coeffs"]
+            value = int(text, base)
+            assert sum(c * base**j for j, c in enumerate(coeffs)) == value
+            if trace.stacked:
+                assert line == f"step {i}: {step['op']} -> {coeffs} = {text}"
+                stacked_steps += 1
+            else:
+                sign = -1 if value < 0 else 1
+                assert coeffs == [sign * int(ch, base) for ch in reversed(text.lstrip("-"))]
+                assert line == f"step {i}: {step['op']} -> {text}"
+            negative_steps += value < 0
+        assert lines[-2] == f"terminal: {doc['terminal']}"
+        assert lines[-1] == f"verdict: {doc['verdict'].replace('_', ' ')}"
+    assert negative_steps and stacked_steps
 
 
 # --- the two summing identities -------------------------------------------
