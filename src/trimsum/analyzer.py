@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass
 
-from .digits import DigitString, fold
-from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _chain
+from .digits import DigitString
+from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _values
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
 
@@ -39,29 +39,11 @@ class CostReport:
 
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
     """Instrument one full run of the rule's verdict chain, keeping only its step lengths."""
-    order, values = _chain(a, rule, False)  # checks the operands before len(a) reads them
+    values = _values(a, rule)  # checks the operands before len(a) reads them
     family = FAMILY_TABLE[rule.family]
-    next(values)  # |a|, or the stacked fold's first digit
-    if order is not None:
-        values = _folded_values(values, a, family.weight(rule) - rule.base)
     lengths = [len(a), *_digit_counts(values, len(a), rule.base)]
     weight, ops = abs(family.weight(rule)), family.digit_ops(lengths)
     return CostReport(rule.q, rule.base, rule.family, weight, len(lengths) - 1, ops, max(lengths))
-
-
-def _folded_values(folds: Iterator[int], a: DigitString, shift: int) -> Iterator[int]:
-    """Each step's value in a fold from the top digit down (left trim, the one stacked verdict chain).
-
-    Folding the next digit into acc moves the value by shift * acc * base**r, with
-    shift = weight - base and r the digits still unfolded.
-    """
-    base, acc = a.base, a.digits[-1]
-    value, power = fold(a.digits, base), base ** (len(a) - 1)
-    for following in folds:
-        power //= base
-        value += shift * acc * power
-        yield value
-        acc = following
 
 
 def _digit_counts(values: Iterator[int], n: int, base: int) -> Iterator[int]:

@@ -34,17 +34,11 @@ _LEAF = 64
 
 
 def fold(coeffs: tuple[int, ...], x: int) -> int:
-    """sum(coeffs[i] * x**i): Horner's rule up to _LEAF coefficients, else halves joined by powers of x."""
-    n = len(coeffs)
-    if n <= _LEAF:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * x + c
-        return v
-    powers = [x**_LEAF]  # powers[i] = x**(_LEAF * 2**i)
-    while _LEAF << len(powers) < n:
-        powers.append(powers[-1] * powers[-1])
-    return _fold(coeffs, 0, n, x, powers, len(powers))
+    """sum(coeffs[i] * x**i): halves joined by powers of x, down to Horner's rule on _LEAF coefficients."""
+    powers: list[int] = []  # powers[i] = x**(_LEAF * 2**i)
+    while _LEAF << len(powers) < len(coeffs):
+        powers.append(powers[-1] * powers[-1] if powers else x**_LEAF)
+    return _fold(coeffs, 0, len(coeffs), x, powers, len(powers))
 
 
 def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int) -> int:

@@ -21,10 +21,10 @@ step on the previous step's int: trim, Talmud and last digits split it
 with divmod, sum and binomial expand it to digits, and nothing converts
 to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
-Horner fold that rewrites no digits. One step source, ``_chain``, makes
-each chain's numbers: ``iterate`` and ``divides_via`` keep only the last,
-and ``_steps`` turns them into trace steps one at a time, which a ``Trace``
-collects the first time its steps are read.
+Horner fold that rewrites no digits. ``_chain`` yields each chain's step
+results as ints: ``iterate`` and ``divides_via`` keep only the last, and
+``_steps`` and ``_values`` turn them into trace steps and into the cost
+table's step values, one at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .digits import DigitString, StackedNumber, fold
 from .weights import weight_inverse
@@ -259,7 +259,7 @@ class Family:
     digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
     chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
-    always_stacked: bool = False  # iterate runs the stacked chain even without stacked=True
+    always_stacked: bool = False  # _chain runs it stacked even without stacked=True
     default_q: int | None = None  # the divisor the family is fixed at, if any
 
 
@@ -309,8 +309,8 @@ def apply_once(a: DigitString, rule: TestRule) -> DigitString:
 trim = apply_once
 
 
-def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Iterator]:
-    """The stacked chain's fold order (None if plain), and the chain's start and step results.
+def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Iterator[int]]:
+    """The stacked chain's fold order (None if plain), and the chain's step results.
 
     A stacked chain is the running fold acc = acc * weight + next digit, made
     one step at a time: trim's from the last digit up with omega (ending at the
@@ -320,21 +320,20 @@ def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, I
     family = FAMILY_TABLE[rule.family]
     if family.chain_order and (stacked or family.always_stacked):
         order, weight = family.chain_order, family.weight(rule)
-        return order, accumulate(a.digits[::order], lambda acc, d: acc * weight + d)
+        return order, islice(accumulate(a.digits[::order], lambda acc, d: acc * weight + d), 1, None)
     if stacked:
         chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain_order)
         raise ValueError(f"stacked iteration applies to {chained} rules only")
     return None, _plain_chain(a, rule, family.step)
 
 
-def _plain_chain(a: DigitString, rule: TestRule, step) -> Iterator[DigitString | int]:
-    """|a|, then each step's int, stepping while |v| >= base**2 until a step fails to shrink |v|.
+def _plain_chain(a: DigitString, rule: TestRule, step) -> Iterator[int]:
+    """Each step's int, stepping while |v| >= base**2 until a step fails to shrink |v|.
 
     The first step reads the digits of |a|: trim and Talmud fold them once, last
     digits only its low k, sum and binomial use them as they are. Every later step
     reads the previous step's int; only sum and binomial expand it to digits.
     """
-    yield abs(a)
     x, base = a.digits, rule.base
     if len(x) < 3:
         return
@@ -361,13 +360,12 @@ def _smaller(m: int, x: _Magnitude, base: int) -> bool:
 
 
 def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]:
-    """The chain's steps, one at a time, each in the form its chain built it; checks operands first.
+    """Each of the chain's step ints as a trace step in the form its chain built it; checks operands first.
 
     A stacked chain's step i holds the fold of i + 1 digits in the last folded digit's
     slot, beside the digits not yet folded, so its last step is the 1-tuple of the fold.
     """
     order, numbers = _chain(a, rule, stacked)
-    next(numbers)  # the chain's start: |a|, or the stacked fold's first digit
     if order is None:
         return (TraceStep(rule.family, DigitString.from_int(v, rule.base), rule.base) for v in numbers)
     d, op = a.digits[::order], FAMILY_TABLE[rule.family].chain_op
@@ -376,10 +374,32 @@ def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]
     )
 
 
-def _terminal_value(a: DigitString, rule: TestRule, stacked: bool) -> int:
-    """The chain's last number as an int, keeping only the current number while it runs."""
-    last = deque(_chain(a, rule, stacked)[1], maxlen=1)[0]
-    return last if type(last) is int else last.value
+def _values(a: DigitString, rule: TestRule) -> Iterator[int]:
+    """Each step's value in the rule's verdict chain; checks the operands first.
+
+    Left trim's verdict chain, the only stacked one, folds from the top digit down:
+    folding in the digit below acc moves the value by (weight - base) * acc * base**r,
+    where r digits are still unfolded.
+    """
+    order, folds = _chain(a, rule, False)
+    return folds if order is None else _folded_values(folds, a, FAMILY_TABLE[rule.family].weight(rule))
+
+
+def _folded_values(folds: Iterator[int], a: DigitString, weight: int) -> Iterator[int]:
+    base, acc = a.base, a.digits[-1]
+    value, power = fold(a.digits, base), base ** (len(a) - 1)
+    for following in folds:
+        power //= base
+        value += (weight - base) * acc * power
+        yield value
+        acc = following
+
+
+def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int]:
+    """Whether the chain ran stacked, and its last number: |a| if it takes no step."""
+    order, numbers = _chain(a, rule, stacked)
+    last = deque(numbers, maxlen=1)
+    return order is not None, last[0] if last else fold(a.digits, a.base)
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
@@ -389,12 +409,11 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     stacked chain, as left trimming always does. The trace's steps are built
     from a second run of the chain, only if they are read.
     """
-    value = _terminal_value(a, rule, stacked)
-    stacked = stacked or FAMILY_TABLE[rule.family].always_stacked
+    stacked, value = _terminal(a, rule, stacked)
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
     return Trace(rule, a, stacked, DigitString.from_int(value, rule.base), verdict)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
     """Decide q | a by running the rule's chain, keeping only its current number."""
-    return _terminal_value(a, rule, False) % rule.q == 0
+    return _terminal(a, rule, False)[1] % rule.q == 0

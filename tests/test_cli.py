@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,38 @@ def test_trace_trim_chain(capsys):
         "terminal: 30\n"
         "verdict: not divisible\n"
     )
+
+
+def test_apply_json_shows_k_for_last_digits_only(capsys):
+    code, out, err = run(capsys, "lastdigit", "-q", "8", "--json", "32184")
+    assert (code, err) == (0, "")
+    expected = {"family": "last_digits", "q": 8, "base": 10, "input": "32184", "result": "184", "k": 3}
+    assert out == json.dumps(expected, indent=2) + "\n"
+    code, out, err = run(capsys, "trim", "-q", "7", "--json", "32184")
+    assert (code, err) == (0, "")
+    assert "k" not in json.loads(out)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+
+    def python_m(*argv):
+        argv = [sys.executable, "-m", "trimsum", *argv]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+    done = python_m("trace", "--family", "trim", "-q", "7", "32184")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "rule: family=trim q=7 base=10 omega=-2\n"
+        "step 1: trim -> 3210\n"
+        "step 2: trim -> 321\n"
+        "step 3: trim -> 30\n"
+        "terminal: 30\n"
+        "verdict: not divisible\n"
+    )
+    done = python_m("lastdigit", "-q", "7", "32184")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error:")
 
 
 def test_trace_stacked_chain(capsys):

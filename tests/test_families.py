@@ -136,6 +136,9 @@ def test_last_digits_rejects_divisors_off_the_base():
         ("trim", 7, 10.0, ValueError),
         ("sum", 7, True, ValueError),
         (["trim"], 7, 10, ValueError),  # a family that is not a str raised TypeError: unhashable type
+        ("trim", 7, 1, ValueError),  # a base below 2
+        ("sum", 7, 0, ValueError),
+        ("binomial", 7, -10, ValueError),
     ],
 )
 def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
@@ -154,6 +157,43 @@ def test_rules_built_from_family_q_and_base_are_sound(family, q, base, k):
         a = DigitString.from_int(v, base)
         assert divides_via(a, rule) == divides(a, q)
         assert type(FAMILY_TABLE[family].step(a.digits, rule)) is int
+
+
+def _builds(family, q, base):
+    try:
+        return TestRule(family, q, base)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("base", [2, 3, 6, 7, 10, 12, 16, 36])
+def test_split_families_build_exactly_when_their_obligation_holds(base):
+    """Trim, Talmud and last digits step to alpha * h + beta * l for |a| = h * base**k + l.
+
+    Each builds exactly when its own condition on (q, base) holds, and then beta is a
+    unit mod q and alpha = beta * base**k (mod q), Zbikowski's condition for a test.
+    """
+    v = 987654321987654321
+    for q in range(1, 301):
+        trim, talmud, last = (_builds(f, q, base) for f in ("trim", "talmud", "last_digits"))
+        assert (trim is not None) == (math.gcd(q, base) == 1), (q, base)
+        if trim:
+            assert (trim.omega * base - 1) % q == 0 and -q / 2 < trim.omega <= q / 2, (q, base)
+        assert (talmud is not None) == ((base * base - 2) % q == 0), (q, base)
+        powers_of_base_q_divides = [k for k in range(q + 1) if base**k % q == 0]
+        assert (last is not None) == bool(powers_of_base_q_divides), (q, base)
+        if last:
+            assert last.k == powers_of_base_q_divides[0], (q, base)
+        for rule, (k, alpha, beta) in [
+            (trim, (1, 1, trim and trim.omega)),
+            (talmud, (2, 2, 1)),
+            (last, (last and last.k, 0, 1)),
+        ]:
+            if rule is None:
+                continue
+            assert math.gcd(beta, q) == 1 and (alpha - beta * base**k) % q == 0, (rule, k, alpha, beta)
+            high, low = divmod(v, base**k)
+            assert apply_once(DigitString.from_int(v, base), rule).value == alpha * high + beta * low, rule
 
 
 def test_public_entry_points_reject_wrong_types():
