@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import analyzer, oracle
@@ -26,6 +27,20 @@ from .families import (
     iterate,
 )
 from .weights import INVERSE, METHODS, ROUNDING, TABLE, weight_inverse, weight_rounding, weight_table
+
+
+# '-', a decimal digit, then base-36 digits: a negative number, even with letters in it
+_NEGATIVE_NUMBER = re.compile(r"-[0-9][0-9a-zA-Z]*")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-2u6`` as a negative number, as it reads ``-49``.
+
+    A negative number whose first digit is a letter still needs ``--`` before it.
+    """
+
+    def _parse_optional(self, arg_string):
+        return None if _NEGATIVE_NUMBER.fullmatch(arg_string) else super()._parse_optional(arg_string)
 
 
 def _emit_json(payload) -> None:
@@ -96,10 +111,10 @@ def _cmd_trace(args) -> int:
     rule = _rule(args)
     a = parse(args.number, args.base)
     trace = iterate(a, rule, stacked=args.stacked)
-    if args.json:
-        _emit_json(trace.as_json())
-    else:
-        print(trace.render())
+    # each chunk goes out as it is made; the first checks the base before any is written
+    chunks = trace._json_chunks() if args.json else (line + "\n" for line in trace._lines())
+    for chunk in chunks:
+        sys.stdout.write(chunk)
     return 0
 
 
@@ -129,7 +144,7 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trimsum",
         description="Trimming, summing and binomial divisibility tests over arbitrary bases.",
     )

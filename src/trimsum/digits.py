@@ -15,6 +15,13 @@ the index range in half and joins the halves with a power x**h, and
 ``DigitString.from_int`` splits the value with divmod by base**h, each
 squaring its powers once per call. Below ``_LEAF`` digits they fall back
 to Horner's rule and to one divmod per digit.
+
+``_text`` turns an int straight into its text, for traces: C-level ``str``
+in base 10 and ``format`` in bases 2, 8 and 16. A base-10 value past the
+interpreter's int->str digit limit is split the same way into pieces of
+``_CHUNK`` < 640 digits (the least limit Python allows), each printed by
+``str``; other bases expand to digits as ``from_int`` does. Nothing here
+reads or sets the limit itself.
 """
 
 from __future__ import annotations
@@ -29,8 +36,14 @@ _DIGIT_CHARS = string.digits + string.ascii_lowercase
 _CHAR_VALUES = {c: i for chars in (_DIGIT_CHARS, _DIGIT_CHARS.upper()) for i, c in enumerate(chars)}
 
 
+# bytes.translate table from a digit value to its character
+_CHAR_TABLE = _DIGIT_CHARS.encode().ljust(256, b"?")
+_FORMATS = {2: "b", 8: "o", 16: "x"}
+
 # a leaf: the most digits a conversion handles with one plain loop
 _LEAF = 64
+# decimal digits per str() call past the int->str limit: under 640, the least limit Python allows
+_CHUNK = 512
 
 
 def fold(coeffs: tuple[int, ...], x: int) -> int:
@@ -80,6 +93,38 @@ def _expand(out: list[int], v: int, base: int, powers: list[int], level: int, pa
         out.extend([0] * (_LEAF << (level - 1)))
 
 
+def _expand_all(mag: int, base: int) -> list[int]:
+    """The digits of mag >= 0 in base, least significant first; none for 0."""
+    # powers[i] = base**(_LEAF * 2**i), until mag < base**(_LEAF * 2**len(powers)) is sure from bit
+    # lengths: base >= 2**(base.bit_length() - 1), and p * p >= 2**(2 * p.bit_length() - 2)
+    powers: list[int] = []
+    while mag.bit_length() > (2 * powers[-1].bit_length() - 2 if powers else _LEAF * (base.bit_length() - 1)):
+        powers.append(powers[-1] * powers[-1] if powers else base**_LEAF)
+    digits: list[int] = []
+    _expand(digits, mag, base, powers, len(powers), False)
+    return digits
+
+
+def _chars(digits) -> str:
+    """Digit values in [0, 36) as their characters, in the order given."""
+    return bytes(digits).translate(_CHAR_TABLE).decode()
+
+
+def _text(v: int, base: int) -> str:
+    """The text form of the int v in base 2..36, as ``DigitString.from_int(v, base).render()``."""
+    if base == 10:
+        try:
+            return str(v)
+        except ValueError:  # more digits than the interpreter's int->str limit
+            pieces = _expand_all(abs(v), 10**_CHUNK)
+            body = str(pieces[-1]) + "".join(str(p).zfill(_CHUNK) for p in reversed(pieces[:-1]))
+    elif base in _FORMATS:
+        return format(v, _FORMATS[base])
+    else:
+        body = _chars(_expand_all(abs(v), base)[::-1]) or "0"
+    return "-" + body if v < 0 else body
+
+
 def _check_ints(name: str, values: tuple[int, ...]) -> None:
     # one C-level pass: a non-empty tuple whose items are all exactly int (bool is not)
     if type(values) is not tuple or set(map(type, values)) != {int}:
@@ -119,14 +164,7 @@ class DigitString:
         if type(value) is not int:
             raise ValueError(f"value must be an int, got {value!r:.60}")
         _check_base(base)
-        mag = abs(value)
-        # powers[i] = base**(_LEAF * 2**i), until mag < base**(_LEAF * 2**len(powers)) is
-        # sure from bit lengths: mag < 2**_LEAF <= base**_LEAF, or p * p >= 2**(2 * p.bit_length() - 2)
-        powers: list[int] = []
-        while mag.bit_length() >= (2 * powers[-1].bit_length() - 1 if powers else _LEAF + 1):
-            powers.append(powers[-1] * powers[-1] if powers else base**_LEAF)
-        digits: list[int] = []
-        _expand(digits, mag, base, powers, len(powers), False)
+        digits = _expand_all(abs(value), base)
         return cls(1 if value >= 0 else -1, base, tuple(digits) or (0,))
 
     @property
@@ -143,7 +181,7 @@ class DigitString:
         """Text form: optional '-', then digits 0-9a-z, most significant first."""
         if self.base > MAX_TEXT_BASE:
             raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {self.base}")
-        body = "".join(_DIGIT_CHARS[d] for d in reversed(self.digits))
+        body = _chars(self.digits[::-1])
         return "-" + body if self.sign < 0 else body
 
 

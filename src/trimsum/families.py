@@ -23,8 +23,9 @@ to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
 Horner fold that rewrites no digits. ``_chain`` yields each chain's step
 results as ints: ``iterate`` and ``divides_via`` keep only the last, and
-``_steps`` and ``_values`` turn them into trace steps and into the cost
-table's step values, one at a time.
+``_steps``, ``_values`` and ``_step_texts`` turn them into trace steps,
+into the cost table's step values and into the text a trace prints, one
+at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
 
-from .digits import DigitString, StackedNumber, fold
+from .digits import _DIGIT_CHARS, DigitString, StackedNumber, _text, fold
 from .weights import weight_inverse
 
 TRIM = "trim"
@@ -138,7 +139,11 @@ class TraceStep:
 class Trace:
     """A chain's verdict and terminal; ``steps`` runs the chain again the first time it is read.
 
-    Traces are equal when their rule, input and chain kind (``stacked``) are.
+    ``render()`` and ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) also
+    run it again, making their text a step at a time from the step ints with
+    ``_step_texts``; they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()``
+    builds the whole document from ``steps``. Traces are equal when their rule, input
+    and chain kind (``stacked``) are.
     """
 
     rule: TestRule
@@ -165,15 +170,39 @@ class Trace:
 
     def render(self) -> str:
         """The ``trace`` command's text; a stacked chain step also shows its coefficients."""
+        return "\n".join(self._lines())
+
+    def _lines(self) -> Iterator[str]:
+        """``render()`` a line at a time, from the chain's step ints; checks the base first."""
         rule, terminal = self.rule, self.terminal.render()  # checks the base, as in as_json
         omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
-        lines = [f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"]
-        for i, step in enumerate(self.steps, start=1):
-            coeffs = f"{list(step.number)} = " if isinstance(step.number, tuple) else ""
-            lines.append(f"step {i}: {step.op} -> {coeffs}{step.collapsed.render()}")
-        lines.append(f"terminal: {terminal}")
-        lines.append(f"verdict: {self.verdict.replace('_', ' ')}")
-        return "\n".join(lines)
+        yield f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"
+        sep = ", " if self.stacked else None  # a plain step's line shows no coefficients
+        for i, (op, coeffs, value) in enumerate(_step_texts(self.a, rule, self.stacked, sep), start=1):
+            yield f"step {i}: {op} -> [{coeffs}] = {value}" if sep else f"step {i}: {op} -> {value}"
+        yield f"terminal: {terminal}"
+        yield f"verdict: {self.verdict.replace('_', ' ')}"
+
+    def _json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.as_json(), indent=2) + "\\n"`` a step at a time; checks the base first.
+
+        Names, the verdict and digit text never need JSON escaping, so each chunk is
+        formatted directly, in the indenting encoder's layout.
+        """
+        rule, terminal = self.rule, self.terminal.render()
+        omega = "null" if rule.omega is None else rule.omega
+        yield (
+            f'{{\n  "rule": {{\n    "family": "{rule.family}",\n    "q": {rule.q},\n'
+            f'    "base": {rule.base},\n    "omega": {omega}\n  }},\n  "steps": ['
+        )
+        lead, close = "\n", "]"  # an empty list stays on one line
+        for op, coeffs, value in _step_texts(self.a, rule, self.stacked, ",\n        "):
+            yield (
+                f'{lead}    {{\n      "op": "{op}",\n      "coeffs": [\n        {coeffs}\n      ],\n'
+                f'      "collapsed": "{value}"\n    }}'
+            )
+            lead, close = ",\n", "\n  ]"
+        yield f'{close},\n  "terminal": "{terminal}",\n  "verdict": "{self.verdict}"\n}}\n'
 
 
 # a step's input: |a| as its digit tuple (apply_once, a plain chain's first step) or as an int
@@ -374,24 +403,80 @@ def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]
     )
 
 
-def _values(a: DigitString, rule: TestRule) -> Iterator[int]:
-    """Each step's value in the rule's verdict chain; checks the operands first.
+def _step_texts(
+    a: DigitString, rule: TestRule, stacked: bool, sep: str | None
+) -> Iterator[tuple[str, str | None, str]]:
+    """Each trace step's op, its coefficients' decimal texts joined by sep, and its value's text.
 
-    Left trim's verdict chain, the only stacked one, folds from the top digit down:
-    folding in the digit below acc moves the value by (weight - base) * acc * base**r,
-    where r digits are still unfolded.
+    They come straight from the chain's step ints, each value converted once by
+    ``digits._text``. A plain step's coefficients are its value's digits, negated with it
+    (None if sep is None); a stacked step's are its fold beside the digits not yet
+    folded, whose texts are joined once per trace, and its value is carried from the
+    step before, with no fold per step.
     """
+    base = rule.base
+    order, numbers = _chain(a, rule, stacked)
+    if order is None:
+        if sep is None:
+            yield from ((rule.family, None, _text(v, base)) for v in numbers)
+            return
+        positive = {c: str(d) for d, c in enumerate(_DIGIT_CHARS[:base])}
+        negative = {c: str(-d) for d, c in enumerate(_DIGIT_CHARS[:base])}
+        for v in numbers:
+            text = _text(v, base)
+            low_first, coeff = (text[:0:-1], negative) if v < 0 else (text[::-1], positive)
+            yield rule.family, sep.join(map(coeff.__getitem__, low_first)), text
+        return
+    family = FAMILY_TABLE[rule.family]
+    texts = [str(d) for d in a.digits]
+    ends = list(accumulate((len(t) + len(sep) for t in texts), initial=0))
+    steps = enumerate(_folded(numbers, a, order, family.weight(rule)), start=2)
+    if order == 1:  # the fold of the low digits, then the digits not yet folded
+        tail = "".join(sep + t for t in texts)
+        for folded, (acc, value) in steps:
+            yield family.chain_op, _text(acc, 10) + tail[ends[folded] :], _text(value, base)
+    else:  # the digits not yet folded, then the fold of the top ones
+        head, n = "".join(t + sep for t in texts), len(texts)
+        magnitude = abs(a).render()
+        for folded, (acc, value) in steps:
+            coeff = _text(acc, 10)
+            if acc > 0:  # the value's text is acc's, then the digits not yet folded
+                value_text = (coeff if base == 10 else _text(acc, base)) + magnitude[folded:]
+            else:
+                value_text = _text(value, base)
+            yield family.chain_op, head[: ends[n - folded]] + coeff, value_text
+
+
+def _values(a: DigitString, rule: TestRule) -> Iterator[int]:
+    """Each step's value in the rule's verdict chain; checks the operands first."""
     order, folds = _chain(a, rule, False)
-    return folds if order is None else _folded_values(folds, a, FAMILY_TABLE[rule.family].weight(rule))
+    if order is None:
+        return folds
+    return (value for _, value in _folded(folds, a, order, FAMILY_TABLE[rule.family].weight(rule)))
 
 
-def _folded_values(folds: Iterator[int], a: DigitString, weight: int) -> Iterator[int]:
-    base, acc = a.base, a.digits[-1]
-    value, power = fold(a.digits, base), base ** (len(a) - 1)
+def _folded(folds: Iterator[int], a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]]:
+    """Each stacked step's fold and value, the value carried from the step before.
+
+    Trim folds from the last digit up: v' = (v - acc) / base + weight * acc, the
+    slot of acc dropped and its fold moved into the next. Left trim folds from the
+    top digit down: folding in the digit below acc moves the value by
+    (weight - base) * acc * base**r, where r digits are still unfolded.
+    """
+    base, d = a.base, a.digits
+    value = fold(d, base)
+    if order == 1:
+        acc = d[0]
+        for following in folds:
+            value = (value - acc) // base + weight * acc
+            yield following, value
+            acc = following
+        return
+    acc, power = d[-1], base ** (len(d) - 1)
     for following in folds:
         power //= base
         value += (weight - base) * acc * power
-        yield value
+        yield following, value
         acc = following
 
 

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from trimsum import cli
 from trimsum.cli import main
+from trimsum.digits import parse
+from trimsum.families import FAMILIES, TestRule, iterate
+from trimsum.oracle import random_digit_string
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "compare_golden.csv"
 
@@ -265,6 +272,121 @@ def test_trace_json_left_trim_golden(capsys):
     }
     expected = json.dumps(doc, indent=2) + "\n"
     assert run(capsys, "trace", "--family", "left_trim", "-q", "7", "--json", "32184") == (0, expected, "")
+
+
+def _trace_argv(a, rule, stacked):
+    argv = ["trace", "--family", rule.family, "-q", str(rule.q), "--base", str(rule.base)]
+    return argv + (["--stacked"] if stacked else []) + ["--", a.render()]
+
+
+def _text_from_document(doc, stacked):
+    """The trace text, written out from the JSON document as the steps read it."""
+    r = doc["rule"]
+    omega = "" if r["omega"] is None else f" omega={r['omega']:+d}"
+    lines = [f"rule: family={r['family']} q={r['q']} base={r['base']}{omega}"]
+    for i, step in enumerate(doc["steps"], start=1):
+        coeffs = f"{step['coeffs']} = " if stacked else ""
+        lines.append(f"step {i}: {step['op']} -> {coeffs}{step['collapsed']}")
+    lines += [f"terminal: {doc['terminal']}", f"verdict: {doc['verdict'].replace('_', ' ')}"]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_streams_match_the_document(capsys, a, rule, stacked):
+    trace = iterate(a, rule, stacked=stacked)
+    text = trace.render() + "\n"
+    assert "steps" not in trace.__dict__  # rendering builds no steps
+    doc = trace.as_json()
+    assert text == _text_from_document(doc, trace.stacked)
+    argv = _trace_argv(a, rule, stacked)
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, "trace", "--json", *argv[1:]) == (0, json.dumps(doc, indent=2) + "\n", "")
+    return doc
+
+
+@pytest.mark.parametrize("base", [2, 10, 16, 36])
+def test_streamed_trace_is_the_whole_document_byte_for_byte(capsys, base):
+    rng = random.Random(1300 + base)
+    cases = [(parse("49"), TestRule.trim(7), False)] if base == 10 else []  # 49 trims to -14
+    for family in FAMILIES:
+        for q in (*range(1, 40), 647):  # 36**2 = 2 (mod 647): a Talmud rule in base 36
+            try:
+                rule = TestRule(family, q, base)
+            except ValueError:
+                continue
+            for stacked in (False, True) if family == "trim" else (False,):
+                for digits in (1, 2, 40):
+                    cases.append((random_digit_string(rng, base, max_digits=digits), rule, stacked))
+    assert {(rule.family, stacked) for _, rule, stacked in cases} == {*((f, False) for f in FAMILIES), ("trim", True)}
+    empty = negative_inputs = negative_steps = 0
+    for a, rule, stacked in cases:
+        doc = _assert_streams_match_the_document(capsys, a, rule, stacked)
+        empty += not doc["steps"]
+        negative_inputs += a.sign < 0
+        negative_steps += any(step["collapsed"].startswith("-") for step in doc["steps"])
+    assert empty and negative_inputs and negative_steps
+
+
+def _long_binomial_input():
+    rng = random.Random(5000)
+    return parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(4999)))
+
+
+def test_streamed_trace_prints_values_past_the_int_to_str_limit(capsys):
+    a = _long_binomial_input()
+    doc = _assert_streams_match_the_document(capsys, a, TestRule.binomial(2), False)
+    assert len(doc["steps"][0]["collapsed"]) > 4300  # past str()'s default limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_streamed_trace_under_the_least_int_to_str_limit(capsys):
+    a, limit = _long_binomial_input(), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _assert_streams_match_the_document(capsys, a, TestRule.binomial(2), False)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_cli_trace_memory_does_not_grow_with_the_whole_trace(mode):
+    rng = random.Random(1500)
+    text = str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(1499))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(["trace", *mode, "--family", "left_trim", "-q", "7", text])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1024 * 1024  # the whole document peaked at about 110 MiB (json) and 20 MiB (text)
+
+
+def test_negative_numbers_with_letters_are_numbers_not_options(capsys):
+    trace = ["trace", "--family", "trim", "--base", "36"]
+    expected = run(capsys, *trace, "-q", "7", "--", "-2u6")
+    assert expected[0] == 0 and expected[1].endswith("terminal: 30\nverdict: not divisible\n")
+    assert run(capsys, *trace, "-q", "7", "-2u6") == expected
+    assert run(capsys, *trace, "-q7", "-2U6") == expected
+    assert run(capsys, "trim", "-q", "7", "--base", "36", "-2u6") == (0, "30\n", "")
+    code, out, _ = run(capsys, "compare", "-q", "7", "--base", "36", "-2u6", "-49")
+    assert code == 0 and len(out.splitlines()) == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "-h"])
+    assert exc.value.code == 0 and "usage: trimsum trace" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:  # a letter first still reads as an option
+        main([*trace, "-q", "7", "-z3k9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *trace, "-q", "7", "--", "-z3k9")[0] == 0
 
 
 def test_talmud_trace_default_q(capsys):
