@@ -1,5 +1,4 @@
 import contextlib
-import io
 import json
 import os
 import pathlib
