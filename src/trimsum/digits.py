@@ -9,19 +9,23 @@ hundred" reading of 1500); its value is ``fold(coeffs, base)``.
 Digits are stored least significant first so that dropping the last
 digit and dropping the top digit are both cheap slices.
 
-Conversion between digits and ``int`` is divide and conquer (Brent and
-Zimmermann, *Modern Computer Arithmetic*, section 1.7): ``fold`` splits
-the index range in half and joins the halves with a power x**h, and
-``DigitString.from_int`` splits the value with divmod by base**h, each
-squaring its powers once per call. Below ``_LEAF`` digits they fall back
-to Horner's rule and to one divmod per digit.
+Text and digits convert in C. ``parse`` maps characters to digit values
+with one ``bytes.translate`` and range-checks them with another, and
+``DigitString`` checks its digits the same way up to base 256. ``_text``
+prints an int with ``str`` in base 10 and ``format`` in bases 2, 8 and 16,
+and ``_digits_of`` (``from_int``, and the sum and binomial steps) maps
+that text back to digit values. A base-10 value past the interpreter's
+int->str digit limit is split into pieces of ``_CHUNK`` < 640 digits (the
+least limit Python allows), each printed by ``str``; nothing here reads
+or sets the limit itself.
 
-``_text`` turns an int straight into its text, for traces: C-level ``str``
-in base 10 and ``format`` in bases 2, 8 and 16. A base-10 value past the
-interpreter's int->str digit limit is split the same way into pieces of
-``_CHUNK`` < 640 digits (the least limit Python allows), each printed by
-``str``; other bases expand to digits as ``from_int`` does. Nothing here
-reads or sets the limit itself.
+Other conversions between digits and ``int`` are divide and conquer
+(Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.7):
+``fold`` splits the index range in half and joins the halves with a
+power x**h, and ``_expand_all`` (other bases, and the base-10 pieces)
+splits the value with divmod by base**h, each squaring its powers once
+per call. Below ``_LEAF`` digits they fall back to Horner's rule and to
+one divmod per digit.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ from dataclasses import dataclass
 MAX_TEXT_BASE = 36
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase
-# both ASCII cases, and nothing else: str.lower() would fold the Kelvin sign to k
-_CHAR_VALUES = {c: i for chars in (_DIGIT_CHARS, _DIGIT_CHARS.upper()) for i, c in enumerate(chars)}
 
-
-# bytes.translate table from a digit value to its character
+# bytes.translate tables: a digit value to its character, and back from either ASCII case,
+# with 255 for every other byte; parse checks str.isascii() first, as str.lower() would fold
+# the Kelvin sign to k
 _CHAR_TABLE = _DIGIT_CHARS.encode().ljust(256, b"?")
+_VALUE_TABLE = bytes(_DIGIT_CHARS.find(chr(c).lower()) % 256 for c in range(128)).ljust(256, b"\xff")
+# deleting _ALL_BYTES[:base] from digit values leaves exactly those >= base
+_ALL_BYTES = bytes(range(256))
 _FORMATS = {2: "b", 8: "o", 16: "x"}
 
 # a leaf: the most digits a conversion handles with one plain loop
@@ -55,11 +61,11 @@ def fold(coeffs: tuple[int, ...], x: int) -> int:
 
 
 def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int) -> int:
-    """fold(coeffs[lo:hi], x), where hi - lo <= _LEAF * 2**level, without slicing coeffs."""
+    """fold(coeffs[lo:hi], x), where hi - lo <= _LEAF * 2**level, slicing coeffs only at a leaf."""
     if level == 0:
         v = 0
-        for i in range(hi - 1, lo - 1, -1):
-            v = v * x + coeffs[i]
+        for c in reversed(coeffs[lo:hi]):
+            v = v * x + c
         return v
     mid = lo + (_LEAF << (level - 1))
     if hi <= mid:
@@ -105,6 +111,13 @@ def _expand_all(mag: int, base: int) -> list[int]:
     return digits
 
 
+def _digits_of(mag: int, base: int) -> tuple[int, ...]:
+    """The digits of mag >= 0 in base, least significant first; (0,) for 0."""
+    if base == 10 or base in _FORMATS:
+        return tuple(_text(mag, base).encode().translate(_VALUE_TABLE)[::-1])
+    return tuple(_expand_all(mag, base)) or (0,)
+
+
 def _chars(digits) -> str:
     """Digit values in [0, 36) as their characters, in the order given."""
     return bytes(digits).translate(_CHAR_TABLE).decode()
@@ -136,6 +149,15 @@ def _check_base(base: int) -> None:
         raise ValueError(f"base must be an int >= 2, got {base!r}")
 
 
+def _in_range(digits: tuple[int, ...], base: int) -> bool:
+    if base > 256:
+        return min(digits) >= 0 and max(digits) < base
+    try:  # one C pass to bytes, one to delete every digit below the base
+        return not bytes(digits).translate(None, _ALL_BYTES[:base])
+    except ValueError:  # a digit outside range(256)
+        return False
+
+
 @dataclass(frozen=True)
 class DigitString:
     """Canonical form: sign * sum(digits[i] * base**i).
@@ -152,7 +174,7 @@ class DigitString:
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be the int +1 or -1, got {self.sign!r}")
         _check_ints("digits", self.digits)
-        if min(self.digits) < 0 or max(self.digits) >= self.base:
+        if not _in_range(self.digits, self.base):
             raise ValueError(f"digit out of range for base {self.base}: {self.digits!r:.60}")
         if len(self.digits) > 1 and self.digits[-1] == 0:
             raise ValueError("leading zero digit")
@@ -164,8 +186,7 @@ class DigitString:
         if type(value) is not int:
             raise ValueError(f"value must be an int, got {value!r:.60}")
         _check_base(base)
-        digits = _expand_all(abs(value), base)
-        return cls(1 if value >= 0 else -1, base, tuple(digits) or (0,))
+        return cls(1 if value >= 0 else -1, base, _digits_of(abs(value), base))
 
     @property
     def value(self) -> int:
@@ -215,15 +236,10 @@ def parse(text: str, base: int = 10) -> DigitString:
         body, sign = body[1:], -1
     if not body:
         raise ValueError("empty digit string")
-    digits = []
-    for ch in reversed(body):
-        d = _CHAR_VALUES.get(ch)
-        if d is None or d >= base:
-            raise ValueError(f"invalid digit {ch!r} for base {base}")
-        digits.append(d)
-    while len(digits) > 1 and digits[-1] == 0:
-        digits.pop()
-    if digits == [0]:
-        sign = 1
-    return DigitString(sign, base, tuple(digits))
+    values = body.encode().translate(_VALUE_TABLE) if body.isascii() else b""
+    if not values or values.translate(None, _ALL_BYTES[:base]):
+        ch = next(ch for ch in reversed(body) if not ch.isascii() or _VALUE_TABLE[ord(ch)] >= base)
+        raise ValueError(f"invalid digit {ch!r} for base {base}")
+    digits = tuple(values.lstrip(b"\0")[::-1]) or (0,)
+    return DigitString(1 if digits == (0,) else sign, base, digits)
 

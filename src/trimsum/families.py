@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
 
-from .digits import _DIGIT_CHARS, DigitString, StackedNumber, _text, fold
+from .digits import _DIGIT_CHARS, DigitString, StackedNumber, _digits_of, _text, fold
 from .weights import weight_inverse
 
 TRIM = "trim"
@@ -210,7 +210,7 @@ _Magnitude = tuple[int, ...] | int
 
 
 def _digits(x: _Magnitude, base: int) -> tuple[int, ...]:
-    return DigitString.from_int(x, base).digits if type(x) is int else x
+    return _digits_of(x, base) if type(x) is int else x
 
 
 def _split(x: _Magnitude, r: TestRule, k: int, alpha: int, beta: int) -> int:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -34,6 +35,77 @@ def test_parse_canonicalizes():
 def test_parse_rejects_bad_text(text, base):
     with pytest.raises(ValueError):
         parse(text, base)
+
+
+# int(text, base) accepts "+", whitespace, "_" and non-ASCII decimal digits; parse accepts none
+# of them, and names the rightmost bad character, as a scan from the last digit up finds it
+@pytest.mark.parametrize(
+    "text,base,bad",
+    [
+        ("+5", 10, "+"),
+        (" 5", 10, " "),
+        ("5 ", 10, " "),
+        ("1_000", 10, "_"),
+        ("--5", 10, "-"),
+        ("5-", 10, "-"),
+        ("\x00", 10, "\x00"),
+        ("\u0663", 10, "\u0663"),  # Arabic-Indic three
+        ("\uff15", 10, "\uff15"),  # fullwidth five
+        ("\u212a", 36, "\u212a"),  # the Kelvin sign, which str.lower() folds to k
+        ("a", 10, "a"),
+        ("z", 35, "z"),
+        ("Z", 35, "Z"),
+        ("1" * 5000 + "x" + "2" * 4999, 10, "x"),
+        ("1x2\u06633", 10, "\u0663"),
+        ("\u06631x23", 10, "x"),
+    ],
+)
+def test_parse_rejections_name_the_rightmost_bad_character(text, base, bad):
+    with pytest.raises(ValueError) as e:
+        parse(text, base)
+    assert str(e.value) == f"invalid digit {bad!r} for base {base}"
+    assert parse("1x", 36).value == 69  # x is a digit from base 34 up
+
+
+@pytest.mark.parametrize("text", ["", "-"])
+def test_parse_rejects_empty_bodies(text):
+    with pytest.raises(ValueError) as e:
+        parse(text)
+    assert str(e.value) == "empty digit string"
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sign,base,ds,message",
+    [
+        (1, 10, (True,), "digits must be a non-empty tuple of ints, got (True,)"),
+        (1, 10, (_Int(1),), "digits must be a non-empty tuple of ints, got (1,)"),
+        (1, 10, (-1,), "digit out of range for base 10: (-1,)"),
+        (1, 10, (10,), "digit out of range for base 10: (10,)"),
+        (1, 10, (256,), "digit out of range for base 10: (256,)"),  # bytes() rejects it with its own message
+        (1, 10, (10**30,), f"digit out of range for base 10: {(10**30,)!r}"),
+        (1, 256, (3, 256), "digit out of range for base 256: (3, 256)"),
+        (1, 1000, (1000,), "digit out of range for base 1000: (1000,)"),
+        (1, 1000, (-1, 1), "digit out of range for base 1000: (-1, 1)"),
+        (1, 10, (1, 0), "leading zero digit"),
+        (1, 1000, (1, 0), "leading zero digit"),
+        (-1, 10, (0,), "zero must have positive sign"),
+    ],
+)
+def test_digit_validation_keeps_every_rejection_and_its_message(sign, base, ds, message):
+    with pytest.raises(ValueError) as e:
+        DigitString(sign, base, ds)
+    assert str(e.value) == message
+
+
+def test_digit_validation_accepts_every_digit_below_the_base():
+    assert DigitString(1, 1000, (999, 1)).value == 1999
+    assert DigitString(-1, 256, (255, 0, 1)).value == -(2**16 + 255)
+    assert DigitString(1, 257, (256,)).value == 256
+    assert DigitString(1, 10, tuple(range(10))).value == 9876543210
 
 
 @pytest.mark.parametrize("base", [1, 0, -5, 37])
@@ -246,3 +318,49 @@ def test_fold_with_signed_coefficients(x):
     for n in [0] + _conversion_lengths():
         coeffs = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
         assert digits.fold(coeffs, x) == _horner(coeffs, x), n
+
+
+# the leaf, the 512-digit base-10 piece and the 4300-digit default int->str limit, each +-1
+_BOUNDARY_LENGTHS = (1, 63, 64, 65, 511, 512, 513, 4299, 4300, 4301, 10**4)
+_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _round_trips(base):
+    prime = 2**61 - 1
+    rng = random.Random(base)
+    for n in _BOUNDARY_LENGTHS:
+        top = (rng.randrange(1, base),)
+        mixed = tuple(rng.choices(range(base), k=n - 1)) + top
+        for ds in (mixed, (0,) * (n - 1) + top, (base - 1,) * n):
+            text = "".join(_CHARS[d] for d in reversed(ds))
+            v = digits.fold(ds, base)
+            assert v % prime == _horner(ds, base, prime), (base, n)
+            assert digits._digits_of(v, base) == ds, (base, n)
+            for sign, prefix in ((1, ""), (1, "000"), (-1, "-"), (-1, "-00")):
+                a = parse(prefix + text, base)
+                assert a == DigitString(sign, base, ds) == DigitString.from_int(sign * v, base), (base, n)
+                assert a.render() == "-" * (sign < 0) + text
+                assert parse(prefix + text.upper(), base) == a
+    assert digits._digits_of(0, base) == DigitString.from_int(0, base).digits == (0,)
+    for text, canonical in (("000", "0"), ("-0", "0"), ("-000", "0"), ("0001", "1"), ("-0001", "-1")):
+        assert parse(text, base).render() == canonical
+        assert parse(text, base).sign == (-1 if canonical.startswith("-") else 1)
+    if base > 7:
+        assert parse("0007", base) == DigitString(1, base, (7,))
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_conversions_round_trip_at_the_chunk_and_limit_boundaries(base):
+    _round_trips(base)
+
+
+# the least limit Python allows: a base-10 value splits into pieces from 640 digits up
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("base", [2, 8, 10, 16, 36])
+def test_conversions_round_trip_under_the_least_int_to_str_limit(base):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _round_trips(base)
+    finally:
+        sys.set_int_max_str_digits(saved)
