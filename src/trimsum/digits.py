@@ -37,9 +37,9 @@ MAX_TEXT_BASE = 36
 
 _DIGIT_CHARS = string.digits + string.ascii_lowercase
 
-# bytes.translate tables: a digit value to its character, and back from either ASCII case,
-# with 255 for every other byte; parse checks str.isascii() first, as str.lower() would fold
-# the Kelvin sign to k
+# bytes.translate tables: a digit value to its character, and an ASCII character of either
+# case to its value, with 255 (find's -1) for every other byte; parse checks str.isascii()
+# before it encodes, so no other character reaches the table
 _CHAR_TABLE = _DIGIT_CHARS.encode().ljust(256, b"?")
 _VALUE_TABLE = bytes(_DIGIT_CHARS.find(chr(c).lower()) % 256 for c in range(128)).ljust(256, b"\xff")
 # deleting _ALL_BYTES[:base] from digit values leaves exactly those >= base

@@ -52,6 +52,7 @@ def test_parse_rejects_bad_text(text, base):
         ("\u0663", 10, "\u0663"),  # Arabic-Indic three
         ("\uff15", 10, "\uff15"),  # fullwidth five
         ("\u212a", 36, "\u212a"),  # the Kelvin sign, which str.lower() folds to k
+        ("1\ud800", 10, "\ud800"),  # a lone surrogate, which str.encode() cannot encode
         ("a", 10, "a"),
         ("z", 35, "z"),
         ("Z", 35, "Z"),
