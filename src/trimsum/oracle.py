@@ -2,7 +2,9 @@
 
 Nothing here calls into the test families when computing a remainder;
 this module referees them. The seeded fuzzer checks that one application
-of a rule keeps the remainder congruence its family promises.
+of a rule keeps the remainder congruence its family promises. Its inputs
+are ``random.Random``'s own ``randrange`` draws, taken straight from
+``getrandbits``, so a seed gives the same inputs on Python 3.10-3.13.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 
-from .digits import DigitString
+from .digits import DigitString, _check_base
 from .families import SUM, TRIM, TestRule, apply_once
 
 # fuzz_equivalence's caps: a run's time grows with trials * max_digits
@@ -37,14 +39,45 @@ def divides(a: DigitString, q: int) -> bool:
     return remainder(a, q) == 0
 
 
+def _check_count(name: str, value: int, cap: int) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > cap:
+        raise ValueError(f"{name} must be <= {cap}, got {value}")
+
+
+def _below(draw, n: int, count: int) -> list[int]:
+    """count draws of randrange(n), made as CPython 3.10-3.13 makes them.
+
+    Each is getrandbits(n.bit_length()), drawn again while it is >= n.
+    """
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        out.append(r)
+    return out
+
+
 def random_digit_string(
     rng: random.Random, base: int = 10, max_digits: int = 60, signed: bool = True
 ) -> DigitString:
-    """A uniform-length random canonical value, occasionally negative."""
-    n = rng.randint(1, max_digits)
-    digits = [rng.randrange(base) for _ in range(n)]
+    """A uniform-length random canonical value, occasionally negative.
+
+    The draws are randint(1, max_digits), randrange(base) per digit,
+    randrange(1, base) for the top digit and random() for the sign.
+    """
+    _check_base(base)  # getrandbits(0) is 0: a base <= 0 would redraw forever
+    _check_count("max_digits", max_digits, MAX_DIGITS)
+    draw = rng.getrandbits
+    n = 1 + _below(draw, max_digits, 1)[0]
+    digits = _below(draw, base, n)
     if n > 1:
-        digits[-1] = rng.randrange(1, base)
+        digits[-1] = 1 + _below(draw, base - 1, 1)[0]
     sign = -1 if signed and rng.random() < 0.2 else 1
     if digits == [0]:
         sign = 1
@@ -73,20 +106,18 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
         raise ValueError(f"expected a TestRule, got {rule!r:.60}")
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r:.60}")
-    for name, value, cap in (("trials", trials, MAX_TRIALS), ("max_digits", max_digits, MAX_DIGITS)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-        if value > cap:
-            raise ValueError(f"{name} must be <= {cap}, got {value}")
+    _check_count("trials", trials, MAX_TRIALS)
+    _check_count("max_digits", max_digits, MAX_DIGITS)
+    q, base = rule.q, rule.base
+    # trim and sum rules exist only for gcd(base, q) = 1, so the inverse does too
+    inverse = pow(base, -1, q) if rule.family in (TRIM, SUM) else 1
     rng = random.Random(seed)
     mismatches = total_drop = 0
     for _ in range(trials):
-        a = random_digit_string(rng, rule.base, max_digits)
+        a = random_digit_string(rng, base, max_digits)
         image = apply_once(a, rule)
-        lam = pow(rule.base, {TRIM: -1, SUM: 1 - len(a)}.get(rule.family, 0), rule.q)
-        if remainder(image, rule.q) != lam * a.sign * remainder(a, rule.q) % rule.q:
+        lam = pow(inverse, len(a) - 1, q) if rule.family == SUM else inverse
+        if remainder(image, q) != lam * a.sign * remainder(a, q) % q:
             mismatches += 1
         total_drop += len(a.digits) - len(image.digits)
     return FuzzReport(rule, trials, mismatches, total_drop / trials, seed)

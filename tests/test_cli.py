@@ -425,6 +425,24 @@ def test_check_json_deterministic(capsys):
     assert doc["rule"] == {"family": "sum", "q": 39, "base": 10, "omega": 4}
 
 
+def test_check_prints_the_pinned_report(capsys):
+    code, out, err = run(capsys, "check", "--family", "trim", "-q", "7", "--trials", "1000", "--seed", "42")
+    assert (code, err) == (0, "")
+    assert out == "family=trim q=7 base=10 trials=1000 seed=42 mismatches=0 mean_length_drop=0.9790\n"
+
+
+def test_check_json_prints_the_pinned_report(capsys):
+    code, out, err = run(capsys, "check", "--family", "sum", "-q", "39", "--trials", "200", "--seed", "9", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "rule": {"family": "sum", "q": 39, "base": 10, "omega": 4},
+        "trials": 200,
+        "mismatches": 0,
+        "mean_length_drop": 11.335,
+        "seed": 9,
+    }
+
+
 def test_check_talmud_uses_its_fixed_divisor(capsys):
     code, out, err = run(capsys, "check", "--family", "talmud", "--trials", "200", "--seed", "3")
     assert (code, err) == (0, "")

@@ -69,6 +69,47 @@ def test_random_digit_string_is_canonical_and_bounded():
         assert parse(ds.render()) == ds
 
 
+def _reference_digit_string(rng, base, max_digits, signed):
+    # the draws random_digit_string made through Random's own methods
+    n = rng.randint(1, max_digits)
+    digits = [rng.randrange(base) for _ in range(n)]
+    if n > 1:
+        digits[-1] = rng.randrange(1, base)
+    sign = -1 if signed and rng.random() < 0.2 else 1
+    if digits == [0]:
+        sign = 1
+    return DigitString(sign, base, tuple(digits))
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 36, 255, 256, 1000, 2**31 + 11])
+@pytest.mark.parametrize("max_digits", [1, 60])
+def test_random_digit_string_keeps_randoms_stream(base, max_digits):
+    for seed in range(6):
+        signed = seed % 3 != 0
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert random_digit_string(rng, base, max_digits, signed) == _reference_digit_string(
+                reference, base, max_digits, signed
+            )
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize(
+    "base,max_digits",
+    [
+        *((base, 60) for base in (1, 0, -1, -10, True, False, 2.0, 10.0, "10", None)),
+        *((10, max_digits) for max_digits in (0, -1, MAX_DIGITS + 1, True, 1.0, "5", None)),
+    ],
+)
+def test_random_digit_string_rejects_bad_arguments_before_any_draw(base, max_digits):
+    # getrandbits(0) is 0, so a redraw loop for base <= 0 would never end
+    rng = random.Random(8)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="base must be" if max_digits == 60 else "max_digits must be"):
+        random_digit_string(rng, base, max_digits)
+    assert rng.getstate() == state
+
+
 def test_fuzz_equivalence_known_rules():
     assert fuzz_equivalence(TestRule.trim(7), 1000, seed=42).mismatches == 0
     assert fuzz_equivalence(TestRule.sum(39), 1000, seed=7).mismatches == 0
