@@ -70,7 +70,7 @@ def test_random_digit_string_is_canonical_and_bounded():
 
 
 def _reference_digit_string(rng, base, max_digits, signed):
-    # the draws random_digit_string made through Random's own methods
+    # random_digit_string's draws, made through Random's own methods
     n = rng.randint(1, max_digits)
     digits = [rng.randrange(base) for _ in range(n)]
     if n > 1:
@@ -102,7 +102,6 @@ def test_random_digit_string_keeps_randoms_stream(base, max_digits):
     ],
 )
 def test_random_digit_string_rejects_bad_arguments_before_any_draw(base, max_digits):
-    # getrandbits(0) is 0, so a redraw loop for base <= 0 would never end
     rng = random.Random(8)
     state = rng.getstate()
     with pytest.raises(ValueError, match="base must be" if max_digits == 60 else "max_digits must be"):
