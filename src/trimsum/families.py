@@ -22,9 +22,15 @@ with divmod, sum and binomial expand it to digits, and nothing converts
 to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
 Horner fold that rewrites no digits. ``_chain`` yields each chain's step
-results as ints: ``iterate`` and ``divides_via`` keep only the last, and
-``_steps``, ``_values`` and ``_step_texts`` turn them into trace steps,
-into the cost table's step values and into the text a trace prints, one
+results as ints, and ``_steps``, ``_values`` and ``_step_texts`` turn them
+into trace steps, into the cost table's step values and into the text a
+trace prints, one at a time.
+
+``iterate`` and ``divides_via`` read only a chain's last number, from
+``_terminal``. A stacked chain's last number is its whole fold, made in
+one call. A plain trim or Talmud chain is a stacked chain whose low
+coefficient carries: ``_carried`` makes the steps the chain provably takes
+in one pass over the digit groups, and the steps after them are taken one
 at a time.
 """
 
@@ -35,6 +41,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
+from operator import add
 
 from .digits import _DIGIT_CHARS, DigitString, StackedNumber, _digits_of, _text, fold
 from .weights import weight_inverse
@@ -213,7 +220,12 @@ def _digits(x: _Magnitude, base: int) -> tuple[int, ...]:
     return _digits_of(x, base) if type(x) is int else x
 
 
-def _split(x: _Magnitude, r: TestRule, k: int, alpha: int, beta: int) -> int:
+def _split(x: _Magnitude, r: TestRule) -> int:
+    """A split family's step: ``_split_by`` with the (k, alpha, beta) of the rule's record."""
+    return _split_by(*FAMILY_TABLE[r.family].split(r), x, r)
+
+
+def _split_by(k: int, alpha: int, beta: int, x: _Magnitude, r: TestRule) -> int:
     """Split |a| = h * base**k + l and return alpha * h + beta * l.
 
     Trim is (k, alpha, beta) = (1, 1, omega), Talmud (2, 2, 1), last digits (k, 0, 1),
@@ -286,6 +298,7 @@ class Family:
     step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
     weight: Callable[[TestRule], int]  # a stacked chain folds with it; the cost table shows |weight|
     digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
+    split: Callable[[TestRule], tuple[int, int, int]] | None = None  # a split family's (k, alpha, beta)
     chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
     always_stacked: bool = False  # _chain runs it stacked even without stacked=True
@@ -295,9 +308,10 @@ class Family:
 FAMILY_TABLE = {
     TRIM: Family(
         _derive_inverse,
-        lambda d, r: _split(d, r, 1, 1, r.omega),
+        _split,
         lambda r: r.omega,
         _per_step,
+        split=lambda r: (1, 1, r.omega),
         chain_order=1,
         chain_op="stack",
     ),
@@ -312,11 +326,9 @@ FAMILY_TABLE = {
     ),
     SUM: Family(_derive_inverse, _sum, lambda r: r.omega, _per_digit),
     BINOMIAL: Family(_derive_binomial, _binomial, lambda r: r.base - r.q, _per_digit),
-    TALMUD: Family(
-        _derive_talmud, lambda d, r: _split(d, r, 2, 2, 1), lambda r: 2, _per_step, default_q=7
-    ),
+    TALMUD: Family(_derive_talmud, _split, lambda r: 2, _per_step, split=lambda r: (2, 2, 1), default_q=7),
     LAST_DIGITS: Family(
-        _derive_last_digits, lambda d, r: _split(d, r, r.k, 0, 1), lambda r: 0, lambda lengths: 0
+        _derive_last_digits, _split, lambda r: 0, lambda lengths: 0, split=lambda r: (r.k, 0, 1)
     ),
 }
 
@@ -345,26 +357,43 @@ def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, I
     one step at a time: trim's from the last digit up with omega (ending at the
     sum test), left trim's from the top digit down with base - q (the binomial test).
     """
+    order, family = _chain_kind(a, rule, stacked)
+    if order:
+        weight = family.weight(rule)
+        return order, islice(accumulate(a.digits[::order], lambda acc, d: acc * weight + d), 1, None)
+    return None, _plain_chain(a.digits, rule, _stepper(family, rule))
+
+
+def _chain_kind(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Family]:
+    """The stacked chain's fold order (None if plain) and the rule's family; checks the operands first."""
     _check_operands(a, rule)
     family = FAMILY_TABLE[rule.family]
     if family.chain_order and (stacked or family.always_stacked):
-        order, weight = family.chain_order, family.weight(rule)
-        return order, islice(accumulate(a.digits[::order], lambda acc, d: acc * weight + d), 1, None)
+        return family.chain_order, family
     if stacked:
         chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain_order)
         raise ValueError(f"stacked iteration applies to {chained} rules only")
-    return None, _plain_chain(a, rule, family.step)
+    return None, family
 
 
-def _plain_chain(a: DigitString, rule: TestRule, step) -> Iterator[int]:
-    """Each step's int, stepping while |v| >= base**2 until a step fails to shrink |v|.
+def _stepper(family: Family, rule: TestRule) -> Callable[[_Magnitude, TestRule], int]:
+    """The family's step for a chain: a split family's (k, alpha, beta) are read once, not per step."""
+    if not family.split:
+        return family.step
+    k, alpha, beta = family.split(rule)
+    return lambda x, r: _split_by(k, alpha, beta, x, r)
 
-    The first step reads the digits of |a|: trim and Talmud fold them once, last
-    digits only its low k, sum and binomial use them as they are. Every later step
-    reads the previous step's int; only sum and binomial expand it to digits.
+
+def _plain_chain(x: _Magnitude, rule: TestRule, step) -> Iterator[int]:
+    """Each step's int from x = |a|, stepping while |v| >= base**2 until a step fails to shrink |v|.
+
+    Given as digits, |a| takes no step below three of them, and the first step reads
+    them: trim and Talmud fold them once, last digits only its low k, sum and binomial
+    use them as they are. Every later step reads the previous step's int; only sum and
+    binomial expand it to digits.
     """
-    x, base = a.digits, rule.base
-    if len(x) < 3:
+    base = rule.base
+    if type(x) is not int and len(x) < 3:
         return
     while True:
         v = step(x, rule)
@@ -481,18 +510,77 @@ def _folded(folds: Iterator[int], a: DigitString, order: int, weight: int) -> It
 
 
 def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int]:
-    """Whether the chain ran stacked, and its last number: |a| if it takes no step."""
-    order, numbers = _chain(a, rule, stacked)
-    last = deque(numbers, maxlen=1)
-    return order is not None, last[0] if last else fold(a.digits, a.base)
+    """Whether the chain ran stacked, and its last number: |a| if it takes no step.
+
+    Nothing steps a stacked chain: its last number is its whole fold, the sum test's
+    value for trim and the binomial test's for left trim. A plain split chain
+    (trim, Talmud) takes the steps ``_carried`` proves it takes as one carried stack,
+    then steps on from that number with ``_plain_chain``'s stopping rule.
+    """
+    (order, family), d = _chain_kind(a, rule, stacked), a.digits
+    if order:
+        return True, fold(d[::-order], family.weight(rule))
+    x = _carried(d, rule.base, *family.split(rule)) if family.split else d
+    last = deque(_plain_chain(x, rule, _stepper(family, rule)), maxlen=1)
+    return False, last[0] if last else fold(d, a.base)
+
+
+def _carried(d: tuple[int, ...], base: int, k: int, alpha: int, beta: int) -> _Magnitude:
+    """The split chain's number after the steps it provably takes on |a| = fold(d, base),
+    without abs or a stop; d itself if it takes none of them.
+
+    Take B = base**k, |a|'s base-B digit groups D_0 .. D_{N-1} (D_{N-1} > 0), and
+    H_t = sum(D_i * B**(i - t - 1) for i > t), the groups above group t. A step is
+    f(x) = alpha * (x // B) + beta * (x % B), and f(s + alpha**t * B * H) =
+    alpha * (s // B) + beta * (s % B) + alpha**(t + 1) * H, since B divides the
+    second term. With H_t = D_{t+1} + B * H_{t+1}, t steps (without abs or a stop)
+    give x_t = s_t + alpha**t * B * H_t, where s_0 = D_0 and
+
+        s_{t+1} = alpha * (s_t // B) + beta * (s_t % B) + alpha**(t + 1) * D_{t+1}.
+
+    Let 1 <= alpha <= B / 2 (trim: alpha = 1 <= base / 2; Talmud: alpha = 2 <= base**2 / 2)
+    and c = 2 * (|beta| + 1). Then |s_t| <= c * B * alpha**t. It holds at t = 0 (D_0 < B).
+    As |s // B| <= |s| / B + 1, with A = alpha**(t + 1) >= alpha,
+    |s_{t+1}| <= c * A + alpha + |beta| * (B - 1) + A * (B - 1), which falls short of
+    c * B * A by (B - 1) * (A * (2|beta| + 1) - |beta|) - alpha
+    >= (B - 1) * (|beta| + 1) * A - alpha >= A - alpha >= 0.
+
+    The steps replaced are those that leave ``keep`` or more groups unread, with
+    B**(keep - 1) >= c + B. In such a step t -> t + 1, H_{t+1} >= B**(keep - 1), so
+    x_{t+1} >= alpha**(t + 1) * B * (B**(keep - 1) - c) >= B**2 >= base**2: the step
+    is positive, so abs changes nothing, and too large to stop. Its input has
+    H_t >= B**keep >= 2 * (c + B), so x_t >= B * (c + 2 * B) > 2 * |beta| * (B - 1);
+    and as f(x) <= alpha * x / B + |beta| * (B - 1) <= x / 2 + |beta| * (B - 1) for
+    x > 0, the step shrinks: f(x_t) < x_t. So the real chain takes each of these
+    steps exactly, and it goes on from their last value as it would have.
+    The groups are read lazily, and the fold sees only the ``keep`` unread top groups.
+    """
+    big = base**k
+    if not 0 < alpha <= big // 2:
+        return d
+    keep, power, least = 1, 1, 2 * (abs(beta) + 1) + big
+    while power < least:  # power = B**(keep - 1)
+        keep, power = keep + 1, power * big
+    steps = -(-len(d) // k) - 1 - keep
+    if steps < 1:
+        return d
+    groups = islice(d, 0, None, k)
+    for j in range(1, k):
+        groups = map(add, groups, map((base**j).__mul__, islice(d, j, None, k)))
+    s, scale = next(groups), 1
+    for group in islice(groups, steps):
+        high, low = divmod(s, big)
+        scale *= alpha
+        s = alpha * high + beta * low + scale * group
+    return s + scale * big * fold(d[k * (steps + 1) :], base)
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict, keeping only the chain's current number.
+    """Drive a rule to a verdict from its chain's terminal, stepping no more than ``_terminal`` must.
 
     The verdict is the terminal mod q. ``stacked=True`` (trim only) runs the
     stacked chain, as left trimming always does. The trace's steps are built
-    from a second run of the chain, only if they are read.
+    from a run of the stepped chain, only if they are read.
     """
     stacked, value = _terminal(a, rule, stacked)
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
@@ -500,5 +588,5 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a by running the rule's chain, keeping only its current number."""
+    """Decide q | a from the rule's chain's terminal, as ``iterate`` does, converting nothing."""
     return _terminal(a, rule, False)[1] % rule.q == 0

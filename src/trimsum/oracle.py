@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from .digits import DigitString, _check_base
 from .families import SUM, TRIM, TestRule, apply_once
@@ -63,21 +64,29 @@ def _below(draw, n: int, count: int) -> list[int]:
     return out
 
 
+def _randranges(rng, n: int, count: int) -> list[int]:
+    """count draws of rng.randrange(n), made as rng makes them."""
+    return [rng.randrange(n) for _ in range(count)]
+
+
 def random_digit_string(
     rng: random.Random, base: int = 10, max_digits: int = 60, signed: bool = True
 ) -> DigitString:
     """A uniform-length random canonical value, occasionally negative.
 
     The draws are randint(1, max_digits), randrange(base) per digit,
-    randrange(1, base) for the top digit and random() for the sign.
+    randrange(1, base) for the top digit and random() for the sign. A
+    ``random.Random`` has them made straight from getrandbits; any other rng,
+    a subclass included, makes them through its own randrange, which may draw
+    otherwise (through its own random(), say).
     """
     _check_base(base)  # getrandbits(0) is 0: a base <= 0 would redraw forever
     _check_count("max_digits", max_digits, MAX_DIGITS)
-    draw = rng.getrandbits
-    n = 1 + _below(draw, max_digits, 1)[0]
-    digits = _below(draw, base, n)
+    below = partial(_below, rng.getrandbits) if type(rng) is random.Random else partial(_randranges, rng)
+    n = 1 + below(max_digits, 1)[0]
+    digits = below(base, n)
     if n > 1:
-        digits[-1] = 1 + _below(draw, base - 1, 1)[0]
+        digits[-1] = 1 + below(base - 1, 1)[0]
     sign = -1 if signed and rng.random() < 0.2 else 1
     if digits == [0]:
         sign = 1

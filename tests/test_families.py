@@ -290,11 +290,12 @@ def test_chains_collapse_only_their_terminal(monkeypatch):
         return fold(coeffs, x)
 
     monkeypatch.setattr(families, "fold", counting_fold)
-    trace = iterate(parse("3" * 50), TestRule.left_trim(7))
+    a = parse("3" * 50)
+    trace = iterate(a, TestRule.left_trim(7))
     assert len(trace.steps) == 49
-    assert len(calls) == 0  # the terminal is the fold's final int, converted directly
+    assert calls == [a.digits]  # the terminal is one fold of the input, with no step taken
     trace.as_json()  # renders each step's collapsed value, built on request
-    assert len(calls) == 49
+    assert len(calls) == 50
 
 
 @pytest.mark.parametrize(
@@ -460,6 +461,18 @@ def test_identities_hold_in_other_bases(v, base, q):
         assert left.value == apply_once(a, TestRule.binomial(q, base)).value
 
 
+@settings(deadline=None)
+@given(v=nonneg, base=st.sampled_from([2, 3, 7, 10, 16]), q=st.integers(min_value=2, max_value=9999))
+def test_stepped_stacked_chains_end_at_the_digit_sums(v, base, q):
+    a = DigitString.from_int(v, base)
+    chains = [(TestRule.left_trim(q, base), False, TestRule.binomial(q, base))]
+    if math.gcd(q, base) == 1:
+        chains.append((TestRule.trim(q, base), True, TestRule.sum(q, base)))
+    for rule, stacked, summing in chains:
+        *_, last = v, *families._chain(a, rule, stacked)[1]  # |a| if the chain takes no step
+        assert last == apply_once(a, summing).value
+
+
 def _long_digit_texts(base, length):
     chars = "0123456789abcdefghijklmnopqrstuvwxyz"[:base]
     rng = random.Random(base)
@@ -559,10 +572,12 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     monkeypatch.setattr(families, "fold", recording_fold)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     a = parse(next(_long_digit_texts(10, 3000)))
-    for rule in (TestRule.trim(7), TestRule.talmud()):
+    # omega = -2 and Talmud's beta = 1 leave three base-10 groups unread for trim and
+    # three base-100 groups for Talmud: the one fold reads those top digits
+    for rule, top in ((TestRule.trim(7), 3), (TestRule.talmud(), 6)):
         folded.clear()
         assert divides_via(a, rule) is (_remainder(a.digits, 10, rule.q) == 0)
-        assert folded == [3000] and converted == []
+        assert folded == [top] and converted == []
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
@@ -578,6 +593,93 @@ def test_plain_verdicts_at_ten_thousand_digits(base):
             if r:  # and the multiple of q just below |a|
                 multiple = DigitString(1, base, _less(a.digits, base, r))
                 assert divides_via(multiple, rule) is True, (text[:20], rule)
+
+
+# --- long inputs: closed-form terminals against step-by-step chains --------
+
+
+def _split_terminal(x, base, k, alpha, beta):
+    """A plain split chain's last number from x = |a|, one step at a time: |a| if it takes none.
+
+    A step is x -> alpha * (x // base**k) + beta * (x % base**k). None is taken below
+    base**2; the chain goes on from the step's abs, and stops after a step below
+    base**2 or one that fails to shrink.
+    """
+    v, big = x, base**k
+    while x >= base * base:
+        high, low = divmod(x, big)
+        v = alpha * high + beta * low
+        if abs(v) >= x:
+            break
+        x = abs(v)
+    return v
+
+
+def _value(ds, base):
+    """|a| from its digits, by int() on pieces of 4000: int() refuses texts over 4300 digits."""
+    text = "".join("0123456789abcdefghijklmnopqrstuvwxyz"[d] for d in reversed(ds))
+    v = 0
+    for i in range(0, len(text), 4000):
+        piece = text[i : i + 4000]
+        v = v * base ** len(piece) + int(piece, base)
+    return v
+
+
+def _adversarial_digits(base, length, rng):
+    """Digits of |a| least significant first: random, all base - 1, 1 0...0 r, and a run of 0 below."""
+    yield tuple(rng.randrange(base) for _ in range(length - 1)) + (rng.randrange(1, base),)
+    yield (base - 1,) * length
+    yield (rng.randrange(base),) + (0,) * (length - 2) + (1,)
+    low = length // 2
+    yield (0,) * low + tuple(rng.randrange(base) for _ in range(length - low - 1)) + (rng.randrange(1, base),)
+
+
+def _long_lengths(*near):
+    """The lengths given, _LEAF * 2**j +- 1 (where fold halves its range), and 10**3 to 10**4 digits."""
+    leaf = ((digits._LEAF << j) + e for j in range(5) for e in (-1, 0, 1))
+    return sorted({*near, *leaf, 1000, 3000, 10**4})
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_carried_split_terminals_match_stepping_on_long_inputs(base):
+    rng = random.Random(f"split-{base}")
+    trims = [TestRule.trim(q, base) for q in (base - 1, base + 1, 1000003) if math.gcd(q, base) == 1]
+    rules = [(rule, 1, 1, rule.omega) for rule in trims]
+    rules.append((TestRule("talmud", {2: 2, 10: 7, 36: 647}[base], base), 2, 2, 1))
+    guards = set()
+    for rule, k, alpha, beta in rules:
+        # the least length with a carried step: keep + 2 groups of k digits, for the least
+        # keep with base**(k * (keep - 1)) >= 2 * (|beta| + 1) + base**k
+        keep = 1
+        while base ** (k * (keep - 1)) < 2 * (abs(beta) + 1) + base**k:
+            keep += 1
+        guards.update(range(k * (keep + 1), k * (keep + 2) + 1))
+    for length in _long_lengths(*guards):
+        for ds in _adversarial_digits(base, length, rng):
+            a = DigitString(1, base, ds)
+            x = _value(ds, base)
+            for rule, k, alpha, beta in rules:
+                terminal = _split_terminal(x, base, k, alpha, beta)
+                assert divides_via(a, rule) is (terminal % rule.q == 0), (rule, length, ds[-3:])
+                assert iterate(a, rule).terminal.value == terminal, (rule, length, ds[-3:])
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_folded_stacked_terminals_match_the_stepped_chain_on_long_inputs(base):
+    rng = random.Random(f"stacked-{base}")
+    qs = [q for q in (base - 1, base + 1, 1000003) if q >= 2]
+    rules = [(TestRule.left_trim(q, base), False) for q in qs]
+    rules += [(TestRule.trim(q, base), True) for q in qs if math.gcd(q, base) == 1]
+    for length in _long_lengths(3):
+        for ds in _adversarial_digits(base, length, rng):
+            a = DigitString(1, base, ds)
+            for rule, stacked in rules:
+                *_, terminal = families._chain(a, rule, stacked)[1]
+                trace = iterate(a, rule, stacked=stacked)
+                assert trace.terminal.value == terminal, (rule, length, ds[-3:])
+                assert trace.verdict == (DIVISIBLE if terminal % rule.q == 0 else NOT_DIVISIBLE)
+                if not stacked:
+                    assert divides_via(a, rule) is (terminal % rule.q == 0)
 
 
 # --- algebraic relations ---------------------------------------------------

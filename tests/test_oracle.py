@@ -94,6 +94,22 @@ def test_random_digit_string_keeps_randoms_stream(base, max_digits):
         assert rng.getstate() == reference.getstate()
 
 
+class _RandomThroughRandom(random.Random):
+    """Overrides random() alone, so its randrange draws through random(), not getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+@pytest.mark.parametrize("base", [2, 10, 36, 1000])
+def test_random_digit_string_follows_a_subclass_stream(base):
+    for seed in range(6):
+        rng, reference = _RandomThroughRandom(seed), _RandomThroughRandom(seed)
+        for _ in range(50):
+            assert random_digit_string(rng, base, 20) == _reference_digit_string(reference, base, 20, True)
+        assert rng.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize(
     "base,max_digits",
     [
