@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass
+from math import log2
 
 from .digits import DigitString
 from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _values
@@ -47,10 +48,17 @@ def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
 
 
 def _digit_counts(values: Iterator[int], n: int, base: int) -> Iterator[int]:
-    """The digit count of each value, moved from the previous count n by comparing with p = base**(n - 1)."""
-    p = base ** (n - 1)
+    """The digit count of each value, moved from the previous count n by comparing with p = base**(n - 1).
+
+    A value some 64 digits or more from p by bit length (a long input's digit sum, a large
+    weight's step) restarts the count from one power of the base, not a multiply per digit.
+    """
+    p, far = base ** (n - 1), 64 * base.bit_length()
     for v in values:
         m = abs(v)
+        if abs(m.bit_length() - p.bit_length()) > far:
+            n = max(int(m.bit_length() / log2(base)), 1)  # m has n or n + 1 digits
+            p = base ** (n - 1)
         while n > 1 and m < p:
             p //= base
             n -= 1

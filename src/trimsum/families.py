@@ -1,9 +1,10 @@
 """The divisibility-test families and their iteration driver.
 
 Families: right trimming, Talmud (any q with base**2 = 2 mod q; 7 in base
-10 is the historical case) and last digits, which share one formula,
-``_split``; left trimming (weight base - q on the top digit, always run on
-stacked coefficients); weighted summing; and binomial summing.
+10 is the historical case) and last digits, which are one test, ``_split``,
+run with the (k, alpha, beta) each rule derives; left trimming (weight
+base - q on the top digit, always run on stacked coefficients); weighted
+summing; and binomial summing.
 
 Two conventions are easy to transpose and are fixed here once:
 
@@ -26,12 +27,12 @@ results as ints, and ``_steps``, ``_values`` and ``_step_texts`` turn them
 into trace steps, into the cost table's step values and into the text a
 trace prints, one at a time.
 
-``iterate`` and ``divides_via`` read only a chain's last number, from
-``_terminal``. A stacked chain's last number is its whole fold, made in
+``iterate`` and ``divides_via`` read only a chain's last number, as an int,
+from ``_terminal``. A stacked chain's last number is its whole fold, made in
 one call. A plain trim or Talmud chain is a stacked chain whose low
 coefficient carries: ``_carried`` makes the steps the chain provably takes
-in one pass over the digit groups, and the steps after them are taken one
-at a time.
+in one pass over the digit groups, with the rule's (k, alpha, beta), and
+the steps after them are taken one at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
+from math import gcd
 from operator import add
 
 from .digits import _DIGIT_CHARS, DigitString, StackedNumber, _digits_of, _text, fold
@@ -62,15 +64,17 @@ NOT_DIVISIBLE = "not_divisible"
 class TestRule:
     """A divisibility test: a family plus the divisor it decides.
 
-    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives
-    the weight omega and k, so a rule that builds is a sound test.
+    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives the weight omega, k and,
+    for trim, Talmud and last digits, the (k, alpha, beta) of ``_split``; every such ``split`` is
+    checked here against Zbikowski's condition, so a rule that builds is a sound test.
     """
 
     family: str
     q: int
     base: int = 10
     omega: int | None = field(init=False)
-    k: int | None = field(init=False)
+    k: int | None = field(init=False)  # set for last digits only
+    split: tuple[int, int, int] | None = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
@@ -83,9 +87,17 @@ class TestRule:
             raise ValueError(f"divisor must be >= 1, got {self.q}")
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        omega, k = FAMILY_TABLE[self.family].derive(self.q, self.base)
+        omega, k, split = FAMILY_TABLE[self.family].derive(self.q, self.base)
+        if split:
+            width, alpha, beta = split
+            if gcd(beta, self.q) != 1 or (alpha - beta * pow(self.base, width, self.q)) % self.q:
+                raise ValueError(
+                    f"the {self.family} split (k, alpha, beta) = {split} needs gcd(beta, q) = 1 and "
+                    f"alpha = beta * base**k (mod q), got q={self.q} base={self.base}"
+                )
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "split", split)
 
     def as_json(self) -> dict:
         return {"family": self.family, "q": self.q, "base": self.base, "omega": self.omega}
@@ -144,7 +156,7 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
-    """A chain's verdict and terminal; ``steps`` runs the chain again the first time it is read.
+    """A chain's verdict and last number; ``terminal`` and ``steps`` are built the first time they are read.
 
     ``render()`` and ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) also
     run it again, making their text a step at a time from the step ints with
@@ -156,8 +168,12 @@ class Trace:
     rule: TestRule
     a: DigitString
     stacked: bool
-    terminal: DigitString = field(compare=False)
+    last: int = field(compare=False)
     verdict: str = field(compare=False)
+
+    @cached_property
+    def terminal(self) -> DigitString:
+        return DigitString.from_int(self.last, self.rule.base)
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -221,17 +237,13 @@ def _digits(x: _Magnitude, base: int) -> tuple[int, ...]:
 
 
 def _split(x: _Magnitude, r: TestRule) -> int:
-    """A split family's step: ``_split_by`` with the (k, alpha, beta) of the rule's record."""
-    return _split_by(*FAMILY_TABLE[r.family].split(r), x, r)
-
-
-def _split_by(k: int, alpha: int, beta: int, x: _Magnitude, r: TestRule) -> int:
-    """Split |a| = h * base**k + l and return alpha * h + beta * l.
+    """Split |a| = h * base**k + l and return alpha * h + beta * l, for the rule's (k, alpha, beta).
 
     Trim is (k, alpha, beta) = (1, 1, omega), Talmud (2, 2, 1), last digits (k, 0, 1),
     which reads only the low k digits. It is a test for q when beta is a unit mod q
     and alpha = beta * base**k (mod q), for then the result is beta * |a| (mod q).
     """
+    k, alpha, beta = r.split
     if not alpha:
         return beta * (x % r.base**k if type(x) is int else fold(x[:k], r.base))
     high, low = divmod(x if type(x) is int else fold(x, r.base), r.base**k)
@@ -254,23 +266,21 @@ def _binomial(x: _Magnitude, r: TestRule) -> int:
     return fold(_digits(x, r.base), r.base - r.q)
 
 
-def _derive_inverse(q: int, base: int) -> tuple[int | None, int | None]:
-    return weight_inverse(q, base), None
+_Derived = tuple[int | None, int | None, tuple[int, int, int] | None]
 
 
-def _derive_binomial(q: int, base: int) -> tuple[int | None, int | None]:
+def _derive_trim(q: int, base: int) -> _Derived:
+    omega = weight_inverse(q, base)
+    return omega, None, (1, 1, omega)
+
+
+def _derive_binomial(q: int, base: int) -> _Derived:
     if q < 2:
         raise ValueError(f"binomial weights base - q need q >= 2, got {q}")
-    return None, None
+    return None, None, None
 
 
-def _derive_talmud(q: int, base: int) -> tuple[int | None, int | None]:
-    if (base * base - 2) % q:
-        raise ValueError(f"the Talmud test needs base**2 = 2 (mod q), got q={q} base={base}")
-    return None, None
-
-
-def _derive_last_digits(q: int, base: int) -> tuple[int | None, int | None]:
+def _derive_last_digits(q: int, base: int) -> _Derived:
     k, power = 0, 1
     # if every prime of q divides the base, k never exceeds log2(q)
     while power % q and k <= q.bit_length():
@@ -278,7 +288,7 @@ def _derive_last_digits(q: int, base: int) -> tuple[int | None, int | None]:
         power *= base
     if power % q:
         raise ValueError(f"q={q} divides no power of base {base}; no last-digits test")
-    return None, k
+    return None, k, (k, 0, 1)
 
 
 def _per_step(lengths: list[int]) -> int:
@@ -294,11 +304,10 @@ def _per_digit(lengths: list[int]) -> int:
 class Family:
     """What sets one test family apart; ``FAMILY_TABLE`` has one record each."""
 
-    derive: Callable[[int, int], tuple[int | None, int | None]]  # checks (q, base), returns (omega, k)
+    derive: Callable[[int, int], _Derived]  # checks (q, base), returns (omega, k, split)
     step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
     weight: Callable[[TestRule], int]  # a stacked chain folds with it; the cost table shows |weight|
     digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
-    split: Callable[[TestRule], tuple[int, int, int]] | None = None  # a split family's (k, alpha, beta)
     chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
     always_stacked: bool = False  # _chain runs it stacked even without stacked=True
@@ -306,15 +315,7 @@ class Family:
 
 
 FAMILY_TABLE = {
-    TRIM: Family(
-        _derive_inverse,
-        _split,
-        lambda r: r.omega,
-        _per_step,
-        split=lambda r: (1, 1, r.omega),
-        chain_order=1,
-        chain_op="stack",
-    ),
+    TRIM: Family(_derive_trim, _split, lambda r: r.omega, _per_step, chain_order=1, chain_op="stack"),
     LEFT_TRIM: Family(
         _derive_binomial,
         _left_trim,
@@ -324,12 +325,10 @@ FAMILY_TABLE = {
         chain_op="left_trim",
         always_stacked=True,
     ),
-    SUM: Family(_derive_inverse, _sum, lambda r: r.omega, _per_digit),
+    SUM: Family(lambda q, base: (weight_inverse(q, base), None, None), _sum, lambda r: r.omega, _per_digit),
     BINOMIAL: Family(_derive_binomial, _binomial, lambda r: r.base - r.q, _per_digit),
-    TALMUD: Family(_derive_talmud, _split, lambda r: 2, _per_step, split=lambda r: (2, 2, 1), default_q=7),
-    LAST_DIGITS: Family(
-        _derive_last_digits, _split, lambda r: 0, lambda lengths: 0, split=lambda r: (r.k, 0, 1)
-    ),
+    TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, lambda r: 2, _per_step, default_q=7),
+    LAST_DIGITS: Family(_derive_last_digits, _split, lambda r: 0, lambda lengths: 0),
 }
 
 
@@ -361,7 +360,7 @@ def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, I
     if order:
         weight = family.weight(rule)
         return order, islice(accumulate(a.digits[::order], lambda acc, d: acc * weight + d), 1, None)
-    return None, _plain_chain(a.digits, rule, _stepper(family, rule))
+    return None, _plain_chain(a.digits, rule)
 
 
 def _chain_kind(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Family]:
@@ -376,15 +375,7 @@ def _chain_kind(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | No
     return None, family
 
 
-def _stepper(family: Family, rule: TestRule) -> Callable[[_Magnitude, TestRule], int]:
-    """The family's step for a chain: a split family's (k, alpha, beta) are read once, not per step."""
-    if not family.split:
-        return family.step
-    k, alpha, beta = family.split(rule)
-    return lambda x, r: _split_by(k, alpha, beta, x, r)
-
-
-def _plain_chain(x: _Magnitude, rule: TestRule, step) -> Iterator[int]:
+def _plain_chain(x: _Magnitude, rule: TestRule) -> Iterator[int]:
     """Each step's int from x = |a|, stepping while |v| >= base**2 until a step fails to shrink |v|.
 
     Given as digits, |a| takes no step below three of them, and the first step reads
@@ -392,7 +383,7 @@ def _plain_chain(x: _Magnitude, rule: TestRule, step) -> Iterator[int]:
     use them as they are. Every later step reads the previous step's int; only sum and
     binomial expand it to digits.
     """
-    base = rule.base
+    base, step = rule.base, FAMILY_TABLE[rule.family].step
     if type(x) is not int and len(x) < 3:
         return
     while True:
@@ -520,8 +511,8 @@ def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int]
     (order, family), d = _chain_kind(a, rule, stacked), a.digits
     if order:
         return True, fold(d[::-order], family.weight(rule))
-    x = _carried(d, rule.base, *family.split(rule)) if family.split else d
-    last = deque(_plain_chain(x, rule, _stepper(family, rule)), maxlen=1)
+    x = _carried(d, rule.base, *rule.split) if rule.split else d
+    last = deque(_plain_chain(x, rule), maxlen=1)
     return False, last[0] if last else fold(d, a.base)
 
 
@@ -579,12 +570,12 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     """Drive a rule to a verdict from its chain's terminal, stepping no more than ``_terminal`` must.
 
     The verdict is the terminal mod q. ``stacked=True`` (trim only) runs the
-    stacked chain, as left trimming always does. The trace's steps are built
-    from a run of the stepped chain, only if they are read.
+    stacked chain, as left trimming always does. The trace's terminal is converted,
+    and its steps built from a run of the stepped chain, only if they are read.
     """
     stacked, value = _terminal(a, rule, stacked)
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
-    return Trace(rule, a, stacked, DigitString.from_int(value, rule.base), verdict)
+    return Trace(rule, a, stacked, value, verdict)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:

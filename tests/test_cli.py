@@ -486,6 +486,9 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1 and "base-10 only" in err
     code, _, err = run(capsys, "lastdigit", "-q", "7", "32184")
     assert code == 1 and "no last-digits test" in err
+    code, out, err = run(capsys, "trace", "--family", "talmud", "-q", "9", "32184")
+    assert code == 1 and out == ""
+    assert "alpha = beta * base**k (mod q)" in err and err.endswith("got q=9 base=10\n"), err
     code, _, err = run(capsys, "trim", "-q", "7", "zz")
     assert code == 1 and "invalid digit" in err
 

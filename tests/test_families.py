@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -196,6 +197,22 @@ def test_split_families_build_exactly_when_their_obligation_holds(base):
             assert apply_once(DigitString.from_int(v, base), rule).value == alpha * high + beta * low, rule
 
 
+@pytest.mark.parametrize("family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8)])
+def test_every_split_rule_is_checked_against_the_obligation(monkeypatch, family, q):
+    """A derive whose (k, alpha, beta) breaks Zbikowski's condition builds no rule, in any split family."""
+    record = FAMILY_TABLE[family]
+    omega, k, split = record.derive(q, 10)
+    assert TestRule(family, q).split == split is not None
+    # (2, 3, 1) breaks alpha = beta * base**k (mod q); (1, 0, q) keeps it, but beta = q is no unit
+    for bad in [(2, 3, 1), (1, 0, q)]:
+        derive = lambda q, base, bad=bad: (omega, k, bad)  # noqa: E731
+        monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(record, derive=derive))
+        with pytest.raises(ValueError) as error:
+            TestRule(family, q)
+        assert f"(k, alpha, beta) = {bad} needs" in str(error.value), error.value
+        assert str(error.value).endswith(f"got q={q} base=10"), error.value
+
+
 def test_public_entry_points_reject_wrong_types():
     rule = TestRule.trim(7)
     calls = [
@@ -340,7 +357,8 @@ def test_trace_builds_its_steps_once_and_only_when_read(monkeypatch):
 
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     trace = iterate(parse("9" * 40 + "1"), TestRule.trim(7))
-    assert "steps" not in trace.__dict__ and len(converted) == 1  # the terminal, converted once
+    assert "steps" not in trace.__dict__ and len(converted) == 0
+    assert trace.terminal is trace.terminal and len(converted) == 1  # the terminal, converted once
     assert trace.steps is trace.steps
     assert len(converted) == 1 + len(trace.steps)
     assert iterate(A, TestRule.trim(7), stacked=True) != iterate(A, TestRule.trim(7))
@@ -680,6 +698,56 @@ def test_folded_stacked_terminals_match_the_stepped_chain_on_long_inputs(base):
                 assert trace.verdict == (DIVISIBLE if terminal % rule.q == 0 else NOT_DIVISIBLE)
                 if not stacked:
                     assert divides_via(a, rule) is (terminal % rule.q == 0)
+
+
+def _stepped_terminal(ds, base, step):
+    """A plain chain's last number and step count from the digits ds of |a|, one step at a time.
+
+    step maps a digit tuple (least significant first) to the step's value. None is
+    taken below base**2; the chain goes on from the digits of the step's abs, and stops
+    after a step below base**2 or one that fails to shrink.
+    """
+    x = _value(ds, base)
+    v, steps = x, 0
+    while x >= base * base:
+        v, steps = step(ds), steps + 1
+        if abs(v) >= x:
+            break
+        x = m = abs(v)
+        ds = []
+        while m:
+            m, d = divmod(m, base)
+            ds.append(d)
+    return v, steps
+
+
+def _horner(ds, weight):
+    acc = 0
+    for d in ds:
+        acc = acc * weight + d
+    return acc
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_sum_binomial_and_last_digits_terminals_match_stepping_on_long_inputs(base):
+    rng = random.Random(f"digit-{base}")
+    assert not any(_builds(f, q, base) for f in ("trim", "sum") for q in (base, 2 * base + 2))  # gcd(q, base) > 1
+    sums = [TestRule.sum(q, base) for q in (base - 1, base + 1, 1000003) if math.gcd(q, base) == 1]
+    binomials = [TestRule.binomial(q, base) for q in (base - 1, base, base + 1, 1000003) if q >= 2]
+    lasts = [TestRule.last_digits(q, base) for q in {2: (2, 8, 2**20), 10: (8, 16, 4000), 36: (6, 432, 3**7)}[base]]
+    rules = [(rule, lambda ds, w=rule.omega: _horner(ds, w)) for rule in sums]  # w**j from the top digit down
+    rules += [(rule, lambda ds, w=base - rule.q: _horner(ds[::-1], w)) for rule in binomials]  # from the last up
+    rules += [(rule, lambda ds, k=rule.k: _value(ds[:k], base)) for rule in lasts]
+    for length in _long_lengths(3):
+        for ds in _adversarial_digits(base, length, rng):
+            a = DigitString(1, base, ds)
+            for rule, step in rules:
+                if length > 3000 and abs(FAMILY_TABLE[rule.family].weight(rule)) > base + 1:
+                    continue  # a weight near q / 2 makes a step some 20 times as long as a: tier-1 time
+                terminal, steps = _stepped_terminal(ds, base, step)
+                assert divides_via(a, rule) is (terminal % rule.q == 0), (rule, length, ds[-3:])
+                assert iterate(a, rule).terminal.value == terminal, (rule, length, ds[-3:])
+                assert analyzer.cost_profile(a, rule).iterations == steps, (rule, length, ds[-3:])
 
 
 # --- algebraic relations ---------------------------------------------------
