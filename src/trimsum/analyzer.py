@@ -79,8 +79,16 @@ class ComparisonTable:
         return [r.as_json() for r in self.rows]
 
 
+def _checked_iter(name: str, values) -> Iterator:
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {values!r:.60}") from None
+
+
 def compare(q_list, a_list, base: int = 10) -> ComparisonTable:
     """One cost row per (q, a, family) with a test for q, sorted so output is reproducible."""
+    q_list, a_list = _checked_iter("q_list", q_list), _checked_iter("a_list", a_list)
     rules = []
     for q in q_list:
         count = len(rules)

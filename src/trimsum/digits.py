@@ -1,10 +1,10 @@
 """Signed integers as digit vectors in an arbitrary base.
 
 One number type. ``DigitString`` is the canonical positional form:
-digits in [0, base), least significant first, no leading zeros.
-``StackedNumber`` is only a record of a stacked chain step's coefficients,
-where any signed integer may sit in a digit position (the "fifteen
-hundred" reading of 1500); its value is ``fold(coeffs, base)``.
+digits in [0, base), least significant first, no leading zeros. A
+stacked number, where any signed integer may sit in a digit position
+(the "fifteen hundred" reading of 1500), is just its coefficient tuple;
+its value is ``fold(coeffs, base)``.
 
 Digits are stored least significant first so that dropping the last
 digit and dropping the top digit are both cheap slices.
@@ -138,12 +138,6 @@ def _text(v: int, base: int) -> str:
     return "-" + body if v < 0 else body
 
 
-def _check_ints(name: str, values: tuple[int, ...]) -> None:
-    # one C-level pass: a non-empty tuple whose items are all exactly int (bool is not)
-    if type(values) is not tuple or set(map(type, values)) != {int}:
-        raise ValueError(f"{name} must be a non-empty tuple of ints, got {values!r:.60}")
-
-
 def _check_base(base: int) -> None:
     if type(base) is not int or base < 2:
         raise ValueError(f"base must be an int >= 2, got {base!r}")
@@ -173,7 +167,9 @@ class DigitString:
         _check_base(self.base)
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be the int +1 or -1, got {self.sign!r}")
-        _check_ints("digits", self.digits)
+        # one C-level pass: a non-empty tuple whose items are all exactly int (bool is not)
+        if type(self.digits) is not tuple or set(map(type, self.digits)) != {int}:
+            raise ValueError(f"digits must be a non-empty tuple of ints, got {self.digits!r:.60}")
         if not _in_range(self.digits, self.base):
             raise ValueError(f"digit out of range for base {self.base}: {self.digits!r:.60}")
         if len(self.digits) > 1 and self.digits[-1] == 0:
@@ -204,21 +200,6 @@ class DigitString:
             raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {self.base}")
         body = _chars(self.digits[::-1])
         return "-" + body if self.sign < 0 else body
-
-
-@dataclass(frozen=True)
-class StackedNumber:
-    """A stacked chain step's coefficients: any signed integers, least significant first.
-
-    It stands for fold(coeffs, base) = sum(coeffs[i] * base**i); only ``TraceStep.stacked`` builds one.
-    """
-
-    base: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        _check_ints("coefficients", self.coeffs)
 
 
 def parse(text: str, base: int = 10) -> DigitString:

@@ -23,9 +23,10 @@ with divmod, sum and binomial expand it to digits, and nothing converts
 to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
 Horner fold that rewrites no digits. ``_chain`` yields each chain's step
-results as ints, and ``_steps``, ``_values`` and ``_step_texts`` turn them
-into trace steps, into the cost table's step values and into the text a
-trace prints, one at a time.
+results as ints, and ``_folded`` carries a stacked step's value beside its
+fold; from that one stream ``_steps``, ``_values`` and ``_step_texts`` make
+the trace steps, the cost table's step values and the text a trace prints,
+one at a time.
 
 ``iterate`` and ``divides_via`` read only a chain's last number, as an int,
 from ``_terminal``. A stacked chain's last number is its whole fold, made in
@@ -45,7 +46,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _DIGIT_CHARS, DigitString, StackedNumber, _digits_of, _text, fold
+from .digits import _DIGIT_CHARS, DigitString, _digits_of, _text, fold
 from .weights import weight_inverse
 
 TRIM = "trim"
@@ -130,28 +131,25 @@ class TestRule:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One chain step: only the number it built, in the form it built it.
+    """One chain step: its int value and its coefficients, least significant first, which fold to it.
 
-    A stacked or left-trim step stores its coefficient tuple, a plain step its
-    DigitString. On request, ``stacked`` gives a plain step's signed digits and
-    ``collapsed`` a stacked step's canonical form, fold(coeffs, base).
+    A stacked or left-trim step's coefficients are its fold beside the digits not yet
+    folded; a plain step's are its value's digits, negated with it. ``stacked`` and
+    ``collapsed`` are views the benchmark harness (perfbench/spans.py) still reads.
     """
 
     op: str
-    number: tuple[int, ...] | DigitString
+    value: int
+    coeffs: tuple[int, ...]
     base: int
 
     @property
-    def stacked(self) -> StackedNumber:
-        n = self.number
-        if isinstance(n, DigitString):
-            n = n.digits if n.sign > 0 else tuple(-d for d in n.digits)
-        return StackedNumber(self.base, n)
+    def stacked(self) -> TraceStep:
+        return self
 
     @property
     def collapsed(self) -> DigitString:
-        n = self.number
-        return n if isinstance(n, DigitString) else DigitString.from_int(fold(n, self.base), self.base)
+        return DigitString.from_int(self.value, self.base)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ class Trace:
     ``render()`` and ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) also
     run it again, making their text a step at a time from the step ints with
     ``_step_texts``; they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()``
-    builds the whole document from ``steps``. Traces are equal when their rule, input
+    builds the same document from ``steps``. Traces are equal when their rule, input
     and chain kind (``stacked``) are.
     """
 
@@ -181,12 +179,10 @@ class Trace:
 
     def as_json(self) -> dict:
         terminal = self.terminal.render()  # rejects a base without a text form before any step is built
+        base = self.rule.base
         return {
             "rule": self.rule.as_json(),
-            "steps": [
-                {"op": s.op, "coeffs": list(s.stacked.coeffs), "collapsed": s.collapsed.render()}
-                for s in self.steps
-            ],
+            "steps": [{"op": s.op, "coeffs": list(s.coeffs), "collapsed": _text(s.value, base)} for s in self.steps],
             "terminal": terminal,
             "verdict": self.verdict,
         }
@@ -409,18 +405,20 @@ def _smaller(m: int, x: _Magnitude, base: int) -> bool:
 
 
 def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]:
-    """Each of the chain's step ints as a trace step in the form its chain built it; checks operands first.
+    """Each of the chain's steps as a ``TraceStep``, made from the stream ``_step_texts`` prints.
 
     A stacked chain's step i holds the fold of i + 1 digits in the last folded digit's
     slot, beside the digits not yet folded, so its last step is the 1-tuple of the fold.
     """
-    order, numbers = _chain(a, rule, stacked)
+    base, (order, numbers) = rule.base, _chain(a, rule, stacked)
     if order is None:
-        return (TraceStep(rule.family, DigitString.from_int(v, rule.base), rule.base) for v in numbers)
-    d, op = a.digits[::order], FAMILY_TABLE[rule.family].chain_op
-    return (
-        TraceStep(op, ((acc,) + d[folded:])[::order], rule.base) for folded, acc in enumerate(numbers, 2)
-    )
+        for v in numbers:
+            ds = _digits_of(abs(v), base)
+            yield TraceStep(rule.family, v, ds if v >= 0 else tuple(-d for d in ds), base)
+        return
+    d, family = a.digits[::order], FAMILY_TABLE[rule.family]
+    for folded, (acc, value) in enumerate(_folded(numbers, a, order, family.weight(rule)), 2):
+        yield TraceStep(family.chain_op, value, ((acc,) + d[folded:])[::order], base)
 
 
 def _step_texts(

@@ -82,6 +82,10 @@ def random_digit_string(
     """
     _check_base(base)  # getrandbits(0) is 0: a base <= 0 would redraw forever
     _check_count("max_digits", max_digits, MAX_DIGITS)
+    if type(rng) is not random.Random and not all(callable(getattr(rng, m, None)) for m in ("randrange", "random")):
+        raise ValueError(f"rng must have randrange and random methods, like random.Random, got {rng!r:.60}")
+    if type(signed) is not bool:
+        raise ValueError(f"signed must be a bool, got {signed!r:.60}")
     below = partial(_below, rng.getrandbits) if type(rng) is random.Random else partial(_randranges, rng)
     n = 1 + below(max_digits, 1)[0]
     digits = below(base, n)

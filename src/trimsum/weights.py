@@ -5,7 +5,8 @@ derivations are provided: a four-case table keyed on the last digit of q
 (base 10 only), a rounding rule that triples q when it ends in 3 or 7 and
 then rounds q/10 to the nearest integer (base 10 only), and the least
 absolute residue of the inverse of the base modulo q, which works in any
-base coprime to q. Each derivation returns the weight itself, an int.
+base coprime to q. Each derivation takes q and the base as exact ints
+(not bool) and returns the weight itself, an int.
 All three produce the same integer wherever their domains overlap, and
 the canonical method for the test families is ``inverse``.
 """
@@ -21,6 +22,8 @@ METHODS = (TABLE, ROUNDING, INVERSE)
 
 
 def _check_base10_divisor(q: int) -> None:
+    if type(q) is not int:  # exactly int: True would pass as 1
+        raise ValueError(f"q must be an int, got {q!r:.60}")
     if q < 1:
         raise ValueError(f"divisor must be >= 1, got {q}")
     if q % 2 == 0 or q % 5 == 0:
@@ -61,6 +64,8 @@ def weight_inverse(q: int, base: int = 10) -> int:
     The result is the unique integer in (-q/2, q/2] with base*omega = 1
     (mod q). Requires gcd(q, base) = 1.
     """
+    if type(q) is not int or type(base) is not int:
+        raise ValueError(f"q and base must be ints, got {q!r:.60} and {base!r:.60}")
     if q < 1:
         raise ValueError(f"divisor must be >= 1, got {q}")
     if base < 2:

@@ -92,7 +92,7 @@ def test_criterion_3_left_trim_chain_equals_binomial_sum():
 def test_criterion_2_stepped_stacked_trim_chain_ends_at_the_weighted_sum():
     for a, q in _identity_corpus(1302):
         steps = iterate(a, TestRule.trim(q), stacked=True).steps  # the chain run a digit at a time
-        last = steps[-1].number if steps else a.digits
+        last = steps[-1].coeffs if steps else a.digits
         assert last == (apply_once(a, TestRule.sum(q)).value,)
     print("criterion 2 PASS: 1000 stacked trim chains, stepped, end at the weighted digit sum")
 
@@ -100,7 +100,7 @@ def test_criterion_2_stepped_stacked_trim_chain_ends_at_the_weighted_sum():
 def test_criterion_3_stepped_left_trim_chain_ends_at_the_binomial_sum():
     for a, q in _identity_corpus(1302):
         steps = iterate(a, TestRule.left_trim(q)).steps  # the chain run a digit at a time
-        last = steps[-1].number if steps else a.digits
+        last = steps[-1].coeffs if steps else a.digits
         assert last == (apply_once(a, TestRule.binomial(q)).value,)
     print("criterion 3 PASS: 1000 left trim chains, stepped, end at the binomial digit sum")
 

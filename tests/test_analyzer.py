@@ -131,6 +131,12 @@ def test_compare_rejects_inputs_that_are_not_digit_strings():
             compare([7], [bad])
 
 
+@pytest.mark.parametrize("q_list,a_list", [(7, [A]), ([7], 5), (None, [A]), ([7], None), ([], 5)])
+def test_compare_rejects_lists_that_are_not_iterable(q_list, a_list):
+    with pytest.raises(ValueError, match="must be iterable"):  # each raised TypeError
+        compare(q_list, a_list)
+
+
 @pytest.mark.parametrize(
     "run",
     [lambda a: compare([7], [a]), lambda a: cost_profile(a, TestRule.left_trim(7))],

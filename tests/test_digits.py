@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trimsum import digits
-from trimsum.digits import DigitString, StackedNumber, fold, parse
+from trimsum.digits import DigitString, fold, parse
 from trimsum.families import TestRule, TraceStep, apply_once, iterate
 
 ints = st.integers(min_value=-(10**45), max_value=10**45)
@@ -169,11 +169,8 @@ def test_split_rejects_bad_input():
 
 
 def _collapsed(coeffs, base=10):
-    """Collapse: the canonical form of a stacked step with these coefficients.
-
-    A plain step's ``stacked`` accessor is the lift, its signed digits.
-    """
-    return TraceStep("stack", coeffs, base).collapsed
+    """Collapse: the canonical form of a stacked step with these coefficients, their fold."""
+    return DigitString.from_int(fold(coeffs, base), base)
 
 
 def test_collapse_examples():
@@ -188,10 +185,10 @@ def test_collapse_examples():
     coeffs=st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=12),
 )
 def test_collapse_preserves_value(base, coeffs):
-    step = TraceStep("stack", tuple(coeffs), base)
+    step = TraceStep("stack", fold(tuple(coeffs), base), tuple(coeffs), base)
     expected = sum(c * base**i for i, c in enumerate(coeffs))
-    assert step.stacked == StackedNumber(base, tuple(coeffs))
-    assert fold(step.stacked.coeffs, base) == expected
+    assert step.stacked is step
+    assert fold(step.coeffs, base) == step.value == expected
     assert step.collapsed.value == expected
 
 
@@ -206,8 +203,7 @@ def test_collapse_soundness_seeded_bulk():
 @given(v=ints, base=bases)
 def test_collapse_after_lift_is_identity(v, base):
     ds = DigitString.from_int(v, base)
-    coeffs = TraceStep("trim", ds, base).stacked.coeffs
-    assert coeffs == tuple(ds.sign * d for d in ds.digits)
+    coeffs = tuple(ds.sign * d for d in ds.digits)  # the lift: a plain step's coefficients
     assert _collapsed(coeffs, base) == ds
 
 
@@ -252,17 +248,10 @@ def test_digit_string_validation():
 
 
 def test_stacked_number_validation_and_json():
-    for bad in [
-        lambda: StackedNumber(10, ()),
-        lambda: StackedNumber(10, (1.5, 2)),  # its value read 21.5
-        lambda: StackedNumber(10, (1, False)),
-        lambda: StackedNumber(10, [1, 2]),
-        lambda: StackedNumber(10.0, (1, 2)),
-        lambda: StackedNumber(1, (1, 2)),
-    ]:
-        with pytest.raises(ValueError):
-            bad()
-    assert fold(StackedNumber(10, (8 + (-2) * 4, 1, 2, 3)).coeffs, 10) == 3210
+    # a stacked number is its coefficient tuple, and its value their fold
+    assert fold((8 + (-2) * 4, 1, 2, 3), 10) == 3210
+    step = iterate(parse("32184"), TestRule.trim(7), stacked=True).as_json()["steps"][0]
+    assert step == {"op": "stack", "coeffs": [0, 1, 2, 3], "collapsed": "3210"}
 
 
 def test_from_int_rejects_values_that_are_not_ints():

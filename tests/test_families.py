@@ -273,14 +273,11 @@ def test_iterate_stops_when_a_step_fails_to_shrink():
 
 def test_iterate_compares_equal_lengths_from_the_top():
     # omega = 99 for 989: 191 -> 19 + 99 = 118 shrinks, then 11 + 99*8 = 803 does not
-    assert [s.number for s in iterate(parse("191"), TestRule.trim(989)).steps] == [
-        parse("118"),
-        parse("803"),
-    ]
-    assert [s.number for s in iterate(parse("101"), TestRule.trim(989)).steps] == [parse("109")]
+    assert [s.value for s in iterate(parse("191"), TestRule.trim(989)).steps] == [118, 803]
+    assert [s.value for s in iterate(parse("101"), TestRule.trim(989)).steps] == [109]
     # an equal image is no shrink either
     trace = iterate(parse("184"), TestRule.last_digits(8))
-    assert [s.number for s in trace.steps] == [parse("184")]
+    assert [s.value for s in trace.steps] == [184]
     assert trace.verdict == DIVISIBLE
 
 
@@ -309,10 +306,11 @@ def test_chains_collapse_only_their_terminal(monkeypatch):
     monkeypatch.setattr(families, "fold", counting_fold)
     a = parse("3" * 50)
     trace = iterate(a, TestRule.left_trim(7))
-    assert len(trace.steps) == 49
     assert calls == [a.digits]  # the terminal is one fold of the input, with no step taken
-    trace.as_json()  # renders each step's collapsed value, built on request
-    assert len(calls) == 50
+    assert len(trace.steps) == 49
+    assert calls == [a.digits, a.digits]  # the steps carry their values from one more fold of the input
+    trace.as_json()  # renders the values the steps hold
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -359,8 +357,8 @@ def test_trace_builds_its_steps_once_and_only_when_read(monkeypatch):
     trace = iterate(parse("9" * 40 + "1"), TestRule.trim(7))
     assert "steps" not in trace.__dict__ and len(converted) == 0
     assert trace.terminal is trace.terminal and len(converted) == 1  # the terminal, converted once
-    assert trace.steps is trace.steps
-    assert len(converted) == 1 + len(trace.steps)
+    assert trace.steps is trace.steps and trace.steps
+    assert len(converted) == 1  # the steps keep ints and convert none
     assert iterate(A, TestRule.trim(7), stacked=True) != iterate(A, TestRule.trim(7))
     assert iterate(A, TestRule.left_trim(7), stacked=True) == iterate(A, TestRule.left_trim(7))
 
@@ -374,6 +372,10 @@ def test_lazy_steps_match_the_step_stream():
                 trace = iterate(a, rule, stacked=stacked)
                 assert trace.steps == tuple(families._steps(a, rule, stacked)), (a, rule, stacked)
                 assert trace == iterate(a, rule, stacked=stacked)
+                for step in trace.steps:
+                    assert digits.fold(step.coeffs, rule.base) == step.value
+                    if not trace.stacked:  # the lift: a plain step's coefficients are its signed digits
+                        assert step.coeffs == tuple(step.collapsed.sign * d for d in step.collapsed.digits)
 
 
 def test_traces_check_the_base_before_building_steps():
@@ -550,7 +552,7 @@ def test_plain_chains_match_integers_at_three_hundred_digits(base):
                     x = 2 * (previous // base**2) + previous % base**2
                 else:
                     x = previous // base + rule.omega * (previous % base)
-                assert step.number.value == x
+                assert step.value == x
             assert trace.steps and trace.terminal.value == x
             assert abs(x) < base * base or abs(x) >= previous
             assert (trace.verdict == DIVISIBLE) == (v % rule.q == 0)
@@ -698,6 +700,30 @@ def test_folded_stacked_terminals_match_the_stepped_chain_on_long_inputs(base):
                 assert trace.verdict == (DIVISIBLE if terminal % rule.q == 0 else NOT_DIVISIBLE)
                 if not stacked:
                     assert divides_via(a, rule) is (terminal % rule.q == 0)
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_carried_stacked_step_values_are_their_coefficients_folded(base):
+    """Each stacked-trim and left-trim step's value is the Horner sum of its coefficients.
+
+    The chain carries a step's value over from the step before; here each step's
+    coefficients are summed afresh, at lengths where fold halves its range.
+    """
+    rng = random.Random(f"carried-{base}")
+    q = 2 * base + 1  # weights -2 (trim) and -(base + 1) (left trim): signed folds that grow
+    rules = [(TestRule.trim(q, base), True), (TestRule.left_trim(q, base), False)]
+    for j in range(5):
+        for e, (rule, stacked) in zip((-1, 1), rules):
+            length = (digits._LEAF << j) + e
+            a = DigitString(1, base, list(_adversarial_digits(base, length, rng))[j % 4])
+            trace = iterate(a, rule, stacked=stacked)
+            doc = trace.as_json()
+            assert len(trace.steps) == len(doc["steps"]) == length - 1
+            for step, item in zip(trace.steps, doc["steps"]):
+                coeffs = step.stacked.coeffs
+                assert item["coeffs"] == list(coeffs)
+                value = _horner(coeffs[::-1], base)
+                assert step.collapsed.value == value == int(item["collapsed"], base), (rule, length)
 
 
 def _stepped_terminal(ds, base, step):

@@ -125,6 +125,25 @@ def test_random_digit_string_rejects_bad_arguments_before_any_draw(base, max_dig
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize(
+    "rng,signed",
+    [
+        (object(), True),  # raised AttributeError
+        (None, True),
+        (8, True),
+        (random.Random(8), "no"),  # signed the result as True does
+        (random.Random(8), 1),
+        (random.Random(8), None),
+    ],
+)
+def test_random_digit_string_rejects_a_bad_rng_or_signed_before_any_draw(rng, signed):
+    state = rng.getstate() if isinstance(rng, random.Random) else None
+    with pytest.raises(ValueError, match="rng must" if signed is True else "signed must"):
+        random_digit_string(rng, 10, 60, signed)
+    if state is not None:
+        assert rng.getstate() == state
+
+
 def test_fuzz_equivalence_known_rules():
     assert fuzz_equivalence(TestRule.trim(7), 1000, seed=42).mismatches == 0
     assert fuzz_equivalence(TestRule.sum(39), 1000, seed=7).mismatches == 0

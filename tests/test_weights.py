@@ -49,6 +49,27 @@ def test_inverse_rejects_bad_input():
         weight_inverse(7, 1)
 
 
+@pytest.mark.parametrize(
+    "derive,args",
+    [
+        (weight_table, (7.0,)),  # returned -2.0
+        (weight_rounding, (7.0,)),  # returned -2.0
+        (weight_table, (True,)),  # returned 0
+        (weight_rounding, (True,)),
+        (weight_table, ("7",)),
+        (weight_inverse, (7.0,)),  # raised TypeError
+        (weight_inverse, ("7",)),  # raised TypeError
+        (weight_inverse, (None,)),  # raised TypeError
+        (weight_inverse, (True,)),
+        (weight_inverse, (7, 10.0)),
+        (weight_inverse, (7, True)),
+    ],
+)
+def test_weights_take_only_int_arguments(derive, args):
+    with pytest.raises(ValueError, match="must be"):
+        derive(*args)
+
+
 def test_three_methods_agree_below_ten_thousand():
     for q in COPRIME_Q:
         t = weight_table(q)
