@@ -10,7 +10,7 @@ binomial summing, and why trimming beats both per decision.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 from math import log2
 
 from .digits import DigitString
@@ -31,20 +31,26 @@ class CostReport:
     digit_ops: int
     max_intermediate_digits: int
 
+    # vars(self) holds the fields in declaration order; astuple and asdict would deep-copy each one
     def as_csv_row(self) -> str:
-        return ",".join(str(f) for f in astuple(self))
+        return ",".join(map(str, vars(self).values()))
 
     def as_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
-    """Instrument one full run of the rule's verdict chain, keeping only its step lengths."""
-    values = _values(a, rule)  # checks the operands before len(a) reads them
+    """Instrument one full run of the rule's verdict chain, keeping only its step lengths.
+
+    The steps the chain's carried stack takes at once are counted as it takes them; each
+    is shorter than |a|, so only the steps after them are measured.
+    """
+    carried, values = _values(a, rule)  # checks the operands before len(a) reads them
     family = FAMILY_TABLE[rule.family]
     lengths = [len(a), *_digit_counts(values, len(a), rule.base)]
-    weight, ops = abs(family.weight(rule)), family.digit_ops(lengths)
-    return CostReport(rule.q, rule.base, rule.family, weight, len(lengths) - 1, ops, max(lengths))
+    steps = carried + len(lengths) - 1
+    weight, ops = abs(family.weight(rule)), family.digit_ops(steps, lengths)
+    return CostReport(rule.q, rule.base, rule.family, weight, steps, ops, max(lengths))
 
 
 def _digit_counts(values: Iterator[int], n: int, base: int) -> Iterator[int]:

@@ -24,16 +24,20 @@ to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
 Horner fold that rewrites no digits. ``_chain`` yields each chain's step
 results as ints, and ``_folded`` carries a stacked step's value beside its
-fold; from that one stream ``_steps``, ``_values`` and ``_step_texts`` make
-the trace steps, the cost table's step values and the text a trace prints,
-one at a time.
+fold; from that one stream ``_steps`` makes the trace steps, and
+``_step_texts`` the text a stacked trace prints, one at a time. A plain
+trace's text comes from ``_plain_texts``: a trim step drops the last digit
+and adds omega times it at the low end, so while the number is long its
+chain runs on a buffer of the digits, each step's text one ``translate``,
+and it finishes on ints.
 
 ``iterate`` and ``divides_via`` read only a chain's last number, as an int,
 from ``_terminal``. A stacked chain's last number is its whole fold, made in
 one call. A plain trim or Talmud chain is a stacked chain whose low
 coefficient carries: ``_carried`` makes the steps the chain provably takes
 in one pass over the digit groups, with the rule's (k, alpha, beta), and
-the steps after them are taken one at a time.
+counts them for the cost table (``_values``); the steps after them are
+taken one at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _DIGIT_CHARS, DigitString, _digits_of, _text, fold
+from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _digits_of, _text, fold
 from .weights import weight_inverse
 
 TRIM = "trim"
@@ -157,8 +161,9 @@ class Trace:
     """A chain's verdict and last number; ``terminal`` and ``steps`` are built the first time they are read.
 
     ``render()`` and ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) also
-    run it again, making their text a step at a time from the step ints with
-    ``_step_texts``; they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()``
+    run it again, making their text a step at a time with ``_step_texts`` (from the step
+    ints, or a long plain trim chain's digit buffer); they build no ``TraceStep`` and
+    leave ``steps`` unread. ``as_json()``
     builds the same document from ``steps``. Traces are equal when their rule, input
     and chain kind (``stacked``) are.
     """
@@ -287,12 +292,13 @@ def _derive_last_digits(q: int, base: int) -> _Derived:
     return None, k, (k, 0, 1)
 
 
-def _per_step(lengths: list[int]) -> int:
-    return len(lengths) - 1
+def _per_step(steps: int, lengths: list[int]) -> int:
+    return steps
 
 
-def _per_digit(lengths: list[int]) -> int:
-    # one multiply-add per digit position beyond the first, per application
+def _per_digit(steps: int, lengths: list[int]) -> int:
+    # one multiply-add per digit position beyond the first, per application; a summing
+    # chain carries no steps, so lengths are its input's and every step's
     return sum(n - 1 for n in lengths[:-1])
 
 
@@ -303,7 +309,7 @@ class Family:
     derive: Callable[[int, int], _Derived]  # checks (q, base), returns (omega, k, split)
     step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
     weight: Callable[[TestRule], int]  # a stacked chain folds with it; the cost table shows |weight|
-    digit_ops: Callable[[list[int]], int]  # multiply-adds, from the input and step lengths
+    digit_ops: Callable[[int, list[int]], int]  # multiply-adds, from the step count and the lengths measured
     chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
     always_stacked: bool = False  # _chain runs it stacked even without stacked=True
@@ -324,7 +330,7 @@ FAMILY_TABLE = {
     SUM: Family(lambda q, base: (weight_inverse(q, base), None, None), _sum, lambda r: r.omega, _per_digit),
     BINOMIAL: Family(_derive_binomial, _binomial, lambda r: r.base - r.q, _per_digit),
     TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, lambda r: 2, _per_step, default_q=7),
-    LAST_DIGITS: Family(_derive_last_digits, _split, lambda r: 0, lambda lengths: 0),
+    LAST_DIGITS: Family(_derive_last_digits, _split, lambda r: 0, lambda steps, lengths: 0),
 }
 
 
@@ -426,24 +432,32 @@ def _step_texts(
 ) -> Iterator[tuple[str, str | None, str]]:
     """Each trace step's op, its coefficients' decimal texts joined by sep, and its value's text.
 
-    They come straight from the chain's step ints, each value converted once by
-    ``digits._text``. A plain step's coefficients are its value's digits, negated with it
-    (None if sep is None); a stacked step's are its fold beside the digits not yet
-    folded, whose texts are joined once per trace, and its value is carried from the
-    step before, with no fold per step.
+    A plain step's value text comes from ``_plain_texts``, and its coefficients are its
+    value's digits, negated with it (None if sep is None), read off that text. A
+    stacked step's value comes from the chain's step ints, converted once by
+    ``digits._text`` and carried from the step before, with no fold per step; its
+    coefficients are its fold beside the digits not yet folded, whose texts are
+    joined once per trace.
     """
     base = rule.base
     order, numbers = _chain(a, rule, stacked)
     if order is None:
+        texts = _plain_texts(a.digits, rule)
         if sep is None:
-            yield from ((rule.family, None, _text(v, base)) for v in numbers)
-            return
-        positive = {c: str(d) for d, c in enumerate(_DIGIT_CHARS[:base])}
-        negative = {c: str(-d) for d, c in enumerate(_DIGIT_CHARS[:base])}
-        for v in numbers:
-            text = _text(v, base)
-            low_first, coeff = (text[:0:-1], negative) if v < 0 else (text[::-1], positive)
-            yield rule.family, sep.join(map(coeff.__getitem__, low_first)), text
+            yield from ((rule.family, None, text) for text in texts)
+        elif base <= 10:  # a digit's character is its decimal text
+            negated = sep + "-"
+            for text in texts:
+                if text[0] == "-":  # a negated 0 prints as 0
+                    yield rule.family, ("-" + negated.join(text[:0:-1])).replace("-0", "0"), text
+                else:
+                    yield rule.family, sep.join(text[::-1]), text
+        else:
+            positive = {c: str(d) for d, c in enumerate(_DIGIT_CHARS[:base])}
+            negative = {c: str(-d) for d, c in enumerate(_DIGIT_CHARS[:base])}
+            for text in texts:
+                low_first, coeff = (text[:0:-1], negative) if text[0] == "-" else (text[::-1], positive)
+                yield rule.family, sep.join(map(coeff.__getitem__, low_first)), text
         return
     family = FAMILY_TABLE[rule.family]
     texts = [str(d) for d in a.digits]
@@ -465,12 +479,51 @@ def _step_texts(
             yield family.chain_op, head[: ends[n - folded]] + coeff, value_text
 
 
-def _values(a: DigitString, rule: TestRule) -> Iterator[int]:
-    """Each step's value in the rule's verdict chain; checks the operands first."""
+def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
+    """Each plain step's value text, from the digits d of |a|, least significant first.
+
+    A trim step (the split (k, alpha, beta) = (1, 1, omega)) drops the last digit d_0
+    of x and adds omega * d_0 at the low end. While x has n >= m digits, for the least
+    m with base**(m - 2) >= base**2 + |omega| * (base - 1), it runs on a buffer of x's
+    digits, most significant first, carrying or borrowing only as far as it runs, and
+    its text is one ``translate``. The int chain takes each such step as it is: as
+    x >= base**(n - 1), f(x) = x // base + omega * d_0 >= base**(n - 2) - |omega| *
+    (base - 1) >= base**2, so it is positive (abs changes nothing) and too large to
+    stop; and f(x) <= x / base + |omega| * (base - 1) < x, as x >= base * base**(n - 2)
+    > base * |omega|, so it shrinks. So f(x) < base**n, and a carry past the top digit
+    is one digit. Below m digits, and in every other family, the chain steps on ints
+    with ``_plain_chain``, each value converted once by ``digits._text``.
+    """
+    base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
+    handover, power, least = 2, 1, base * base + abs(beta) * (base - 1)
+    while power < least:  # power = base**(handover - 2)
+        handover, power = handover + 1, power * base
+    x: _Magnitude = d
+    if (k, alpha) == (1, 1) and len(d) >= handover:
+        buf = bytearray(d[::-1])
+        while len(buf) >= handover:
+            carry, i = beta * buf.pop(), len(buf) - 1
+            while carry and i >= 0:
+                carry, buf[i] = divmod(buf[i] + carry, base)
+                i -= 1
+            if carry:
+                buf.insert(0, carry)
+            elif not buf[0]:  # a borrow reached the top digit
+                del buf[: len(buf) - len(buf.lstrip(b"\0"))]
+            yield buf.translate(_CHAR_TABLE).decode()
+        x = int(buf.translate(_CHAR_TABLE), base)
+    yield from (_text(v, base) for v in _plain_chain(x, rule))
+
+
+def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
+    """How many steps of the rule's verdict chain ``_carried`` takes at once, and each later
+    step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
+    """
     order, folds = _chain(a, rule, False)
     if order is None:
-        return folds
-    return (value for _, value in _folded(folds, a, order, FAMILY_TABLE[rule.family].weight(rule)))
+        x, carried = _carried(a.digits, rule)
+        return carried, _plain_chain(x, rule)
+    return 0, (value for _, value in _folded(folds, a, order, FAMILY_TABLE[rule.family].weight(rule)))
 
 
 def _folded(folds: Iterator[int], a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]]:
@@ -509,14 +562,13 @@ def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int]
     (order, family), d = _chain_kind(a, rule, stacked), a.digits
     if order:
         return True, fold(d[::-order], family.weight(rule))
-    x = _carried(d, rule.base, *rule.split) if rule.split else d
-    last = deque(_plain_chain(x, rule), maxlen=1)
+    last = deque(_plain_chain(_carried(d, rule)[0], rule), maxlen=1)
     return False, last[0] if last else fold(d, a.base)
 
 
-def _carried(d: tuple[int, ...], base: int, k: int, alpha: int, beta: int) -> _Magnitude:
+def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
     """The split chain's number after the steps it provably takes on |a| = fold(d, base),
-    without abs or a stop; d itself if it takes none of them.
+    without abs or a stop, and how many they are; (d, 0) if it takes none of them.
 
     Take B = base**k, |a|'s base-B digit groups D_0 .. D_{N-1} (D_{N-1} > 0), and
     H_t = sum(D_i * B**(i - t - 1) for i > t), the groups above group t. A step is
@@ -544,15 +596,16 @@ def _carried(d: tuple[int, ...], base: int, k: int, alpha: int, beta: int) -> _M
     steps exactly, and it goes on from their last value as it would have.
     The groups are read lazily, and the fold sees only the ``keep`` unread top groups.
     """
+    base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
     big = base**k
     if not 0 < alpha <= big // 2:
-        return d
+        return d, 0
     keep, power, least = 1, 1, 2 * (abs(beta) + 1) + big
     while power < least:  # power = B**(keep - 1)
         keep, power = keep + 1, power * big
     steps = -(-len(d) // k) - 1 - keep
     if steps < 1:
-        return d
+        return d, 0
     groups = islice(d, 0, None, k)
     for j in range(1, k):
         groups = map(add, groups, map((base**j).__mul__, islice(d, j, None, k)))
@@ -561,7 +614,7 @@ def _carried(d: tuple[int, ...], base: int, k: int, alpha: int, beta: int) -> _M
         high, low = divmod(s, big)
         scale *= alpha
         s = alpha * high + beta * low + scale * group
-    return s + scale * big * fold(d[k * (steps + 1) :], base)
+    return s + scale * big * fold(d[k * (steps + 1) :], base), steps
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:

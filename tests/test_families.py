@@ -618,21 +618,23 @@ def test_plain_verdicts_at_ten_thousand_digits(base):
 # --- long inputs: closed-form terminals against step-by-step chains --------
 
 
-def _split_terminal(x, base, k, alpha, beta):
-    """A plain split chain's last number from x = |a|, one step at a time: |a| if it takes none.
+def _split_chain(x, base, k, alpha, beta):
+    """A plain split chain from x = |a|, one step at a time: its last number (|a| if it takes
+    no step), its step count and its largest magnitude, |a| included.
 
     A step is x -> alpha * (x // base**k) + beta * (x % base**k). None is taken below
     base**2; the chain goes on from the step's abs, and stops after a step below
     base**2 or one that fails to shrink.
     """
-    v, big = x, base**k
+    v, steps, top, big = x, 0, x, base**k
     while x >= base * base:
         high, low = divmod(x, big)
-        v = alpha * high + beta * low
+        v, steps = alpha * high + beta * low, steps + 1
+        top = max(top, abs(v))
         if abs(v) >= x:
             break
         x = abs(v)
-    return v
+    return v, steps, top
 
 
 def _value(ds, base):
@@ -679,7 +681,7 @@ def test_carried_split_terminals_match_stepping_on_long_inputs(base):
             a = DigitString(1, base, ds)
             x = _value(ds, base)
             for rule, k, alpha, beta in rules:
-                terminal = _split_terminal(x, base, k, alpha, beta)
+                terminal, _, _ = _split_chain(x, base, k, alpha, beta)
                 assert divides_via(a, rule) is (terminal % rule.q == 0), (rule, length, ds[-3:])
                 assert iterate(a, rule).terminal.value == terminal, (rule, length, ds[-3:])
 
@@ -774,6 +776,85 @@ def test_sum_binomial_and_last_digits_terminals_match_stepping_on_long_inputs(ba
                 assert divides_via(a, rule) is (terminal % rule.q == 0), (rule, length, ds[-3:])
                 assert iterate(a, rule).terminal.value == terminal, (rule, length, ds[-3:])
                 assert analyzer.cost_profile(a, rule).iterations == steps, (rule, length, ds[-3:])
+
+
+def _length(m, base):
+    """The digit count of m >= 0 in base: the least n with base**n > m, by doubling then halving n."""
+    lo, hi = 1, 1
+    while base**hi <= m:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if base**mid <= m else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_split_cost_profiles_match_stepping_on_long_inputs(base):
+    """Iterations, digit_ops and the longest step of trim, Talmud and last digits, at 10**3 to 10**4 digits."""
+    rng = random.Random(f"costs-{base}")
+    rules = [TestRule.trim(q, base) for q in (base - 1, base + 1, 1000003) if math.gcd(q, base) == 1]
+    rules.append(TestRule("talmud", {2: 2, 10: 7, 36: 647}[base], base))
+    rules += [TestRule.last_digits(q, base) for q in {2: (2, 8, 2**20), 10: (8, 16, 4000), 36: (6, 432, 3**7)}[base]]
+    for length in (1000, 3000, 10**4):
+        shapes = list(_adversarial_digits(base, length, rng))
+        for i, rule in enumerate(rules):
+            for ds in shapes if length < 10**4 else [shapes[i % 4]]:  # one shape per rule at 10**4
+                x = _value(ds, base)
+                _, steps, top = _split_chain(x, base, *rule.split)
+                report = analyzer.cost_profile(DigitString(1, base, ds), rule)
+                ops = 0 if rule.family == "last_digits" else steps  # one multiply-add per split step
+                longest = length if top == x else _length(top, base)
+                measured = (report.iterations, report.digit_ops, report.max_intermediate_digits)
+                assert measured == (steps, ops, longest), (rule, length, ds[-3:])
+
+
+_DECIMAL = [str(d) for d in range(36)]
+_NEGATED = ["0"] + [str(-d) for d in range(1, 36)]
+
+
+def _int_chain_texts(a, rule, sep):
+    """Each plain step's op, coefficient text and value text, from the digits of the int chain's step values.
+
+    A step's coefficients are its digits, least significant first, negated with it;
+    their decimal texts are joined by sep.
+    """
+    for v in families._chain(a, rule, False)[1]:
+        ds = digits._digits_of(abs(v), rule.base)
+        text = "".join(map("0123456789abcdefghijklmnopqrstuvwxyz".__getitem__, reversed(ds)))
+        decimal = _DECIMAL if v >= 0 else _NEGATED
+        yield rule.family, sep.join(map(decimal.__getitem__, ds)), "-" + text if v < 0 else text
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_buffered_trim_traces_print_the_int_chains_text(base):
+    """``trace`` and ``trace --json`` step texts of a plain trim chain equal the int chain's, byte for byte.
+
+    Long inputs run on the digit buffer, then hand over to ints; short ones, of 2 to 12
+    digits in every shape and 300 random values below base**7, cover the handover and
+    the negative steps (109 trims by 7 to -8), whose zero digits print as 0.
+    """
+    rng = random.Random(f"buffer-{base}")
+    # q = c * base + 1 has omega = -c: -2, then about -10**6 / base; 1000003's omega is near q / 2 or not
+    qs = [q for q in (2 * base + 1, 1000003, 10**6 // base * base + 1) if math.gcd(q, base) == 1]
+    rules = [TestRule.trim(q, base) for q in qs]
+    cases = [DigitString(1, base, ds) for n in range(2, 13) for ds in _adversarial_digits(base, n, rng)]
+    cases += [DigitString.from_int(rng.randrange(base**7), base) for _ in range(300)]
+    if base == 10:
+        cases.append(parse("109"))
+        rules.append(TestRule.trim(7))
+    lengths = [(digits._LEAF << j) + e for j in range(5) for e in (-1, 1)]
+    lengths += [3000] if base < 36 else []  # a base-36 reference converts each step's value with divmod
+    for i, length in enumerate(lengths):
+        cases.append(DigitString(1, base, list(_adversarial_digits(base, length, rng))[i % 4]))
+    for i, a in enumerate(cases):
+        rule = rules[i % len(rules)]
+        lines = families._step_texts(a, rule, False, None)  # what trace prints
+        items = families._step_texts(a, rule, False, ",\n        ")  # and trace --json
+        for step, (line, item, (op, coeffs, text)) in enumerate(
+            zip(lines, items, _int_chain_texts(a, rule, ",\n        "), strict=True), 1
+        ):
+            assert line == (op, None, text) and item == (op, coeffs, text), (rule, len(a), step)
 
 
 # --- algebraic relations ---------------------------------------------------
