@@ -55,6 +55,17 @@ def _add_common(p: argparse.ArgumentParser, with_q: bool = True) -> None:
     p.set_defaults(parser=p)
 
 
+def _divisors(text: str) -> list[int]:
+    """compare's -q: comma-separated integers, at least one; anything else is a usage error."""
+    try:
+        q_list = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        q_list = []
+    if not q_list:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer divisors, got {text!r}")
+    return q_list
+
+
 def _rule(args) -> TestRule:
     """The rule for args.family, with the family's own q when -q is not given."""
     q = args.q if args.q is not None else FAMILY_TABLE[args.family].default_q
@@ -119,9 +130,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    q_list = [int(part) for part in args.q.split(",") if part]
     numbers = [parse(text, args.base) for text in args.numbers]
-    table = analyzer.compare(q_list, numbers, args.base)
+    table = analyzer.compare(args.q, numbers, args.base)
     if args.json:
         _emit_json(table.as_json())
     else:
@@ -180,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("compare", help="cost table across binomial, sum and trim")
-    p.add_argument("-q", required=True, help="comma-separated divisors, e.g. 7,9,11")
+    p.add_argument("-q", type=_divisors, required=True, help="comma-separated divisors, e.g. 7,9,11")
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--json", action="store_true")
     p.add_argument("numbers", nargs="+")

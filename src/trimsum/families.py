@@ -27,17 +27,17 @@ results as ints, and ``_folded`` carries a stacked step's value beside its
 fold; from that one stream ``_steps`` makes the trace steps, and
 ``_step_texts`` the text a stacked trace prints, one at a time. A plain
 trace's text comes from ``_plain_texts``: a trim step drops the last digit
-and adds omega times it at the low end, so while the number is long its
-chain runs on a buffer of the digits, each step's text one ``translate``,
-and it finishes on ints.
+and adds omega times it at the low end, so the steps ``_carried`` proves
+it takes run on a buffer of the digits, each step's text one ``translate``,
+and the chain finishes on ints.
 
 ``iterate`` and ``divides_via`` read only a chain's last number, as an int,
 from ``_terminal``. A stacked chain's last number is its whole fold, made in
 one call. A plain trim or Talmud chain is a stacked chain whose low
-coefficient carries: ``_carried`` makes the steps the chain provably takes
-in one pass over the digit groups, with the rule's (k, alpha, beta), and
-counts them for the cost table (``_values``); the steps after them are
-taken one at a time.
+coefficient carries: ``_carried`` makes the steps the chain provably takes,
+as many as ``_carried_steps`` counts, in one pass over the digit groups with
+the rule's (k, alpha, beta), and reports that count to the cost table
+(``_values``); the steps after them are taken one at a time.
 """
 
 from __future__ import annotations
@@ -432,12 +432,12 @@ def _step_texts(
 ) -> Iterator[tuple[str, str | None, str]]:
     """Each trace step's op, its coefficients' decimal texts joined by sep, and its value's text.
 
-    A plain step's value text comes from ``_plain_texts``, and its coefficients are its
-    value's digits, negated with it (None if sep is None), read off that text. A
-    stacked step's value comes from the chain's step ints, converted once by
-    ``digits._text`` and carried from the step before, with no fold per step; its
-    coefficients are its fold beside the digits not yet folded, whose texts are
-    joined once per trace.
+    A plain step's value text comes from ``_plain_texts``, and its coefficients (None if
+    sep is None) are read off that text in one loop: its digits, low first, each mapped
+    to its decimal text above base 10, and negated with it. A stacked step's value
+    comes from the chain's step ints, converted once by ``digits._text`` and carried
+    from the step before, with no fold per step; its coefficients are its fold beside
+    the digits not yet folded, whose texts are joined once per trace.
     """
     base = rule.base
     order, numbers = _chain(a, rule, stacked)
@@ -445,19 +445,15 @@ def _step_texts(
         texts = _plain_texts(a.digits, rule)
         if sep is None:
             yield from ((rule.family, None, text) for text in texts)
-        elif base <= 10:  # a digit's character is its decimal text
-            negated = sep + "-"
-            for text in texts:
-                if text[0] == "-":  # a negated 0 prints as 0
-                    yield rule.family, ("-" + negated.join(text[:0:-1])).replace("-0", "0"), text
-                else:
-                    yield rule.family, sep.join(text[::-1]), text
-        else:
-            positive = {c: str(d) for d, c in enumerate(_DIGIT_CHARS[:base])}
-            negative = {c: str(-d) for d, c in enumerate(_DIGIT_CHARS[:base])}
-            for text in texts:
-                low_first, coeff = (text[:0:-1], negative) if text[0] == "-" else (text[::-1], positive)
-                yield rule.family, sep.join(map(coeff.__getitem__, low_first)), text
+            return
+        decimal = {c: str(d) for d, c in enumerate(_DIGIT_CHARS[:base])}.__getitem__ if base > 10 else None
+        for text in texts:
+            low_first = text.lstrip("-")[::-1]
+            coeffs = map(decimal, low_first) if decimal else low_first
+            if text[0] == "-":  # every coefficient negated; a negated 0 prints as 0
+                yield rule.family, ("-" + (sep + "-").join(coeffs)).replace("-0", "0"), text
+            else:
+                yield rule.family, sep.join(coeffs), text
         return
     family = FAMILY_TABLE[rule.family]
     texts = [str(d) for d in a.digits]
@@ -483,25 +479,18 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
     """Each plain step's value text, from the digits d of |a|, least significant first.
 
     A trim step (the split (k, alpha, beta) = (1, 1, omega)) drops the last digit d_0
-    of x and adds omega * d_0 at the low end. While x has n >= m digits, for the least
-    m with base**(m - 2) >= base**2 + |omega| * (base - 1), it runs on a buffer of x's
+    of x and adds omega * d_0 at the low end. The chain takes its first ``_carried_steps``
+    steps as they are, as ``_carried`` proves: each is positive, at least base**2 and
+    shrinking, so a carry past the top digit is one digit. They run on a buffer of x's
     digits, most significant first, carrying or borrowing only as far as it runs, and
-    its text is one ``translate``. The int chain takes each such step as it is: as
-    x >= base**(n - 1), f(x) = x // base + omega * d_0 >= base**(n - 2) - |omega| *
-    (base - 1) >= base**2, so it is positive (abs changes nothing) and too large to
-    stop; and f(x) <= x / base + |omega| * (base - 1) < x, as x >= base * base**(n - 2)
-    > base * |omega|, so it shrinks. So f(x) < base**n, and a carry past the top digit
-    is one digit. Below m digits, and in every other family, the chain steps on ints
-    with ``_plain_chain``, each value converted once by ``digits._text``.
+    each text is one ``translate``. The chain steps on from the buffer's number (in every
+    other family, from |a|) with ``_plain_chain``, each value converted once by ``digits._text``.
     """
     base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
-    handover, power, least = 2, 1, base * base + abs(beta) * (base - 1)
-    while power < least:  # power = base**(handover - 2)
-        handover, power = handover + 1, power * base
     x: _Magnitude = d
-    if (k, alpha) == (1, 1) and len(d) >= handover:
+    if (k, alpha) == (1, 1) and (steps := _carried_steps(len(d), rule)):
         buf = bytearray(d[::-1])
-        while len(buf) >= handover:
+        for _ in range(steps):
             carry, i = beta * buf.pop(), len(buf) - 1
             while carry and i >= 0:
                 carry, buf[i] = divmod(buf[i] + carry, base)
@@ -586,7 +575,7 @@ def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
     c * B * A by (B - 1) * (A * (2|beta| + 1) - |beta|) - alpha
     >= (B - 1) * (|beta| + 1) * A - alpha >= A - alpha >= 0.
 
-    The steps replaced are those that leave ``keep`` or more groups unread, with
+    The ``_carried_steps`` steps replaced are those that leave ``keep`` or more groups unread, with
     B**(keep - 1) >= c + B. In such a step t -> t + 1, H_{t+1} >= B**(keep - 1), so
     x_{t+1} >= alpha**(t + 1) * B * (B**(keep - 1) - c) >= B**2 >= base**2: the step
     is positive, so abs changes nothing, and too large to stop. Its input has
@@ -596,16 +585,10 @@ def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
     steps exactly, and it goes on from their last value as it would have.
     The groups are read lazily, and the fold sees only the ``keep`` unread top groups.
     """
-    base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
+    if not (steps := _carried_steps(len(d), rule)):
+        return d, 0
+    base, (k, alpha, beta) = rule.base, rule.split
     big = base**k
-    if not 0 < alpha <= big // 2:
-        return d, 0
-    keep, power, least = 1, 1, 2 * (abs(beta) + 1) + big
-    while power < least:  # power = B**(keep - 1)
-        keep, power = keep + 1, power * big
-    steps = -(-len(d) // k) - 1 - keep
-    if steps < 1:
-        return d, 0
     groups = islice(d, 0, None, k)
     for j in range(1, k):
         groups = map(add, groups, map((base**j).__mul__, islice(d, j, None, k)))
@@ -617,6 +600,18 @@ def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
     return s + scale * big * fold(d[k * (steps + 1) :], base), steps
 
 
+def _carried_steps(n: int, rule: TestRule) -> int:
+    """How many steps ``_carried`` proves the split chain takes exactly on an |a| of n digits."""
+    base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
+    big = base**k
+    if not 0 < alpha <= big // 2:
+        return 0
+    keep, power, least = 1, 1, 2 * (abs(beta) + 1) + big
+    while power < least:  # power = B**(keep - 1)
+        keep, power = keep + 1, power * big
+    return max(-(-n // k) - 1 - keep, 0)
+
+
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     """Drive a rule to a verdict from its chain's terminal, stepping no more than ``_terminal`` must.
 
@@ -624,6 +619,8 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     stacked chain, as left trimming always does. The trace's terminal is converted,
     and its steps built from a run of the stepped chain, only if they are read.
     """
+    if type(stacked) is not bool:
+        raise ValueError(f"stacked must be a bool, got {stacked!r:.60}")
     stacked, value = _terminal(a, rule, stacked)
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
     return Trace(rule, a, stacked, value, verdict)

@@ -476,6 +476,20 @@ def test_compare_omits_families_without_a_test_for_q(capsys):
     assert err == "error: divisor must be >= 1, got 0\n"
 
 
+def test_compare_rejects_a_malformed_or_empty_divisor_list_as_usage(capsys):
+    for q in ["abc", "7.5", "7,x", ",", ""]:  # each exited 1 or printed a header-only table
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "-q", q, "12"])
+        assert exc.value.code == 2, q
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: trimsum compare"), q
+        assert f"argument -q: expected comma-separated integer divisors, got {q!r}" in err, q
+    assert run(capsys, "compare", "-q", "7,,9", "12")[0] == 0  # an empty part is skipped, as before
+    for q in ["0", "-7"]:
+        code, out, err = run(capsys, "compare", "-q", q, "12")
+        assert (code, out) == (1, "") and err == f"error: divisor must be >= 1, got {q}\n", q
+
+
 def test_domain_errors_exit_one(capsys):
     code, out, err = run(capsys, "trim", "-q", "8", "32184")
     assert code == 1 and out == ""

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,8 @@ def test_public_entry_points_reject_wrong_types():
     calls = [
         lambda: apply_once(5, rule),
         lambda: iterate(5, rule),
+        lambda: iterate(A, rule, stacked="no"),  # ran the stacked chain
+        lambda: iterate(A, rule, stacked=[1]),
         lambda: divides_via("32184", rule),
         lambda: divides_via(A, "trim"),
         lambda: analyzer.cost_profile(5, rule),
@@ -832,7 +835,8 @@ def test_buffered_trim_traces_print_the_int_chains_text(base):
 
     Long inputs run on the digit buffer, then hand over to ints; short ones, of 2 to 12
     digits in every shape and 300 random values below base**7, cover the handover and
-    the negative steps (109 trims by 7 to -8), whose zero digits print as 0.
+    the negative steps (109 trims by 7 to -8), whose zero digits print as 0. When
+    ``_carried`` takes n steps, the n-th step's text is that of the number it reaches.
     """
     rng = random.Random(f"buffer-{base}")
     # q = c * base + 1 has omega = -c: -2, then about -10**6 / base; 1000003's omega is near q / 2 or not
@@ -855,6 +859,10 @@ def test_buffered_trim_traces_print_the_int_chains_text(base):
             zip(lines, items, _int_chain_texts(a, rule, ",\n        "), strict=True), 1
         ):
             assert line == (op, None, text) and item == (op, coeffs, text), (rule, len(a), step)
+        x, carried = families._carried(a.digits, rule)  # the buffer hands over at the verdict's number
+        if carried:
+            texts = families._plain_texts(a.digits, rule)
+            assert next(islice(texts, carried - 1, None)) == digits._text(x, base), (rule, len(a))
 
 
 # --- algebraic relations ---------------------------------------------------
