@@ -22,10 +22,11 @@ or sets the limit itself.
 Other conversions between digits and ``int`` are divide and conquer
 (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.7):
 ``fold`` splits the index range in half and joins the halves with a
-power x**h, and ``_expand_all`` (other bases, and the base-10 pieces)
-splits the value with divmod by base**h, each squaring its powers once
-per call. Below ``_LEAF`` digits they fall back to Horner's rule and to
-one divmod per digit.
+power x**h (``fold(coeffs, x, -1)`` reads the coefficients top first, as
+``fold(coeffs[::-1], x)`` would, without the copy), and ``_expand_all``
+(other bases, and the base-10 pieces) splits the value with divmod by
+base**h, each squaring its powers once per call. Below ``_LEAF`` digits
+they fall back to Horner's rule and to one divmod per digit.
 """
 
 from __future__ import annotations
@@ -52,26 +53,31 @@ _LEAF = 64
 _CHUNK = 512
 
 
-def fold(coeffs: tuple[int, ...], x: int) -> int:
-    """sum(coeffs[i] * x**i): halves joined by powers of x, down to Horner's rule on _LEAF coefficients."""
+def fold(coeffs: tuple[int, ...], x: int, order: int = 1) -> int:
+    """sum(coeffs[i] * x**i), or with order -1 fold(coeffs[::-1], x) with no reversed copy.
+
+    Halves of the (reversed) index range are joined by powers of x, down to Horner's
+    rule on _LEAF coefficients; a leaf of the reversed range is read forwards, in place.
+    """
     powers: list[int] = []  # powers[i] = x**(_LEAF * 2**i)
     while _LEAF << len(powers) < len(coeffs):
         powers.append(powers[-1] * powers[-1] if powers else x**_LEAF)
-    return _fold(coeffs, 0, len(coeffs), x, powers, len(powers))
+    return _fold(coeffs, 0, len(coeffs), x, powers, len(powers), order)
 
 
-def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int) -> int:
-    """fold(coeffs[lo:hi], x), where hi - lo <= _LEAF * 2**level, slicing coeffs only at a leaf."""
+def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int, order: int) -> int:
+    """fold(coeffs, x, order) restricted to indices lo..hi - 1 of the (reversed) range, where
+    hi - lo <= _LEAF * 2**level, slicing coeffs only at a leaf."""
     if level == 0:
-        v = 0
-        for c in reversed(coeffs[lo:hi]):
+        v, n = 0, len(coeffs)
+        for c in reversed(coeffs[lo:hi]) if order == 1 else coeffs[n - hi : n - lo]:
             v = v * x + c
         return v
     mid = lo + (_LEAF << (level - 1))
     if hi <= mid:
-        return _fold(coeffs, lo, hi, x, powers, level - 1)
-    low = _fold(coeffs, lo, mid, x, powers, level - 1)
-    return low + powers[level - 1] * _fold(coeffs, mid, hi, x, powers, level - 1)
+        return _fold(coeffs, lo, hi, x, powers, level - 1, order)
+    low = _fold(coeffs, lo, mid, x, powers, level - 1, order)
+    return low + powers[level - 1] * _fold(coeffs, mid, hi, x, powers, level - 1, order)
 
 
 def _expand(out: list[int], v: int, base: int, powers: list[int], level: int, pad: bool) -> None:

@@ -31,12 +31,12 @@ and adds omega times it at the low end, so the steps ``_carried`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
-``iterate`` and ``divides_via`` read only a chain's last number, as an int,
-from ``_terminal``. A stacked chain's last number is its whole fold, made in
-one call. A plain trim or Talmud chain is a stacked chain whose low
-coefficient carries: ``_carried`` makes the steps the chain provably takes,
-as many as ``_carried_steps`` counts, in one pass over the digit groups with
-the rule's (k, alpha, beta), and reports that count to the cost table
+``iterate`` and ``divides_via`` read one int from ``_terminal``: a stacked
+chain's whole fold, or a trim, Talmud or last-digits chain run stacked, one
+``_split_fold``. ``Trace.last`` runs the plain chain, a stacked chain whose low
+coefficient carries: ``_carried`` makes the steps it provably takes, as many
+as ``_carried_steps`` counts, in one pass over the digit groups with the
+rule's (k, alpha, beta), and reports that count to the cost table
 (``_values``); the steps after them are taken one at a time.
 """
 
@@ -69,9 +69,9 @@ NOT_DIVISIBLE = "not_divisible"
 class TestRule:
     """A divisibility test: a family plus the divisor it decides.
 
-    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives the weight omega, k and,
-    for trim, Talmud and last digits, the (k, alpha, beta) of ``_split``; every such ``split`` is
-    checked here against Zbikowski's condition, so a rule that builds is a sound test.
+    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives the weight omega, k and, for trim,
+    Talmud and last digits, the (k, alpha, beta) of ``_split``; each ``split`` is checked here against
+    Zbikowski's condition, so a rule that builds is a sound test, and must have a shape ``_split_fold`` folds.
     """
 
     family: str
@@ -95,10 +95,11 @@ class TestRule:
         omega, k, split = FAMILY_TABLE[self.family].derive(self.q, self.base)
         if split:
             width, alpha, beta = split
-            if gcd(beta, self.q) != 1 or (alpha - beta * pow(self.base, width, self.q)) % self.q:
+            shaped = beta == 1 or (width, alpha) == (1, 1)
+            if not shaped or gcd(beta, self.q) != 1 or (alpha - beta * pow(self.base, width, self.q)) % self.q:
                 raise ValueError(
-                    f"the {self.family} split (k, alpha, beta) = {split} needs gcd(beta, q) = 1 and "
-                    f"alpha = beta * base**k (mod q), got q={self.q} base={self.base}"
+                    f"the {self.family} split (k, alpha, beta) = {split} needs gcd(beta, q) = 1, "
+                    f"alpha = beta * base**k (mod q), and beta = 1 or k = alpha = 1, got q={self.q} base={self.base}"
                 )
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
@@ -158,21 +159,24 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
-    """A chain's verdict and last number; ``terminal`` and ``steps`` are built the first time they are read.
+    """A chain's verdict; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
 
-    ``render()`` and ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) also
-    run it again, making their text a step at a time with ``_step_texts`` (from the step
-    ints, or a long plain trim chain's digit buffer); they build no ``TraceStep`` and
-    leave ``steps`` unread. ``as_json()``
-    builds the same document from ``steps``. Traces are equal when their rule, input
-    and chain kind (``stacked``) are.
+    ``held`` keeps the last number a verdict read (all but a plain split rule's). ``render()`` and
+    ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) run the chain again, making their
+    text a step at a time with ``_step_texts`` (from the step ints, or a long plain trim chain's
+    digit buffer); they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()`` builds the
+    same document from ``steps``. Traces are equal when their rule, input and chain kind (``stacked``) are.
     """
 
     rule: TestRule
     a: DigitString
     stacked: bool
-    last: int = field(compare=False)
     verdict: str = field(compare=False)
+    held: int | None = field(default=None, compare=False, repr=False)  # the last number, if the verdict made it
+
+    @cached_property
+    def last(self) -> int:
+        return _plain_last(self.a.digits, self.rule) if self.held is None else self.held
 
     @cached_property
     def terminal(self) -> DigitString:
@@ -238,11 +242,8 @@ def _digits(x: _Magnitude, base: int) -> tuple[int, ...]:
 
 
 def _split(x: _Magnitude, r: TestRule) -> int:
-    """Split |a| = h * base**k + l and return alpha * h + beta * l, for the rule's (k, alpha, beta).
-
-    Trim is (k, alpha, beta) = (1, 1, omega), Talmud (2, 2, 1), last digits (k, 0, 1),
-    which reads only the low k digits. It is a test for q when beta is a unit mod q
-    and alpha = beta * base**k (mod q), for then the result is beta * |a| (mod q).
+    """Split |a| = h * base**k + l and return alpha * h + beta * l, for the rule's (k, alpha, beta):
+    trim's (1, 1, omega), Talmud's (2, 2, 1), or last digits' (k, 0, 1), which reads only the low k digits.
     """
     k, alpha, beta = r.split
     if not alpha:
@@ -259,7 +260,7 @@ def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
 
 def _sum(x: _Magnitude, r: TestRule) -> int:
     """Weighted digit sum with omega**j applied from the top digit down."""
-    return fold(_digits(x, r.base)[::-1], r.omega)
+    return fold(_digits(x, r.base), r.omega, -1)
 
 
 def _binomial(x: _Magnitude, r: TestRule) -> int:
@@ -505,8 +506,8 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
 
 
 def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
-    """How many steps of the rule's verdict chain ``_carried`` takes at once, and each later
-    step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
+    """How many steps of the chain ``iterate(a, rule)`` runs ``_carried`` takes at once, and each
+    later step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
     """
     order, folds = _chain(a, rule, False)
     if order is None:
@@ -540,19 +541,37 @@ def _folded(folds: Iterator[int], a: DigitString, order: int, weight: int) -> It
         acc = following
 
 
-def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int]:
-    """Whether the chain ran stacked, and its last number: |a| if it takes no step.
-
-    Nothing steps a stacked chain: its last number is its whole fold, the sum test's
-    value for trim and the binomial test's for left trim. A plain split chain
-    (trim, Talmud) takes the steps ``_carried`` proves it takes as one carried stack,
-    then steps on from that number with ``_plain_chain``'s stopping rule.
+def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int | None, int]:
+    """Whether the chain ran stacked, its last number (None for a plain split rule, whose verdict is
+    its ``_split_fold``), and the int the verdict reads: q divides it exactly when it divides a.
+    A stacked chain's last number is its whole fold: the sum test's for trim, the binomial test's for left trim.
     """
     (order, family), d = _chain_kind(a, rule, stacked), a.digits
-    if order:
-        return True, fold(d[::-order], family.weight(rule))
+    if not order and rule.split:
+        return False, None, _split_fold(d, rule)
+    last = fold(d, family.weight(rule), -order) if order else _plain_last(d, rule)
+    return bool(order), last, last
+
+
+def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
+    """The split chain run on stacked base-B groups D_i of |a| (B = base**k) to one coefficient,
+    sum(alpha**i * beta**(N - 1 - i) * D_i): beta**(N - 1) * |a| (mod q), for alpha = beta * B.
+
+    Trim (k = alpha = 1) is Horner from the top digit with beta, Khare's sum. With beta = 1 it
+    is fold(groups, alpha), as sum(base**j * fold(d[j::k], alpha)); last digits (alpha = 0)
+    reads only its first group. ``TestRule`` admits no other shape.
+    """
+    base, (k, alpha, beta) = rule.base, rule.split
+    if k == alpha == 1:
+        return fold(d, beta, -1)
+    top = len(d) if alpha else k
+    return sum(base**j * fold(d[j:top:k], alpha) for j in range(k))
+
+
+def _plain_last(d: tuple[int, ...], rule: TestRule) -> int:
+    """The plain chain's last number, |a| if it takes no step: ``_carried``'s steps, then ``_plain_chain``'s."""
     last = deque(_plain_chain(_carried(d, rule)[0], rule), maxlen=1)
-    return False, last[0] if last else fold(d, a.base)
+    return last[0] if last else fold(d, rule.base)
 
 
 def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
@@ -613,19 +632,19 @@ def _carried_steps(n: int, rule: TestRule) -> int:
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict from its chain's terminal, stepping no more than ``_terminal`` must.
+    """Drive a rule to a verdict: a split rule's from its chain run stacked, any other's from its terminal.
 
-    The verdict is the terminal mod q. ``stacked=True`` (trim only) runs the
-    stacked chain, as left trimming always does. The trace's terminal is converted,
-    and its steps built from a run of the stepped chain, only if they are read.
+    ``stacked=True`` (trim only) runs the stacked chain, as left trimming always does.
+    A split rule's plain chain runs, the terminal is converted and the steps are built
+    only when they are read.
     """
     if type(stacked) is not bool:
         raise ValueError(f"stacked must be a bool, got {stacked!r:.60}")
-    stacked, value = _terminal(a, rule, stacked)
+    stacked, last, value = _terminal(a, rule, stacked)
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
-    return Trace(rule, a, stacked, value, verdict)
+    return Trace(rule, a, stacked, verdict, last)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a from the rule's chain's terminal, as ``iterate`` does, converting nothing."""
-    return _terminal(a, rule, False)[1] % rule.q == 0
+    """Decide q | a as ``iterate`` does: a split rule from one stacked fold, converting nothing."""
+    return _terminal(a, rule, False)[2] % rule.q == 0

@@ -310,6 +310,14 @@ def test_fold_with_signed_coefficients(x):
         assert digits.fold(coeffs, x) == _horner(coeffs, x), n
 
 
+@pytest.mark.parametrize("x", [-5, -1, 0, 1, 2, 36])
+def test_fold_reads_its_coefficients_in_either_order(x):
+    rng = random.Random(f"order-{x}")
+    for n in [1, 1000] + [(digits._LEAF << j) + e for j in range(5) for e in (-1, 1)]:
+        coeffs = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+        assert digits.fold(coeffs, x, -1) == digits.fold(coeffs[::-1], x) == _horner(coeffs[::-1], x), n
+
+
 # the leaf, the 512-digit base-10 piece and the 4300-digit default int->str limit, each +-1
 _BOUNDARY_LENGTHS = (1, 63, 64, 65, 511, 512, 513, 4299, 4300, 4301, 10**4)
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -199,6 +199,18 @@ def test_split_families_build_exactly_when_their_obligation_holds(base):
 
 
 @pytest.mark.parametrize("family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8)])
+def test_a_split_rule_has_one_of_the_two_folded_shapes(monkeypatch, family, q):
+    """beta = 1 or k = alpha = 1: a sound split of any other shape builds no rule either."""
+    record = FAMILY_TABLE[family]
+    omega, k, _ = record.derive(q, 10)
+    bad = (3, 32, 3)  # sound for q = 7 and q = 8 in base 10: 3 * 1000 = 32 mod 56
+    assert math.gcd(3, q) == 1 and (32 - 3 * 10**3) % q == 0
+    monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(record, derive=lambda q, base: (omega, k, bad)))
+    with pytest.raises(ValueError, match=r"\(k, alpha, beta\) = \(3, 32, 3\) needs .* beta = 1 or k = alpha = 1"):
+        TestRule(family, q)
+
+
+@pytest.mark.parametrize("family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8)])
 def test_every_split_rule_is_checked_against_the_obligation(monkeypatch, family, q):
     """A derive whose (k, alpha, beta) breaks Zbikowski's condition builds no rule, in any split family."""
     record = FAMILY_TABLE[family]
@@ -302,9 +314,9 @@ def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
 def test_chains_collapse_only_their_terminal(monkeypatch):
     fold, calls = families.fold, []
 
-    def counting_fold(coeffs, x):
+    def counting_fold(coeffs, x, order=1):
         calls.append(coeffs)
-        return fold(coeffs, x)
+        return fold(coeffs, x, order)
 
     monkeypatch.setattr(families, "fold", counting_fold)
     a = parse("3" * 50)
@@ -318,7 +330,14 @@ def test_chains_collapse_only_their_terminal(monkeypatch):
 
 @pytest.mark.parametrize(
     "rule,length,limit",
-    [(TestRule.left_trim(7), 3000, 1024 * 1024), (TestRule.trim(7), 300, 64 * 1024)],
+    [
+        (TestRule.left_trim(7), 3000, 1024 * 1024),
+        (TestRule.trim(7), 300, 64 * 1024),
+        # a reversed or padded copy of 3000 digits takes 24 kB; Talmud's strided folds read
+        # its even digits, then its odd ones, 12 kB at a time
+        (TestRule.trim(7), 3000, 16 * 1024),
+        (TestRule.talmud(), 3000, 20 * 1024),
+    ],
 )
 def test_verdicts_keep_only_the_current_number(rule, length, limit):
     text = next(_long_digit_texts(10, length))
@@ -584,9 +603,9 @@ def _less(ds, base, r):
 def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     fold, from_int, folded, converted = families.fold, DigitString.from_int.__func__, [], []
 
-    def recording_fold(coeffs, x):
-        folded.append(len(coeffs))
-        return fold(coeffs, x)
+    def recording_fold(coeffs, x, order=1):
+        folded.append((coeffs, x, order))
+        return fold(coeffs, x, order)
 
     def counting_from_int(cls, value, base=10):
         converted.append(value)
@@ -595,12 +614,14 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     monkeypatch.setattr(families, "fold", recording_fold)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     a = parse(next(_long_digit_texts(10, 3000)))
-    # omega = -2 and Talmud's beta = 1 leave three base-10 groups unread for trim and
-    # three base-100 groups for Talmud: the one fold reads those top digits
-    for rule, top in ((TestRule.trim(7), 3), (TestRule.talmud(), 6)):
+    # trim folds all 3000 digits from the top with omega = -2, in place; Talmud folds
+    # its base-100 groups with 2, as the even digits plus 10 times the odd ones
+    talmud_reads = [(a.digits[0::2], 2, 1), (a.digits[1::2], 2, 1)]
+    for rule, reads in ((TestRule.trim(7), [(a.digits, -2, -1)]), (TestRule.talmud(), talmud_reads)):
         folded.clear()
         assert divides_via(a, rule) is (_remainder(a.digits, 10, rule.q) == 0)
-        assert folded == [top] and converted == []
+        assert folded == reads and converted == []
+        assert rule.family != "trim" or folded[0][0] is a.digits  # the input itself, not a copy
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
@@ -687,6 +708,44 @@ def test_carried_split_terminals_match_stepping_on_long_inputs(base):
                 terminal, _, _ = _split_chain(x, base, k, alpha, beta)
                 assert divides_via(a, rule) is (terminal % rule.q == 0), (rule, length, ds[-3:])
                 assert iterate(a, rule).terminal.value == terminal, (rule, length, ds[-3:])
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_split_verdicts_and_their_lazy_terminals_agree_on_long_inputs(base):
+    """A split rule's verdict is its stacked chain's fold; its terminal is the plain chain's,
+    run only when ``Trace.last`` is read. q divides both or neither."""
+    rng = random.Random(f"drift-{base}")
+    rules = [TestRule.trim(q, base) for q in (base - 1, base + 1, 1000003) if math.gcd(q, base) == 1]
+    rules.append(TestRule("talmud", {2: 2, 10: 7, 36: 647}[base], base))
+    rules += [TestRule.last_digits(q, base) for q in {2: (2, 8, 2**20), 10: (8, 16, 4000), 36: (6, 432, 3**7)}[base]]
+    for length in _long_lengths(3):
+        for ds in _adversarial_digits(base, length, rng):
+            a = DigitString(1, base, ds)
+            for rule in rules:
+                trace = iterate(a, rule)
+                assert "last" not in vars(trace), rule  # the verdict ran no plain chain
+                terminal = trace.terminal.value
+                assert trace.last == terminal, (rule, length, ds[-3:])
+                verdict = DIVISIBLE if terminal % rule.q == 0 else NOT_DIVISIBLE
+                assert trace.verdict == verdict, (rule, length, ds[-3:])
+
+
+def test_split_verdicts_run_no_carried_stack(monkeypatch):
+    carried, calls = families._carried, []
+
+    def counting_carried(d, rule):
+        calls.append(rule)
+        return carried(d, rule)
+
+    monkeypatch.setattr(families, "_carried", counting_carried)
+    a = parse(next(_long_digit_texts(10, 3000)))
+    for rule in (TestRule.trim(7), TestRule.talmud(), TestRule.last_digits(8)):
+        calls.clear()
+        divisible = _remainder(a.digits, 10, rule.q) == 0
+        assert divides_via(a, rule) is divisible
+        trace = iterate(a, rule)
+        assert (trace.verdict == DIVISIBLE) is divisible and calls == []
+        assert trace.terminal == trace.terminal and calls == [rule]  # run once, when first read
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
