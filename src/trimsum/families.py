@@ -37,7 +37,8 @@ chain's whole fold, or a trim, Talmud or last-digits chain run stacked, one
 coefficient carries: ``_carried`` makes the steps it provably takes, as many
 as ``_carried_steps`` counts, in one pass over the digit groups with the
 rule's (k, alpha, beta), and reports that count to the cost table
-(``_values``); the steps after them are taken one at a time.
+(``_values``); the steps after them are taken one at a time. A printed trace
+reads neither: it ends at its own last step, so it runs its chain once.
 """
 
 from __future__ import annotations
@@ -162,10 +163,12 @@ class Trace:
     """A chain's verdict; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
 
     ``held`` keeps the last number a verdict read (all but a plain split rule's). ``render()`` and
-    ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) run the chain again, making their
+    ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) run the chain once, making their
     text a step at a time with ``_step_texts`` (from the step ints, or a long plain trim chain's
     digit buffer); they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()`` builds the
-    same document from ``steps``. Traces are equal when their rule, input and chain kind (``stacked``) are.
+    same document from ``steps``. Each printed form ends at its own last step, whose value is the
+    terminal (|a| if the chain takes no step), so none reads ``last`` or ``terminal``.
+    Traces are equal when their rule, input and chain kind (``stacked``) are.
     """
 
     rule: TestRule
@@ -187,27 +190,33 @@ class Trace:
         return tuple(_steps(self.a, self.rule, self.stacked))
 
     def as_json(self) -> dict:
-        terminal = self.terminal.render()  # rejects a base without a text form before any step is built
+        """The ``trace --json`` document: each step's ``coeffs`` are ints, its value and the terminal digit text.
+
+        A stacked or left-trim fold of over 4300 decimal digits is an int that ``json.dumps``
+        refuses to write under Python's default int-to-str limit, and that ``json.loads`` refuses
+        to read from ``trace --json``, which prints it as a JSON integer all the same.
+        """
+        terminal = abs(self.a).render()  # rejects a base without a text form before any step is built
         base = self.rule.base
-        return {
-            "rule": self.rule.as_json(),
-            "steps": [{"op": s.op, "coeffs": list(s.coeffs), "collapsed": _text(s.value, base)} for s in self.steps],
-            "terminal": terminal,
-            "verdict": self.verdict,
-        }
+        steps = [{"op": s.op, "coeffs": list(s.coeffs), "collapsed": _text(s.value, base)} for s in self.steps]
+        terminal = steps[-1]["collapsed"] if steps else terminal  # where the chain ends: its last step, or |a|
+        return {"rule": self.rule.as_json(), "steps": steps, "terminal": terminal, "verdict": self.verdict}
 
     def render(self) -> str:
         """The ``trace`` command's text; a stacked chain step also shows its coefficients."""
         return "\n".join(self._lines())
 
     def _lines(self) -> Iterator[str]:
-        """``render()`` a line at a time, from the chain's step ints; checks the base first."""
-        rule, terminal = self.rule, self.terminal.render()  # checks the base, as in as_json
+        """``render()`` a line at a time, from the chain's step ints; checks the base first.
+
+        Each step's value text is bound to ``terminal``, so the ``terminal:`` line prints the last one.
+        """
+        rule, terminal = self.rule, abs(self.a).render()  # checks the base, as in as_json
         omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
         yield f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"
         sep = ", " if self.stacked else None  # a plain step's line shows no coefficients
-        for i, (op, coeffs, value) in enumerate(_step_texts(self.a, rule, self.stacked, sep), start=1):
-            yield f"step {i}: {op} -> [{coeffs}] = {value}" if sep else f"step {i}: {op} -> {value}"
+        for i, (op, coeffs, terminal) in enumerate(_step_texts(self.a, rule, self.stacked, sep), start=1):
+            yield f"step {i}: {op} -> [{coeffs}] = {terminal}" if sep else f"step {i}: {op} -> {terminal}"
         yield f"terminal: {terminal}"
         yield f"verdict: {self.verdict.replace('_', ' ')}"
 
@@ -215,19 +224,20 @@ class Trace:
         """``json.dumps(self.as_json(), indent=2) + "\\n"`` a step at a time; checks the base first.
 
         Names, the verdict and digit text never need JSON escaping, so each chunk is
-        formatted directly, in the indenting encoder's layout.
+        formatted directly, in the indenting encoder's layout. As in ``_lines``, the
+        ``"terminal"`` is the last step's value text, or |a|'s.
         """
-        rule, terminal = self.rule, self.terminal.render()
+        rule, terminal = self.rule, abs(self.a).render()
         omega = "null" if rule.omega is None else rule.omega
         yield (
             f'{{\n  "rule": {{\n    "family": "{rule.family}",\n    "q": {rule.q},\n'
             f'    "base": {rule.base},\n    "omega": {omega}\n  }},\n  "steps": ['
         )
         lead, close = "\n", "]"  # an empty list stays on one line
-        for op, coeffs, value in _step_texts(self.a, rule, self.stacked, ",\n        "):
+        for op, coeffs, terminal in _step_texts(self.a, rule, self.stacked, ",\n        "):
             yield (
                 f'{lead}    {{\n      "op": "{op}",\n      "coeffs": [\n        {coeffs}\n      ],\n'
-                f'      "collapsed": "{value}"\n    }}'
+                f'      "collapsed": "{terminal}"\n    }}'
             )
             lead, close = ",\n", "\n  ]"
         yield f'{close},\n  "terminal": "{terminal}",\n  "verdict": "{self.verdict}"\n}}\n'
@@ -620,7 +630,11 @@ def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
 
 
 def _carried_steps(n: int, rule: TestRule) -> int:
-    """How many steps ``_carried`` proves the split chain takes exactly on an |a| of n digits."""
+    """How many steps ``_carried`` proves the split chain takes exactly on an |a| of n digits.
+
+    The bound is not tight: ``least`` one lower gives the same keep for every rule. That keep
+    differs only if some B**m = least - 1, that is B**m - B = 2 * |beta| + 1, and B**m - B is even.
+    """
     base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
     big = base**k
     if not 0 < alpha <= big // 2:

@@ -3,15 +3,17 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 
 import pytest
 
-from trimsum import cli
+from trimsum import cli, families
 from trimsum.cli import main
-from trimsum.digits import parse
+from trimsum.digits import DigitString, parse
 from trimsum.families import FAMILIES, TestRule, iterate
 from trimsum.oracle import random_digit_string
 
@@ -337,6 +339,19 @@ def test_streamed_trace_prints_values_past_the_int_to_str_limit(capsys):
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_trace_json_prints_a_fold_past_the_int_to_str_limit_as_a_json_integer(capsys):
+    rng = random.Random(4300)
+    text = str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(499))
+    rule = TestRule.left_trim(10**9 + 7)  # each step's fold grows by about nine digits
+    code, out, err = run(capsys, "trace", "--json", "--family", "left_trim", "-q", str(rule.q), text)
+    assert (code, err) == (0, "")
+    doc = iterate(parse(text), rule).as_json()
+    assert json.loads(out, parse_int=lambda s: parse(s).value) == doc
+    with pytest.raises(ValueError):  # a fold of over 4300 digits: str() refuses it under the default limit
+        json.dumps(doc)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 def test_streamed_trace_under_the_least_int_to_str_limit(capsys):
     a, limit = _long_binomial_input(), sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -367,6 +382,103 @@ def test_cli_trace_memory_does_not_grow_with_the_whole_trace(mode):
         tracemalloc.stop()
     assert code == 0
     assert peak < 1024 * 1024  # the whole document peaked at about 110 MiB (json) and 20 MiB (text)
+
+
+class _Tail(_Discard):
+    """Keeps a trace's last two writes: its terminal and verdict lines, or its last step and closing chunk."""
+
+    def __init__(self):
+        self.tail = ["", ""]
+
+    def write(self, text):
+        self.tail = [self.tail[-1], text]
+        return len(text)
+
+
+def _printed_terminal(text):
+    """The terminal a trace's text or JSON prints."""
+    match = re.search(r'^terminal: (.*)$|^  "terminal": "(.*)",$', text, re.M)
+    return match[1] or match[2]
+
+
+def _trace_argv(a, rule, stacked):
+    stacked_flag = ["--stacked"] if stacked else []
+    return ["trace", *stacked_flag, "--family", rule.family, "-q", str(rule.q), "--base", str(a.base), "--", a.render()]
+
+
+def _cli_tail(argv):
+    out = _Tail()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv[:-1]
+    return "".join(out.tail)
+
+
+def _one_rule_of_each_family(base):
+    """(rule, stacked) for every family in base, and stacked trim."""
+    q, talmud = {2: (3, 2), 10: (7, 7), 36: (37, 647)}[base]  # base**2 = 2 (mod talmud)
+    rules = [(TestRule(family, q, base), False) for family in ("trim", "left_trim", "sum", "binomial")]
+    rules += [(TestRule.trim(q, base), True), (TestRule("talmud", talmud, base), False)]
+    return rules + [(TestRule.last_digits(8, base), False)]
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_every_printed_terminal_is_the_one_iterate_reads(base):
+    """Each printed form's terminal equals ``iterate(...).terminal``, read on a separate trace."""
+    rng = random.Random(2200 + base)
+    values = [rng.randrange(base ** (n - 1) if n > 1 else 0, base**n) for n in (1, 2, 3, 4, 40)]
+    values += [base ** (n - 1) for n in (5, 13)] + [base**n - 1 for n in (5, 13)]  # 1 0...0, all base - 1
+    rules = _one_rule_of_each_family(base)
+    cases = [(DigitString.from_int(sign * v, base), *rule) for v in values for sign in (1, -1) for rule in rules]
+    if base == 10:  # long enough that a trim trace hands over from its digit buffer to int steps
+        long = parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(2999)))
+        cases += [(long, TestRule.trim(7), False), (long, TestRule.talmud(), False)]
+    steps = set()
+    for a, rule, stacked in cases:
+        terminal = iterate(a, rule, stacked=stacked).terminal.render()
+        trace = iterate(a, rule, stacked=stacked)
+        argv = _trace_argv(a, rule, stacked)
+        doc = trace.as_json()
+        printed = [
+            _printed_terminal(trace.render()),
+            _printed_terminal(deque(trace._json_chunks(), maxlen=1)[0]),
+            _printed_terminal(_cli_tail(argv)),
+            _printed_terminal(_cli_tail(["trace", "--json", *argv[1:]])),
+            doc["terminal"],
+        ]
+        assert printed == [terminal] * 5, (rule, stacked, a.render()[:20])
+        steps.add(min(len(doc["steps"]), 3))
+    assert steps == {0, 1, 2, 3}  # chains of no step, one, two and more
+
+
+def test_printed_traces_run_no_carried_stack_and_convert_nothing(monkeypatch):
+    rng = random.Random(2201)
+    inputs = [parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(299))), parse("-32184")]
+    inputs.append(DigitString.from_int(rng.randrange(36**299, 36**300), 36))
+    carried, from_int, calls = families._carried, DigitString.from_int.__func__, []
+
+    def counting_carried(d, rule):
+        calls.append(("_carried", rule))
+        return carried(d, rule)
+
+    def counting_from_int(cls, value, base=10):
+        calls.append(("from_int", value))
+        return from_int(cls, value, base)
+
+    monkeypatch.setattr(families, "_carried", counting_carried)
+    monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
+    for a in inputs:
+        for rule, stacked in _one_rule_of_each_family(a.base):
+            trace = iterate(a, rule, stacked=stacked)  # a sum or binomial verdict runs _carried, which takes no step
+            calls.clear()
+            trace.render()
+            deque(trace._json_chunks(), maxlen=0)
+            trace.as_json()
+            assert calls == [], (rule, stacked)
+            if rule.family in ("trim", "talmud", "left_trim"):
+                argv = _trace_argv(a, rule, stacked)
+                _cli_tail(argv)
+                _cli_tail(["trace", "--json", *argv[1:]])
+                assert calls == [], (rule, stacked)
 
 
 def test_negative_numbers_with_letters_are_numbers_not_options(capsys):
