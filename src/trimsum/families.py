@@ -22,10 +22,10 @@ step on the previous step's int: trim, Talmud and last digits split it
 with divmod, sum and binomial expand it to digits, and nothing converts
 to a ``DigitString`` but a trace. The stacked trim and left-trim chains
 are the sum and binomial formulas run one digit at a time: a running
-Horner fold that rewrites no digits. ``_chain`` yields each chain's step
-results as ints, and ``_folded`` carries a stacked step's value beside its
-fold; from that one stream ``_steps`` makes the trace steps, and
-``_step_texts`` the text a stacked trace prints, one at a time. A plain
+Horner fold that rewrites no digits. ``_folded`` takes each stacked step's
+fold and carries its value beside it, and ``_plain_chain`` yields each plain
+step's int; from these ``_steps`` makes the trace steps, and ``_step_texts``
+the text a stacked trace prints, one at a time. A plain
 trace's text comes from ``_plain_texts``: a trim step drops the last digit
 and adds omega times it at the low end, so the steps ``_carried`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
@@ -51,7 +51,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _digits_of, _text, fold
+from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _text, fold
 from .weights import weight_inverse
 
 TRIM = "trim"
@@ -197,8 +197,9 @@ class Trace:
         to read from ``trace --json``, which prints it as a JSON integer all the same.
         """
         terminal = abs(self.a).render()  # rejects a base without a text form before any step is built
-        base = self.rule.base
-        steps = [{"op": s.op, "coeffs": list(s.coeffs), "collapsed": _text(s.value, base)} for s in self.steps]
+        base, plain = self.rule.base, not self.stacked  # a non-negative plain step's coeffs are its digits
+        texts = (_chars(s.coeffs[::-1]) if plain and s.value >= 0 else _text(s.value, base) for s in self.steps)
+        steps = [{"op": s.op, "coeffs": list(s.coeffs), "collapsed": t} for s, t in zip(self.steps, texts)]
         terminal = steps[-1]["collapsed"] if steps else terminal  # where the chain ends: its last step, or |a|
         return {"rule": self.rule.as_json(), "steps": steps, "terminal": terminal, "verdict": self.verdict}
 
@@ -323,7 +324,7 @@ class Family:
     digit_ops: Callable[[int, list[int]], int]  # multiply-adds, from the step count and the lengths measured
     chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
     chain_op: str | None = None  # the op name of the stacked chain's trace steps
-    always_stacked: bool = False  # _chain runs it stacked even without stacked=True
+    always_stacked: bool = False  # its chain runs stacked even without stacked=True
     default_q: int | None = None  # the divisor the family is fixed at, if any
 
 
@@ -360,20 +361,6 @@ def apply_once(a: DigitString, rule: TestRule) -> DigitString:
 
 # perfbench/ladder.py times one trim step under this name
 trim = apply_once
-
-
-def _chain(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Iterator[int]]:
-    """The stacked chain's fold order (None if plain), and the chain's step results.
-
-    A stacked chain is the running fold acc = acc * weight + next digit, made
-    one step at a time: trim's from the last digit up with omega (ending at the
-    sum test), left trim's from the top digit down with base - q (the binomial test).
-    """
-    order, family = _chain_kind(a, rule, stacked)
-    if order:
-        weight = family.weight(rule)
-        return order, islice(accumulate(a.digits[::order], lambda acc, d: acc * weight + d), 1, None)
-    return None, _plain_chain(a.digits, rule)
 
 
 def _chain_kind(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Family]:
@@ -422,19 +409,19 @@ def _smaller(m: int, x: _Magnitude, base: int) -> bool:
 
 
 def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]:
-    """Each of the chain's steps as a ``TraceStep``, made from the stream ``_step_texts`` prints.
+    """Each of the chain's steps as a ``TraceStep``, from ``_plain_chain``'s ints or ``_folded``'s folds.
 
     A stacked chain's step i holds the fold of i + 1 digits in the last folded digit's
     slot, beside the digits not yet folded, so its last step is the 1-tuple of the fold.
     """
-    base, (order, numbers) = rule.base, _chain(a, rule, stacked)
+    base, (order, family) = rule.base, _chain_kind(a, rule, stacked)
     if order is None:
-        for v in numbers:
+        for v in _plain_chain(a.digits, rule):
             ds = _digits_of(abs(v), base)
             yield TraceStep(rule.family, v, ds if v >= 0 else tuple(-d for d in ds), base)
         return
-    d, family = a.digits[::order], FAMILY_TABLE[rule.family]
-    for folded, (acc, value) in enumerate(_folded(numbers, a, order, family.weight(rule)), 2):
+    d = a.digits[::order]
+    for folded, (acc, value) in enumerate(_folded(a, order, family.weight(rule)), 2):
         yield TraceStep(family.chain_op, value, ((acc,) + d[folded:])[::order], base)
 
 
@@ -446,12 +433,11 @@ def _step_texts(
     A plain step's value text comes from ``_plain_texts``, and its coefficients (None if
     sep is None) are read off that text in one loop: its digits, low first, each mapped
     to its decimal text above base 10, and negated with it. A stacked step's value
-    comes from the chain's step ints, converted once by ``digits._text`` and carried
-    from the step before, with no fold per step; its coefficients are its fold beside
-    the digits not yet folded, whose texts are joined once per trace.
+    comes from ``_folded``, converted once by ``digits._text`` and carried from the
+    step before, with no fold per step; its coefficients are its fold beside the
+    digits not yet folded, whose texts are joined once per trace.
     """
-    base = rule.base
-    order, numbers = _chain(a, rule, stacked)
+    base, (order, family) = rule.base, _chain_kind(a, rule, stacked)
     if order is None:
         texts = _plain_texts(a.digits, rule)
         if sep is None:
@@ -466,10 +452,9 @@ def _step_texts(
             else:
                 yield rule.family, sep.join(coeffs), text
         return
-    family = FAMILY_TABLE[rule.family]
     texts = [str(d) for d in a.digits]
     ends = list(accumulate((len(t) + len(sep) for t in texts), initial=0))
-    steps = enumerate(_folded(numbers, a, order, family.weight(rule)), start=2)
+    steps = enumerate(_folded(a, order, family.weight(rule)), start=2)
     if order == 1:  # the fold of the low digits, then the digits not yet folded
         tail = "".join(sep + t for t in texts)
         for folded, (acc, value) in steps:
@@ -519,36 +504,34 @@ def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
     """How many steps of the chain ``iterate(a, rule)`` runs ``_carried`` takes at once, and each
     later step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
     """
-    order, folds = _chain(a, rule, False)
+    order, family = _chain_kind(a, rule, False)
     if order is None:
         x, carried = _carried(a.digits, rule)
         return carried, _plain_chain(x, rule)
-    return 0, (value for _, value in _folded(folds, a, order, FAMILY_TABLE[rule.family].weight(rule)))
+    return 0, (value for _, value in _folded(a, order, family.weight(rule)))
 
 
-def _folded(folds: Iterator[int], a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]]:
-    """Each stacked step's fold and value, the value carried from the step before.
+def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]]:
+    """Each stacked step's fold, acc * weight + the next of a.digits[::order], and its value, carried step to step.
 
-    Trim folds from the last digit up: v' = (v - acc) / base + weight * acc, the
-    slot of acc dropped and its fold moved into the next. Left trim folds from the
-    top digit down: folding in the digit below acc moves the value by
+    Trim folds from the last digit up with omega, ending at the sum test:
+    v' = (v - acc) / base + weight * acc, the slot of acc dropped and its fold moved
+    into the next. Left trim folds from the top digit down with base - q, ending at
+    the binomial test: folding in the digit below acc moves the value by
     (weight - base) * acc * base**r, where r digits are still unfolded.
     """
     base, d = a.base, a.digits
-    value = fold(d, base)
-    if order == 1:
-        acc = d[0]
-        for following in folds:
+    value, power = fold(d, base), base ** (len(d) - 1)
+    digits = iter(d[::order])
+    acc = next(digits)
+    for digit in digits:
+        if order == 1:
             value = (value - acc) // base + weight * acc
-            yield following, value
-            acc = following
-        return
-    acc, power = d[-1], base ** (len(d) - 1)
-    for following in folds:
-        power //= base
-        value += (weight - base) * acc * power
-        yield following, value
-        acc = following
+        else:
+            power //= base
+            value += (weight - base) * acc * power
+        acc = acc * weight + digit
+        yield acc, value
 
 
 def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int | None, int]:

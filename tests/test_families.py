@@ -3,7 +3,7 @@ import json
 import math
 import random
 import tracemalloc
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -511,7 +511,7 @@ def test_stepped_stacked_chains_end_at_the_digit_sums(v, base, q):
     if math.gcd(q, base) == 1:
         chains.append((TestRule.trim(q, base), True, TestRule.sum(q, base)))
     for rule, stacked, summing in chains:
-        *_, last = v, *families._chain(a, rule, stacked)[1]  # |a| if the chain takes no step
+        *_, last = v, *(s.value for s in iterate(a, rule, stacked=stacked).steps)  # |a| if the chain takes no step
         assert last == apply_once(a, summing).value
 
 
@@ -758,7 +758,9 @@ def test_folded_stacked_terminals_match_the_stepped_chain_on_long_inputs(base):
         for ds in _adversarial_digits(base, length, rng):
             a = DigitString(1, base, ds)
             for rule, stacked in rules:
-                *_, terminal = families._chain(a, rule, stacked)[1]
+                # the whole fold: trim's from the last digit up with omega, left trim's from the top down with base - q
+                weight = rule.omega if stacked else base - rule.q
+                *_, terminal = accumulate(ds[:: 1 if stacked else -1], lambda acc, d: acc * weight + d)
                 trace = iterate(a, rule, stacked=stacked)
                 assert trace.terminal.value == terminal, (rule, length, ds[-3:])
                 assert trace.verdict == (DIVISIBLE if terminal % rule.q == 0 else NOT_DIVISIBLE)
@@ -881,7 +883,7 @@ def _int_chain_texts(a, rule, sep):
     A step's coefficients are its digits, least significant first, negated with it;
     their decimal texts are joined by sep.
     """
-    for v in families._chain(a, rule, False)[1]:
+    for v in families._plain_chain(a.digits, rule):
         ds = digits._digits_of(abs(v), rule.base)
         text = "".join(map("0123456789abcdefghijklmnopqrstuvwxyz".__getitem__, reversed(ds)))
         decimal = _DECIMAL if v >= 0 else _NEGATED

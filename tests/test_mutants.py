@@ -1,12 +1,13 @@
-"""Mutants of the split verdict's fold, the trace buffer and the rule obligation: each is
-killed by a small fixed input set.
+"""Mutants of the split verdict's fold, the trace buffer, the stacked chain's fold and the
+rule obligation: each is killed by a small fixed input set.
 
 A mutant is one function of the library recompiled from its source with one snippet
 replaced, and monkeypatched in. Every case is judged against ``oracle.remainder``, and
-its terminal and printed trace (every step value and the ``terminal:`` line) against
-the plain chain stepped here on ints; the unmutated code passes every case, and each
-mutant fails at least one. A rule the obligation rejects is skipped, so a mutant that
-lets it build is judged by its verdicts.
+its terminal and printed trace (every step's value and coefficients and the ``terminal:``
+line) against its chain made here: a split rule's stepped on ints, a stacked-trim or
+left-trim rule's folded one digit at a time. The unmutated code passes every case, and
+each mutant fails at least one. A rule the obligation rejects is skipped, so a mutant
+that lets it build is judged by its verdicts.
 """
 
 import __future__
@@ -22,6 +23,14 @@ from trimsum.digits import DigitString
 from trimsum.families import DIVISIBLE, TestRule, divides_via, iterate
 from trimsum.oracle import remainder
 
+# _folded's loop body: the value moves by the fold before the next digit, then that digit is folded in
+_FOLD_STEP = """if order == 1:
+            value = (value - acc) // base + weight * acc
+        else:
+            power //= base
+            value += (weight - base) * acc * power
+        acc = acc * weight + digit"""
+
 # name: (module, function, snippet, its replacement)
 MUTANTS = {
     "order_flipped": (families, "_split_fold", "fold(d, beta, -1)", "fold(d, beta)"),
@@ -34,6 +43,15 @@ MUTANTS = {
     # the trace buffer's borrow or carry never reaches the top digit
     "buffer_borrow_stops_early": (families, "_plain_texts", "while carry and i >= 0", "while carry and i > 0"),
     "buffer_top_carry_dropped": (families, "_plain_texts", "buf.insert(0, carry)", "None"),
+    # the stacked value moved by the fold that has taken in the next digit
+    "value_from_new_fold": (
+        families,
+        "_folded",
+        _FOLD_STEP,
+        "acc = acc * weight + digit\n        " + _FOLD_STEP.rsplit("\n", 1)[0],
+    ),
+    "left_power_one_digit_off": (families, "_folded", "base ** (len(d) - 1)", "base ** len(d)"),
+    "fold_with_base_not_weight": (families, "_folded", "acc = acc * weight + digit", "acc = acc * base + digit"),
     "obligation_skipped": (
         TestRule,
         "__post_init__",
@@ -66,17 +84,19 @@ RULES = [
     ("talmud", 647, 36),
     ("talmud", 5, 36),
 ]
+# stacked trim and left trim, run stacked: (family, q, base)
+STACKED = [(family, q, base) for family in ("trim", "left_trim") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # one digit, the lengths around the chain's carried steps, and fold's leaf and its multiples
 LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 13, 64, 65, 129, 200)
 
 
 def _cases():
-    """(rule, |a|) pairs: random values and the multiples of q below them, 1 0 ... 0 r, and
+    """(rule, stacked, |a|): random values and the multiples of q below them, 1 0 ... 0 r, and
     1 0 ... 0 and all base - 1 of 5 to 13 digits, whose chains borrow or carry into the top digit.
     A rule the code rejects yields no case.
     """
     rng = random.Random(21)
-    for spec in RULES:
+    for spec, stacked in [(spec, False) for spec in RULES] + [(spec, True) for spec in STACKED]:
         try:
             rule = TestRule(*spec)
         except ValueError:
@@ -84,53 +104,84 @@ def _cases():
         base = rule.base
         for n in LENGTHS:
             v = rng.randrange(base ** (n - 1), base**n) if n > 1 else rng.randrange(base)
-            yield rule, v
-            yield rule, v - v % rule.q
+            yield rule, stacked, v
+            yield rule, stacked, v - v % rule.q
         for r in range(base):
-            yield rule, base**3 + r
+            yield rule, stacked, base**3 + r
         for n in range(5, 14):
-            yield rule, base ** (n - 1)
-            yield rule, base**n - 1
+            yield rule, stacked, base ** (n - 1)
+            yield rule, stacked, base**n - 1
 
 
 def _stepped(x, rule):
-    """The plain split chain's step values from x = |a|, one int step at a time."""
+    """The plain split chain's steps from x = |a|, one int step at a time: each step's
+    coefficient text ("", as a plain ``trace`` line shows none) and value.
+    """
     (k, alpha, beta), chain = rule.split, []
     while x >= rule.base**2:
         high, low = divmod(x, rule.base**k)
-        chain.append(alpha * high + beta * low)
-        if abs(chain[-1]) >= x:
+        chain.append(("", alpha * high + beta * low))
+        if abs(chain[-1][1]) >= x:
             break
-        x = abs(chain[-1])
+        x = abs(chain[-1][1])
+    return chain
+
+
+def _folds(x, rule):
+    """The stacked chain's steps from x = |a|, each step's coefficient text and value.
+
+    Trim folds from the last digit up with omega, left trim from the top digit down with
+    base - q: acc = acc * weight + the next digit. After i digits are folded, the
+    coefficients, least significant first, are acc in the slot of the last digit folded
+    beside the digits not yet folded, which stand where they stood in |a|.
+    """
+    base, ds, m = rule.base, [], x
+    while m:
+        m, d = divmod(m, base)
+        ds.append(d)
+    n, top_first = len(ds), rule.family == "left_trim"
+    weight = base - rule.q if top_first else rule.omega
+    ordered = ds[::-1] if top_first else ds
+    acc, chain = ordered[0] if ds else 0, []
+    for i in range(2, n + 1):
+        acc = acc * weight + ordered[i - 1]
+        if top_first:  # the low n - i digits, then acc
+            coeffs, value = ds[: n - i] + [acc], x % base ** (n - i) + acc * base ** (n - i)
+        else:  # acc, then the digits above the low i
+            coeffs, value = [acc] + ds[i:], acc + base * (x // base**i)
+        chain.append((", ".join(map(str, coeffs)), value))
     return chain
 
 
 def _printed(text, base):
-    """The step values and the terminal a ``trace`` text prints, read back, if each is canonical text."""
-    *steps, terminal = re.findall(r"^step \d+: \w+ -> (.*)$|^terminal: (.*)$", text, re.M)
-    texts = [step for step, _ in steps] + [terminal[1]]
+    """Each step's coefficient text and value, and the terminal, a ``trace`` text prints; the
+    values read back if each is canonical text.
+    """
+    *steps, terminal = re.findall(r"^step \d+: \w+ -> (?:\[(.*)\] = )?(.*)$|^terminal: (.*)$", text, re.M)
+    texts = [value for _, value, _ in steps] + [terminal[2]]
     if all(re.fullmatch(r"-?[1-9a-z][0-9a-z]*|0", t) for t in texts):
-        return [int(t, base) for t in texts]
-    return texts
+        texts = [int(t, base) for t in texts]
+    return [coeffs for coeffs, _, _ in steps], texts
 
 
 def _failures():
-    failures = []
-    for rule, v in _cases():
+    """Each case the code fails, as (rule, stacked, |a|), lazily: a mutant needs only the first."""
+    for rule, stacked, v in _cases():
         a = DigitString.from_int(v, rule.base)
         divisible = remainder(a, rule.q) == 0
-        chain = _stepped(v, rule)
-        last = chain[-1] if chain else v
+        chain = _folds(v, rule) if stacked else _stepped(v, rule)
+        values = [value for _, value in chain]
+        last = values[-1] if chain else v
         try:
-            trace = iterate(a, rule)
+            trace = iterate(a, rule, stacked=stacked)
             ok = divides_via(a, rule) is divisible and (trace.verdict == DIVISIBLE) is divisible
             ok = ok and trace.terminal.value == last
-            ok = ok and _printed(iterate(a, rule).render(), rule.base) == [*chain, last]
+            printed = _printed(iterate(a, rule, stacked=stacked).render(), rule.base)
+            ok = ok and printed == ([coeffs for coeffs, _ in chain], [*values, last])
         except Exception:  # a mutant that raises is caught too
             ok = False
         if not ok:
-            failures.append((rule, v))
-    return failures
+            yield rule, stacked, v
 
 
 def _mutant(owner, name, old, new):
@@ -145,18 +196,18 @@ def _mutant(owner, name, old, new):
 
 
 def test_the_unmutated_code_passes_every_case():
-    assert _failures() == []
+    assert list(_failures()) == []
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_every_mutant_is_killed(monkeypatch, mutant):
     owner, name, old, new = MUTANTS[mutant]
     monkeypatch.setattr(owner, name, _mutant(owner, name, old, new))
-    assert _failures(), mutant
+    assert next(_failures(), None), mutant
 
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))
 def test_each_survivor_passes_every_case(monkeypatch, mutant):
     owner, name, old, new = SURVIVORS[mutant]
     monkeypatch.setattr(owner, name, _mutant(owner, name, old, new))
-    assert _failures() == [], mutant
+    assert list(_failures()) == [], mutant

@@ -1,0 +1,55 @@
+"""The package holds no orphaned code: every private module-level name is read somewhere in
+``src/trimsum``, and every module uses each name it imports.
+
+A private helper that only the tests read is code the library does not run; these checks
+parse the source with ``ast`` and import nothing.
+"""
+
+import ast
+import pathlib
+
+SOURCE = pathlib.Path(__file__).parent.parent / "src" / "trimsum"
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _defined(tree):
+    """The names a module binds at its top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _read(tree):
+    """The names a module reads: loaded names, attributes, and the strings in ``__all__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            yield from (elt.value for elt in node.value.elts)
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    read = {name for tree in MODULES.values() for name in _read(tree)}
+    orphans = [
+        (module, name)
+        for module, tree in MODULES.items()
+        for name in _defined(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert orphans == []
+
+
+def test_every_imported_name_is_used_by_its_module():
+    unused = []
+    for module, tree in MODULES.items():
+        read = set(_read(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused += [(module, name) for name in names if name not in read]
+    assert unused == []
