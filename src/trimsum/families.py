@@ -31,14 +31,14 @@ and adds omega times it at the low end, so the steps ``_carried`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
-``iterate`` and ``divides_via`` read one int from ``_terminal``: a stacked
-chain's whole fold, or a trim, Talmud or last-digits chain run stacked, one
-``_split_fold``. ``Trace.last`` runs the plain chain, a stacked chain whose low
-coefficient carries: ``_carried`` makes the steps it provably takes, as many
-as ``_carried_steps`` counts, in one pass over the digit groups with the
-rule's (k, alpha, beta), and reports that count to the cost table
-(``_values``); the steps after them are taken one at a time. A printed trace
-reads neither: it ends at its own last step, so it runs its chain once.
+Every verdict is one pass over the digits of |a|, the int ``_terminal`` reads: a
+stacked chain's whole fold, a trim, Talmud or last-digits chain run stacked as one
+``_split_fold``, or one sum or binomial application; no verdict runs a chain.
+``Trace.last`` runs a plain chain when read: ``_carried`` makes the steps it provably
+takes, as many as ``_carried_steps`` counts, in one pass over the digit groups with
+the rule's (k, alpha, beta), and reports that count to the cost table (``_values``);
+the steps after them are taken one at a time. A printed trace reads neither: it
+ends at its own last step, so it runs its chain once.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class TraceStep:
 class Trace:
     """A chain's verdict; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
 
-    ``held`` keeps the last number a verdict read (all but a plain split rule's). ``render()`` and
+    ``held`` is a stacked chain's fold, which its verdict read (None for a plain chain). ``render()`` and
     ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) run the chain once, making their
     text a step at a time with ``_step_texts`` (from the step ints, or a long plain trim chain's
     digit buffer); they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()`` builds the
@@ -175,11 +175,16 @@ class Trace:
     a: DigitString
     stacked: bool
     verdict: str = field(compare=False)
-    held: int | None = field(default=None, compare=False, repr=False)  # the last number, if the verdict made it
+    held: int | None = field(default=None, compare=False, repr=False)  # a stacked chain's fold
 
     @cached_property
     def last(self) -> int:
-        return _plain_last(self.a.digits, self.rule) if self.held is None else self.held
+        """The chain's last number: a stacked chain's ``held`` fold, or the plain chain's (|a| if it takes
+        no step), after ``_carried``'s steps and then ``_plain_chain``'s."""
+        if self.held is not None:
+            return self.held
+        last = deque(_plain_chain(_carried(self.a.digits, self.rule)[0], self.rule), maxlen=1)
+        return last[0] if last else fold(self.a.digits, self.rule.base)
 
     @cached_property
     def terminal(self) -> DigitString:
@@ -534,16 +539,16 @@ def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]
         yield acc, value
 
 
-def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[bool, int | None, int]:
-    """Whether the chain ran stacked, its last number (None for a plain split rule, whose verdict is
-    its ``_split_fold``), and the int the verdict reads: q divides it exactly when it divides a.
-    A stacked chain's last number is its whole fold: the sum test's for trim, the binomial test's for left trim.
+def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, int]:
+    """A stacked chain's last number, its whole fold (None for a plain chain), and the int the verdict
+    reads in one pass over |a|'s digits: q divides it exactly when it divides a. A plain split rule reads
+    its ``_split_fold``; sum and binomial one application, omega**(n - 1) * |a| or |a| (mod q).
     """
     (order, family), d = _chain_kind(a, rule, stacked), a.digits
-    if not order and rule.split:
-        return False, None, _split_fold(d, rule)
-    last = fold(d, family.weight(rule), -order) if order else _plain_last(d, rule)
-    return bool(order), last, last
+    if order:
+        last = fold(d, family.weight(rule), -order)
+        return last, last
+    return None, _split_fold(d, rule) if rule.split else family.step(d, rule)
 
 
 def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
@@ -559,12 +564,6 @@ def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
         return fold(d, beta, -1)
     top = len(d) if alpha else k
     return sum(base**j * fold(d[j:top:k], alpha) for j in range(k))
-
-
-def _plain_last(d: tuple[int, ...], rule: TestRule) -> int:
-    """The plain chain's last number, |a| if it takes no step: ``_carried``'s steps, then ``_plain_chain``'s."""
-    last = deque(_plain_chain(_carried(d, rule)[0], rule), maxlen=1)
-    return last[0] if last else fold(d, rule.base)
 
 
 def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
@@ -629,19 +628,19 @@ def _carried_steps(n: int, rule: TestRule) -> int:
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict: a split rule's from its chain run stacked, any other's from its terminal.
+    """Drive a rule to a verdict, read from ``_terminal``'s one pass over the digits of |a|.
 
     ``stacked=True`` (trim only) runs the stacked chain, as left trimming always does.
-    A split rule's plain chain runs, the terminal is converted and the steps are built
-    only when they are read.
+    A plain chain runs, the terminal is converted and the steps are built only when
+    they are read.
     """
     if type(stacked) is not bool:
         raise ValueError(f"stacked must be a bool, got {stacked!r:.60}")
-    stacked, last, value = _terminal(a, rule, stacked)
+    last, value = _terminal(a, rule, stacked)
     verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
-    return Trace(rule, a, stacked, verdict, last)
+    return Trace(rule, a, last is not None, verdict, last)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a as ``iterate`` does: a split rule from one stacked fold, converting nothing."""
-    return _terminal(a, rule, False)[2] % rule.q == 0
+    """Decide q | a as ``iterate`` does, in one pass over the digits of |a| that runs no chain and converts nothing."""
+    return _terminal(a, rule, False)[1] % rule.q == 0

@@ -275,11 +275,6 @@ def test_trace_json_left_trim_golden(capsys):
     assert run(capsys, "trace", "--family", "left_trim", "-q", "7", "--json", "32184") == (0, expected, "")
 
 
-def _trace_argv(a, rule, stacked):
-    argv = ["trace", "--family", rule.family, "-q", str(rule.q), "--base", str(rule.base)]
-    return argv + (["--stacked"] if stacked else []) + ["--", a.render()]
-
-
 def _text_from_document(doc, stacked):
     """The trace text, written out from the JSON document as the steps read it."""
     r = doc["rule"]

@@ -3,7 +3,7 @@ import json
 import math
 import random
 import tracemalloc
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -600,6 +600,30 @@ def _less(ds, base, r):
     return tuple(out)
 
 
+def _verdict_rules(base):
+    """(rule, stacked) for every family in base, and stacked trim: Talmud needs base**2 = 2 (mod q)."""
+    q, talmud, last = {2: (3, 2, 4), 10: (7, 7, 8), 36: (37, 647, 8)}[base]
+    rules = [(TestRule(family, q, base), False) for family in ("trim", "left_trim", "sum", "binomial")]
+    rules += [(TestRule("talmud", talmud, base), False), (TestRule.last_digits(last, base), False)]
+    return rules + [(TestRule.trim(q, base), True)]
+
+
+def _verdict_reads(d, rule):
+    """The folds a verdict makes, as (coeffs, x, order): one pass over the digits d of |a|.
+
+    Trim, sum and stacked trim fold d from the top with omega, binomial and left trim from
+    the last digit with base - q; Talmud folds its two strided halves with 2, and last
+    digits reads its low k digits, one group of them each.
+    """
+    if rule.family in ("binomial", "left_trim"):
+        return [(d, rule.base - rule.q, 1)]
+    if rule.family == "talmud":
+        return [(d[0::2], 2, 1), (d[1::2], 2, 1)]
+    if rule.family == "last_digits":
+        return [(d[j : rule.k : rule.k], 0, 1) for j in range(rule.k)]
+    return [(d, rule.omega, -1)]
+
+
 def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     fold, from_int, folded, converted = families.fold, DigitString.from_int.__func__, [], []
 
@@ -611,17 +635,28 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
         converted.append(value)
         return from_int(cls, value, base)
 
+    def chain_run(*args):
+        raise AssertionError("a verdict ran its chain")
+
     monkeypatch.setattr(families, "fold", recording_fold)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
-    a = parse(next(_long_digit_texts(10, 3000)))
-    # trim folds all 3000 digits from the top with omega = -2, in place; Talmud folds
-    # its base-100 groups with 2, as the even digits plus 10 times the odd ones
-    talmud_reads = [(a.digits[0::2], 2, 1), (a.digits[1::2], 2, 1)]
-    for rule, reads in ((TestRule.trim(7), [(a.digits, -2, -1)]), (TestRule.talmud(), talmud_reads)):
-        folded.clear()
-        assert divides_via(a, rule) is (_remainder(a.digits, 10, rule.q) == 0)
-        assert folded == reads and converted == []
-        assert rule.family != "trim" or folded[0][0] is a.digits  # the input itself, not a copy
+    for name in ("_plain_chain", "_carried", "_smaller", "_digits_of"):
+        monkeypatch.setattr(families, name, chain_run)
+    for base, n in product((2, 10, 36), (1, 2, 3, 300, 3000)):
+        for text in _long_digit_texts(base, n):
+            a = parse(text, base)
+            for rule, stacked in _verdict_rules(base):
+                r = _remainder(a.digits, base, rule.q)
+                for x in (a, DigitString(1, base, _less(a.digits, base, r))):  # and the multiple of q below |a|
+                    reads = _verdict_reads(x.digits, rule)
+                    verdicts = [lambda: iterate(x, rule, stacked=stacked).verdict == DIVISIBLE]
+                    verdicts += [] if stacked else [lambda: divides_via(x, rule)]
+                    for verdict in verdicts:
+                        folded.clear()
+                        assert verdict() is (_remainder(x.digits, base, rule.q) == 0), (text[:20], rule, stacked)
+                        assert folded == reads and converted == [], (text[:20], rule, stacked)
+                        # the input itself, not a copy
+                        assert all(got is want for (got, _, _), (want, _, _) in zip(folded, reads) if want is x.digits)
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
@@ -790,6 +825,66 @@ def test_carried_stacked_step_values_are_their_coefficients_folded(base):
                 assert item["coeffs"] == list(coeffs)
                 value = _horner(coeffs[::-1], base)
                 assert step.collapsed.value == value == int(item["collapsed"], base), (rule, length)
+
+
+def _int_chain(ds, rule, stacked):
+    """Each step's value of the chain from the digits ds of |a|, least significant first, made on ints.
+
+    A stacked trim folds ds from the last digit up with omega, a left trim from the top down with
+    base - q, and after i digits each step is that fold beside the digits not yet folded. A plain
+    step maps x to alpha * (x // base**k) + beta * (x % base**k) for a split rule and to the
+    weighted digit sum of x for sum and binomial; none is taken below base**2, and the chain
+    goes on from the step's abs and stops after a step below base**2 or one that fails to shrink.
+    """
+    base, n, x = rule.base, len(ds), _horner(ds[::-1], rule.base)
+    if stacked or rule.family == "left_trim":
+        top_first = rule.family == "left_trim"
+        weight = base - rule.q if top_first else rule.omega
+        folds = list(accumulate(ds[::-1] if top_first else ds, lambda acc, d: acc * weight + d))[1:]
+        if top_first:
+            return [acc * base ** (n - i) + x % base ** (n - i) for i, acc in enumerate(folds, 2)]
+        return [acc + base * (x // base**i) for i, acc in enumerate(folds, 2)]
+    values = []
+    while x >= base * base:
+        low_first, m = [], x
+        while m:
+            m, d = divmod(m, base)
+            low_first.append(d)
+        if rule.split:
+            k, alpha, beta = rule.split
+            v = alpha * (x // base**k) + beta * (x % base**k)
+        elif rule.family == "sum":
+            v = _horner(low_first, rule.omega)  # omega**j from the top digit down
+        else:
+            v = _horner(low_first[::-1], base - rule.q)  # (base - q)**j from the last digit up
+        values.append(v)
+        if abs(v) >= x:
+            break
+        x = abs(v)
+    return values
+
+
+@pytest.mark.parametrize("base", [100, 256, 257, 1000])
+def test_steps_in_bases_without_a_text_form(base):
+    """Above base 36 a trace has no text, but its steps are built from ints: each step's value is
+    the chain's, made on ints here, and its coefficients fold to it. ``render()`` and ``as_json()``
+    reject the base before any step is built.
+    """
+    rng = random.Random(f"wide-{base}")
+    last = {100: 8, 256: 8, 257: 257, 1000: 8}[base]  # q | base**k
+    rules = [(TestRule(family, 7, base), False) for family in ("trim", "sum", "binomial", "left_trim")]
+    rules += [(TestRule.last_digits(last, base), False), (TestRule.trim(7, base), True)]
+    for ds in _adversarial_digits(base, 30, rng):
+        a = DigitString(1, base, ds)
+        for rule, stacked in rules:
+            trace = iterate(a, rule, stacked=stacked)
+            for printed in (trace.render, trace.as_json):
+                with pytest.raises(ValueError, match="text form"):
+                    printed()
+            assert "steps" not in trace.__dict__
+            assert [step.value for step in trace.steps] == _int_chain(ds, rule, stacked), (rule, stacked, ds[-3:])
+            assert all(digits.fold(step.coeffs, base) == step.value for step in trace.steps)
+            assert trace.steps, (rule, stacked)
 
 
 def _stepped_terminal(ds, base, step):

@@ -1,16 +1,17 @@
-"""Mutants of the split verdict's fold, the trace buffer, the stacked chain's fold and the
-rule obligation: each is killed by a small fixed input set.
+"""Mutants of the split verdict's fold, the sum and binomial formulas, the trace buffer, the
+stacked chain's fold and the rule obligation: each is killed by a small fixed input set.
 
 A mutant is one function of the library recompiled from its source with one snippet
 replaced, and monkeypatched in. Every case is judged against ``oracle.remainder``, and
 its terminal and printed trace (every step's value and coefficients and the ``terminal:``
-line) against its chain made here: a split rule's stepped on ints, a stacked-trim or
-left-trim rule's folded one digit at a time. The unmutated code passes every case, and
-each mutant fails at least one. A rule the obligation rejects is skipped, so a mutant
-that lets it build is judged by its verdicts.
+line) against its chain made here: a split rule's, and a sum or binomial rule's weighted
+digit sums, stepped on ints, a stacked-trim or left-trim rule's folded one digit at a time.
+The unmutated code passes every case, and each mutant fails at least one. A rule the
+obligation rejects is skipped, so a mutant that lets it build is judged by its verdicts.
 """
 
 import __future__
+import dataclasses
 import inspect
 import random
 import re
@@ -38,6 +39,9 @@ MUTANTS = {
     # groups aligned to the top of an odd digit count, not to its last digit
     "talmud_top_group_misaligned": (families, "_split_fold", "d[j:top:k]", "d[j + top % k : top : k]"),
     "carried_steps_one_higher": (families, "_carried_steps", "-(-n // k) - 1 - keep", "-(-n // k) - keep"),
+    # the sum test's weights attached from the last digit up, not from the top down
+    "sum_folded_from_last_digit": (families, "_sum", "r.omega, -1", "r.omega"),
+    "binomial_weight_one_high": (families, "_binomial", "r.base - r.q", "r.base - r.q + 1"),
     # a reversed leaf read from the front of the coefficients, not from their back
     "reversed_leaf_misplaced": (digits, "_fold", "coeffs[n - hi : n - lo]", "coeffs[lo:hi]"),
     # the trace buffer's borrow or carry never reaches the top digit
@@ -84,6 +88,7 @@ RULES = [
     ("talmud", 647, 36),
     ("talmud", 5, 36),
 ]
+RULES += [(family, q, base) for family in ("sum", "binomial") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # stacked trim and left trim, run stacked: (family, q, base)
 STACKED = [(family, q, base) for family in ("trim", "left_trim") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # one digit, the lengths around the chain's carried steps, and fold's leaf and its multiples
@@ -124,6 +129,28 @@ def _stepped(x, rule):
         if abs(chain[-1][1]) >= x:
             break
         x = abs(chain[-1][1])
+    return chain
+
+
+def _summed(x, rule):
+    """The sum or binomial chain's steps from x = |a|, one int step at a time, as ``_stepped``'s:
+    the weighted digit sum of |x|'s digits, omega**j from the top digit down for sum and
+    (base - q)**j from the last digit up for binomial.
+    """
+    base, chain = rule.base, []
+    while x >= base**2:
+        ds, m = [], x
+        while m:
+            m, d = divmod(m, base)
+            ds.append(d)
+        if rule.family == "sum":
+            v = sum(d * rule.omega ** (len(ds) - 1 - i) for i, d in enumerate(ds))
+        else:
+            v = sum(d * (base - rule.q) ** i for i, d in enumerate(ds))
+        chain.append(("", v))
+        if abs(v) >= x:
+            break
+        x = abs(v)
     return chain
 
 
@@ -169,7 +196,7 @@ def _failures():
     for rule, stacked, v in _cases():
         a = DigitString.from_int(v, rule.base)
         divisible = remainder(a, rule.q) == 0
-        chain = _folds(v, rule) if stacked else _stepped(v, rule)
+        chain = _folds(v, rule) if stacked else _stepped(v, rule) if rule.split else _summed(v, rule)
         values = [value for _, value in chain]
         last = values[-1] if chain else v
         try:
@@ -195,19 +222,26 @@ def _mutant(owner, name, old, new):
     return namespace[name]
 
 
+def _patch(monkeypatch, owner, name, old, new):
+    """Monkeypatch the mutant in, in the ``FAMILY_TABLE`` records that hold the function as their step too."""
+    original, mutant = getattr(owner, name), _mutant(owner, name, old, new)
+    monkeypatch.setattr(owner, name, mutant)
+    for family, record in families.FAMILY_TABLE.items():
+        if record.step is original:
+            monkeypatch.setitem(families.FAMILY_TABLE, family, dataclasses.replace(record, step=mutant))
+
+
 def test_the_unmutated_code_passes_every_case():
     assert list(_failures()) == []
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_every_mutant_is_killed(monkeypatch, mutant):
-    owner, name, old, new = MUTANTS[mutant]
-    monkeypatch.setattr(owner, name, _mutant(owner, name, old, new))
+    _patch(monkeypatch, *MUTANTS[mutant])
     assert next(_failures(), None), mutant
 
 
 @pytest.mark.parametrize("mutant", sorted(SURVIVORS))
 def test_each_survivor_passes_every_case(monkeypatch, mutant):
-    owner, name, old, new = SURVIVORS[mutant]
-    monkeypatch.setattr(owner, name, _mutant(owner, name, old, new))
+    _patch(monkeypatch, *SURVIVORS[mutant])
     assert list(_failures()) == [], mutant

@@ -1,5 +1,6 @@
 """The package holds no orphaned code: every private module-level name is read somewhere in
-``src/trimsum``, and every module uses each name it imports.
+``src/trimsum``, and every module uses each name it imports. No package or test module defines
+one name twice, as the second definition silently replaces the first.
 
 A private helper that only the tests read is code the library does not run; these checks
 parse the source with ``ast`` and import nothing.
@@ -7,8 +8,10 @@ parse the source with ``ast`` and import nothing.
 
 import ast
 import pathlib
+from collections import Counter
 
-SOURCE = pathlib.Path(__file__).parent.parent / "src" / "trimsum"
+TESTS = pathlib.Path(__file__).parent
+SOURCE = TESTS.parent / "src" / "trimsum"
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE.glob("*.py"))}
 
 
@@ -53,3 +56,13 @@ def test_every_imported_name_is_used_by_its_module():
                 names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                 unused += [(module, name) for name in names if name not in read]
     assert unused == []
+
+
+def test_no_module_level_def_or_class_name_is_bound_twice():
+    """A repeated ``test_`` name would drop the first test without a warning."""
+    repeated = []
+    for path in [*sorted(SOURCE.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        tree = ast.parse(path.read_text(), str(path))
+        defs = (n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        repeated += [(path.name, name) for name, count in Counter(defs).items() if count > 1]
+    assert repeated == []
