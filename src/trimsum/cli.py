@@ -170,16 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         (SUM, "sum", "weighted digit sum, weights from the top digit"),
         (BINOMIAL, "binomial", "binomial digit sum, weights from the last digit"),
         (LAST_DIGITS, "lastdigit", "keep the low digits (q must divide a base power)"),
+        (TALMUD, "talmud", "twice the hundreds plus the last two digits (q=7)"),
     ]:
         p = sub.add_parser(name, help=blurb)
-        _add_common(p)
+        _add_common(p, with_q=FAMILY_TABLE[family].default_q is None)
         p.add_argument("number", help="the number, as text in the chosen base")
-        p.set_defaults(func=_cmd_apply, family=family)
-
-    p = sub.add_parser("talmud", help="twice the hundreds plus the last two digits (q=7)")
-    _add_common(p, with_q=False)
-    p.add_argument("number")
-    p.set_defaults(func=_cmd_apply, family=TALMUD, q=None)
+        p.set_defaults(func=_cmd_apply, family=family, q=None)
 
     p = sub.add_parser("trace", help="iterate a rule to its verdict, printing each step")
     p.add_argument("--family", choices=FAMILIES, required=True)

@@ -31,10 +31,11 @@ and adds omega times it at the low end, so the steps ``_carried`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
-Every verdict is one pass over the digits of |a|, the int ``_terminal`` reads: a
-stacked chain's whole fold, a trim, Talmud or last-digits chain run stacked as one
-``_split_fold``, or one sum or binomial application; no verdict runs a chain.
-``Trace.last`` runs a plain chain when read: ``_carried`` makes the steps it provably
+Every verdict is one pass over the digits of |a|, the int ``_terminal`` reads: a trim,
+Talmud or last-digits chain run stacked as one ``_split_fold``, or any other family's
+``_weighted_sum``. No verdict runs a chain or reads the chain kind: stacking changes what
+a trace prints, not what it decides. ``Trace.last`` folds a stacked chain's
+``_weighted_sum`` when read, and runs a plain chain: ``_carried`` makes the steps it provably
 takes, as many as ``_carried_steps`` counts, in one pass over the digit groups with
 the rule's (k, alpha, beta), and reports that count to the cost table (``_values``);
 the steps after them are taken one at a time. A printed trace reads neither: it
@@ -87,8 +88,8 @@ class TestRule:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("q", "base"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if type(value) is not int:  # exactly int: True, or an int subclass, is refused
+                raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r:.60}")
         if self.q < 1:
             raise ValueError(f"divisor must be >= 1, got {self.q}")
         if self.base < 2:
@@ -162,7 +163,7 @@ class TraceStep:
 class Trace:
     """A chain's verdict; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
 
-    ``held`` is a stacked chain's fold, which its verdict read (None for a plain chain). ``render()`` and
+    The verdict does not depend on ``stacked``, so the trace holds no fold of its own. ``render()`` and
     ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) run the chain once, making their
     text a step at a time with ``_step_texts`` (from the step ints, or a long plain trim chain's
     digit buffer); they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()`` builds the
@@ -175,14 +176,13 @@ class Trace:
     a: DigitString
     stacked: bool
     verdict: str = field(compare=False)
-    held: int | None = field(default=None, compare=False, repr=False)  # a stacked chain's fold
 
     @cached_property
     def last(self) -> int:
-        """The chain's last number: a stacked chain's ``held`` fold, or the plain chain's (|a| if it takes
-        no step), after ``_carried``'s steps and then ``_plain_chain``'s."""
-        if self.held is not None:
-            return self.held
+        """The chain's last number: a stacked chain's ``_weighted_sum``, or the plain chain's (|a| if it
+        takes no step), after ``_carried``'s steps and then ``_plain_chain``'s."""
+        if self.stacked:
+            return _weighted_sum(self.a.digits, self.rule)
         last = deque(_plain_chain(_carried(self.a.digits, self.rule)[0], self.rule), maxlen=1)
         return last[0] if last else fold(self.a.digits, self.rule.base)
 
@@ -274,14 +274,11 @@ def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
     return fold(d, r.base) - top
 
 
-def _sum(x: _Magnitude, r: TestRule) -> int:
-    """Weighted digit sum with omega**j applied from the top digit down."""
-    return fold(_digits(x, r.base), r.omega, -1)
-
-
-def _binomial(x: _Magnitude, r: TestRule) -> int:
-    """Weighted digit sum with (base - q)**j applied from the last digit up."""
-    return fold(_digits(x, r.base), r.base - r.q)
+def _weighted_sum(x: _Magnitude, r: TestRule) -> int:
+    """|a|'s digits folded with the family's weight in its order: sum's omega**j from the top digit
+    down (order 1), binomial's (base - q)**j from the last digit up (order -1); where stacked chains end."""
+    family = FAMILY_TABLE[r.family]
+    return fold(_digits(x, r.base), family.weight(r), -family.order)
 
 
 _Derived = tuple[int | None, int | None, tuple[int, int, int] | None]
@@ -321,31 +318,32 @@ def _per_digit(steps: int, lengths: list[int]) -> int:
 
 @dataclass(frozen=True)
 class Family:
-    """What sets one test family apart; ``FAMILY_TABLE`` has one record each."""
+    """What sets one test family apart; ``FAMILY_TABLE`` has one record each. A family with an ``order`` has a
+    weighted digit sum: sum's and binomial's step, and where trim's and left trim's stacked chains end."""
 
     derive: Callable[[int, int], _Derived]  # checks (q, base), returns (omega, k, split)
     step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
-    weight: Callable[[TestRule], int]  # a stacked chain folds with it; the cost table shows |weight|
+    weight: Callable[[TestRule], int]  # weighted sums and stacked chains fold with it; the cost table shows |weight|
     digit_ops: Callable[[int, list[int]], int]  # multiply-adds, from the step count and the lengths measured
-    chain_order: int | None = None  # the stacked chain folds digits[::chain_order], if it has one
-    chain_op: str | None = None  # the op name of the stacked chain's trace steps
+    order: int | None = None  # its weighted digit sum folds digits[::order] (low digit first), if any
+    chain_op: str | None = None  # the op name of the stacked chain's trace steps, if its chain can stack
     always_stacked: bool = False  # its chain runs stacked even without stacked=True
     default_q: int | None = None  # the divisor the family is fixed at, if any
 
 
 FAMILY_TABLE = {
-    TRIM: Family(_derive_trim, _split, lambda r: r.omega, _per_step, chain_order=1, chain_op="stack"),
+    TRIM: Family(_derive_trim, _split, lambda r: r.omega, _per_step, order=1, chain_op="stack"),
     LEFT_TRIM: Family(
         _derive_binomial,
         _left_trim,
         lambda r: r.base - r.q,
         _per_step,
-        chain_order=-1,
+        order=-1,
         chain_op="left_trim",
         always_stacked=True,
     ),
-    SUM: Family(lambda q, base: (weight_inverse(q, base), None, None), _sum, lambda r: r.omega, _per_digit),
-    BINOMIAL: Family(_derive_binomial, _binomial, lambda r: r.base - r.q, _per_digit),
+    SUM: Family(lambda q, base: (weight_inverse(q, base), None, None), _weighted_sum, lambda r: r.omega, _per_digit, 1),
+    BINOMIAL: Family(_derive_binomial, _weighted_sum, lambda r: r.base - r.q, _per_digit, -1),
     TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, lambda r: 2, _per_step, default_q=7),
     LAST_DIGITS: Family(_derive_last_digits, _split, lambda r: 0, lambda steps, lengths: 0),
 }
@@ -372,10 +370,10 @@ def _chain_kind(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | No
     """The stacked chain's fold order (None if plain) and the rule's family; checks the operands first."""
     _check_operands(a, rule)
     family = FAMILY_TABLE[rule.family]
-    if family.chain_order and (stacked or family.always_stacked):
-        return family.chain_order, family
+    if family.chain_op and (stacked or family.always_stacked):
+        return family.order, family
     if stacked:
-        chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain_order)
+        chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain_op)
         raise ValueError(f"stacked iteration applies to {chained} rules only")
     return None, family
 
@@ -539,16 +537,14 @@ def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]
         yield acc, value
 
 
-def _terminal(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, int]:
-    """A stacked chain's last number, its whole fold (None for a plain chain), and the int the verdict
-    reads in one pass over |a|'s digits: q divides it exactly when it divides a. A plain split rule reads
-    its ``_split_fold``; sum and binomial one application, omega**(n - 1) * |a| or |a| (mod q).
+def _terminal(d: tuple[int, ...], rule: TestRule) -> int:
+    """The int a verdict reads in one pass over the digits d of |a|: q divides it exactly when it divides a.
+
+    A split rule reads its ``_split_fold``, every other rule its ``_weighted_sum``: omega**(n - 1) * |a|
+    for sum, |a| for binomial and left trim (mod q). Stacking changes what a trace prints, not this
+    int: a stacked trim chain ends at trim's ``_split_fold``, Khare's sum.
     """
-    (order, family), d = _chain_kind(a, rule, stacked), a.digits
-    if order:
-        last = fold(d, family.weight(rule), -order)
-        return last, last
-    return None, _split_fold(d, rule) if rule.split else family.step(d, rule)
+    return _split_fold(d, rule) if rule.split else _weighted_sum(d, rule)
 
 
 def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
@@ -562,8 +558,10 @@ def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
     base, (k, alpha, beta) = rule.base, rule.split
     if k == alpha == 1:
         return fold(d, beta, -1)
-    top = len(d) if alpha else k
-    return sum(base**j * fold(d[j:top:k], alpha) for j in range(k))
+    top, total = len(d) if alpha else k, 0
+    for j in range(k):  # not sum() over a generator, whose closure and frame raise the peak heap
+        total += base**j * fold(d[j:top:k], alpha)
+    return total
 
 
 def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
@@ -616,6 +614,7 @@ def _carried_steps(n: int, rule: TestRule) -> int:
 
     The bound is not tight: ``least`` one lower gives the same keep for every rule. That keep
     differs only if some B**m = least - 1, that is B**m - B = 2 * |beta| + 1, and B**m - B is even.
+    Widening the guard alpha <= B / 2 to alpha <= B changes no count: no family has B / 2 < alpha.
     """
     base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
     big = base**k
@@ -630,17 +629,17 @@ def _carried_steps(n: int, rule: TestRule) -> int:
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     """Drive a rule to a verdict, read from ``_terminal``'s one pass over the digits of |a|.
 
-    ``stacked=True`` (trim only) runs the stacked chain, as left trimming always does.
-    A plain chain runs, the terminal is converted and the steps are built only when
-    they are read.
+    ``stacked=True`` (trim only) runs the stacked chain, as left trimming always does; the verdict
+    does not read it. A chain runs, the terminal is converted and the steps are built only when
+    they are read, so reading a stacked or left-trim terminal folds |a| once more.
     """
     if type(stacked) is not bool:
         raise ValueError(f"stacked must be a bool, got {stacked!r:.60}")
-    last, value = _terminal(a, rule, stacked)
-    verdict = DIVISIBLE if value % rule.q == 0 else NOT_DIVISIBLE
-    return Trace(rule, a, last is not None, verdict, last)
+    stacked = _chain_kind(a, rule, stacked)[0] is not None
+    return Trace(rule, a, stacked, DIVISIBLE if _terminal(a.digits, rule) % rule.q == 0 else NOT_DIVISIBLE)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
     """Decide q | a as ``iterate`` does, in one pass over the digits of |a| that runs no chain and converts nothing."""
-    return _terminal(a, rule, False)[1] % rule.q == 0
+    _check_operands(a, rule)
+    return _terminal(a.digits, rule) % rule.q == 0

@@ -21,7 +21,7 @@ from trimsum.families import (
     divides_via,
     iterate,
 )
-from trimsum.oracle import divides, random_digit_string
+from trimsum.oracle import divides, random_digit_string, remainder
 
 A = parse("32184")
 
@@ -105,6 +105,21 @@ def test_last_digits_rejects_divisors_off_the_base():
     with pytest.raises(ValueError):
         TestRule.last_digits(12)
     assert TestRule.last_digits(3, base=6).k == 1
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rules_refuse_an_int_subclass_as_q_or_base(family):
+    """q and base must be exactly int, as in ``DigitString`` and the oracle: trim and sum raised
+    from ``weight_inverse`` with a message naming neither, and the other families built."""
+    q, base = 8 if family == "last_digits" else 7, 10
+    for args, name in (((_Int(q), base), "q"), ((q, _Int(base)), "base")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got _Int"):
+            TestRule(family, *args)
+    TestRule(family, q, base)
 
 
 @pytest.mark.parametrize(
@@ -638,6 +653,11 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     def chain_run(*args):
         raise AssertionError("a verdict ran its chain")
 
+    def kindless_divides_via(x, rule):  # divides_via reads no chain kind
+        with monkeypatch.context() as kindless:
+            kindless.setattr(families, "_chain_kind", chain_run)
+            return divides_via(x, rule)
+
     monkeypatch.setattr(families, "fold", recording_fold)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     for name in ("_plain_chain", "_carried", "_smaller", "_digits_of"):
@@ -648,15 +668,21 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
             for rule, stacked in _verdict_rules(base):
                 r = _remainder(a.digits, base, rule.q)
                 for x in (a, DigitString(1, base, _less(a.digits, base, r))):  # and the multiple of q below |a|
-                    reads = _verdict_reads(x.digits, rule)
+                    reads, divisible = _verdict_reads(x.digits, rule), remainder(x, rule.q) == 0
+                    assert divisible is (_remainder(x.digits, base, rule.q) == 0)
                     verdicts = [lambda: iterate(x, rule, stacked=stacked).verdict == DIVISIBLE]
-                    verdicts += [] if stacked else [lambda: divides_via(x, rule)]
+                    verdicts += [] if stacked else [lambda: kindless_divides_via(x, rule)]
                     for verdict in verdicts:
                         folded.clear()
-                        assert verdict() is (_remainder(x.digits, base, rule.q) == 0), (text[:20], rule, stacked)
+                        assert verdict() is divisible, (text[:20], rule, stacked)
                         assert folded == reads and converted == [], (text[:20], rule, stacked)
                         # the input itself, not a copy
                         assert all(got is want for (got, _, _), (want, _, _) in zip(folded, reads) if want is x.digits)
+                    if stacked:  # a stacked trim verdict reads what the plain trim verdict reads
+                        stacked_reads = folded[:]
+                        folded.clear()
+                        iterate(x, rule)
+                        assert folded == stacked_reads, (text[:20], rule)
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])

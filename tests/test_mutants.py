@@ -1,5 +1,5 @@
-"""Mutants of the split verdict's fold, the sum and binomial formulas, the trace buffer, the
-stacked chain's fold and the rule obligation: each is killed by a small fixed input set.
+"""Mutants of the split verdict's fold, the weighted digit sum, the chain's proof bounds, the trace
+buffer, the stacked chain's fold and the rule obligation: each is killed by a small fixed input set.
 
 A mutant is one function of the library recompiled from its source with one snippet
 replaced, and monkeypatched in. Every case is judged against ``oracle.remainder``, and
@@ -39,9 +39,18 @@ MUTANTS = {
     # groups aligned to the top of an odd digit count, not to its last digit
     "talmud_top_group_misaligned": (families, "_split_fold", "d[j:top:k]", "d[j + top % k : top : k]"),
     "carried_steps_one_higher": (families, "_carried_steps", "-(-n // k) - 1 - keep", "-(-n // k) - keep"),
-    # the sum test's weights attached from the last digit up, not from the top down
-    "sum_folded_from_last_digit": (families, "_sum", "r.omega, -1", "r.omega"),
-    "binomial_weight_one_high": (families, "_binomial", "r.base - r.q", "r.base - r.q + 1"),
+    # the carried stack's top groups not scaled by alpha**t, and Talmud's chain drifts from it
+    "carried_scale_not_alpha": (families, "_carried", "scale *= alpha", "scale *= 1"),
+    # a first step as long as |a| taken as shorter by bit length: the chain steps on past |a|
+    "smaller_bit_bound_one_high": (families, "_smaller", "n * (base.bit_length() - 1)", "n * base.bit_length()"),
+    # the sum test's weights attached from the last digit up, not from the top down; binomial's are unchanged
+    "sum_folded_from_last_digit": (families, "_weighted_sum", "-family.order", "abs(family.order)"),
+    "binomial_weight_one_high": (
+        families,
+        "_weighted_sum",
+        "family.weight(r)",
+        "family.weight(r) + (r.family == BINOMIAL)",
+    ),
     # a reversed leaf read from the front of the coefficients, not from their back
     "reversed_leaf_misplaced": (digits, "_fold", "coeffs[n - hi : n - lo]", "coeffs[lo:hi]"),
     # the trace buffer's borrow or carry never reaches the top digit
@@ -73,6 +82,8 @@ SURVIVORS = {
         "2 * (abs(beta) + 1) + big",
         "2 * (abs(beta) + 1) - 1 + big",
     ),
+    # no family has B / 2 < alpha <= B, so the guard alpha <= B / 2 never rejects a rule
+    "carried_steps_guard_alpha_up_to_big": (families, "_carried_steps", "0 < alpha <= big // 2", "0 < alpha <= big"),
 }
 
 # (family, q, base); talmud's q = 9 in base 10 and q = 5 in base 36 break the obligation base**2 = 2 (mod q)
@@ -89,6 +100,8 @@ RULES = [
     ("talmud", 5, 36),
 ]
 RULES += [(family, q, base) for family in ("sum", "binomial") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
+# a large weight: the first step of |a| = base**3 + r can outgrow |a| at its bit length
+RULES += [("sum", 101, 36)]
 # stacked trim and left trim, run stacked: (family, q, base)
 STACKED = [(family, q, base) for family in ("trim", "left_trim") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # one digit, the lengths around the chain's carried steps, and fold's leaf and its multiples
