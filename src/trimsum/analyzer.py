@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import log2
 
 from .digits import DigitString
-from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _values
+from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _values, _weight
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
 
@@ -46,11 +46,10 @@ def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
     is shorter than |a|, so only the steps after them are measured.
     """
     carried, values = _values(a, rule)  # checks the operands before len(a) reads them
-    family = FAMILY_TABLE[rule.family]
     lengths = [len(a), *_digit_counts(values, len(a), rule.base)]
     steps = carried + len(lengths) - 1
-    weight, ops = abs(family.weight(rule)), family.digit_ops(steps, lengths)
-    return CostReport(rule.q, rule.base, rule.family, weight, steps, ops, max(lengths))
+    ops = FAMILY_TABLE[rule.family].digit_ops(steps, lengths)
+    return CostReport(rule.q, rule.base, rule.family, abs(_weight(rule)), steps, ops, max(lengths))
 
 
 def _digit_counts(values: Iterator[int], n: int, base: int) -> Iterator[int]:

@@ -1,10 +1,13 @@
 """The divisibility-test families and their iteration driver.
 
-Families: right trimming, Talmud (any q with base**2 = 2 mod q; 7 in base
-10 is the historical case) and last digits, which are one test, ``_split``,
-run with the (k, alpha, beta) each rule derives; left trimming (weight
-base - q on the top digit, always run on stacked coefficients); weighted
-summing; and binomial summing.
+Every family is Zbikowski's test, split |a| = h * base**k + l and keep
+alpha * h + beta * l, with the (k, alpha, beta) its rule derives: right
+trimming and weighted summing (1, 1, omega), Talmud (2, 2, 1; any q with
+base**2 = 2 mod q, 7 in base 10 being the historical case), last digits
+(k, 0, 1), and binomial summing and left trimming (1, base - q, 1). Trim,
+Talmud and last digits step with ``_split``; sum and binomial step with
+that split run stacked, their weighted digit sum; left trimming (weight
+base - q on the top digit) always runs on stacked coefficients.
 
 Two conventions are easy to transpose and are fixed here once:
 
@@ -31,11 +34,10 @@ and adds omega times it at the low end, so the steps ``_carried`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
-Every verdict is one pass over the digits of |a|, the int ``_terminal`` reads: a trim,
-Talmud or last-digits chain run stacked as one ``_split_fold``, or any other family's
-``_weighted_sum``. No verdict runs a chain or reads the chain kind: stacking changes what
-a trace prints, not what it decides. ``Trace.last`` folds a stacked chain's
-``_weighted_sum`` when read, and runs a plain chain: ``_carried`` makes the steps it provably
+Every verdict is one pass over the digits of |a|: the rule's split chain run stacked as one
+``_split_fold``. No verdict runs a chain or reads the chain kind: stacking changes what
+a trace prints, not what it decides. ``Trace.last`` reads a stacked chain's ``_split_fold``
+too, and runs a plain chain: ``_carried`` makes the steps a ``_split`` chain provably
 takes, as many as ``_carried_steps`` counts, in one pass over the digit groups with
 the rule's (k, alpha, beta), and reports that count to the cost table (``_values``);
 the steps after them are taken one at a time. A printed trace reads neither: it
@@ -71,9 +73,9 @@ NOT_DIVISIBLE = "not_divisible"
 class TestRule:
     """A divisibility test: a family plus the divisor it decides.
 
-    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives the weight omega, k and, for trim,
-    Talmud and last digits, the (k, alpha, beta) of ``_split``; each ``split`` is checked here against
-    Zbikowski's condition, so a rule that builds is a sound test, and must have a shape ``_split_fold`` folds.
+    The family's record in ``FAMILY_TABLE`` checks (q, base) and derives the weight omega, k and the
+    (k, alpha, beta) of Zbikowski's test; each ``split`` is checked here against his condition, so a
+    rule that builds is a sound test, and must have a shape ``_split_fold`` folds.
     """
 
     family: str
@@ -81,7 +83,7 @@ class TestRule:
     base: int = 10
     omega: int | None = field(init=False)
     k: int | None = field(init=False)  # set for last digits only
-    split: tuple[int, int, int] | None = field(init=False)
+    split: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
@@ -95,14 +97,13 @@ class TestRule:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         omega, k, split = FAMILY_TABLE[self.family].derive(self.q, self.base)
-        if split:
-            width, alpha, beta = split
-            shaped = beta == 1 or (width, alpha) == (1, 1)
-            if not shaped or gcd(beta, self.q) != 1 or (alpha - beta * pow(self.base, width, self.q)) % self.q:
-                raise ValueError(
-                    f"the {self.family} split (k, alpha, beta) = {split} needs gcd(beta, q) = 1, "
-                    f"alpha = beta * base**k (mod q), and beta = 1 or k = alpha = 1, got q={self.q} base={self.base}"
-                )
+        width, alpha, beta = split
+        shaped = beta == 1 or (width, alpha) == (1, 1)
+        if not shaped or gcd(beta, self.q) != 1 or (alpha - beta * pow(self.base, width, self.q)) % self.q:
+            raise ValueError(
+                f"the {self.family} split (k, alpha, beta) = {split} needs gcd(beta, q) = 1, "
+                f"alpha = beta * base**k (mod q), and beta = 1 or k = alpha = 1, got q={self.q} base={self.base}"
+            )
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "split", split)
@@ -179,10 +180,10 @@ class Trace:
 
     @cached_property
     def last(self) -> int:
-        """The chain's last number: a stacked chain's ``_weighted_sum``, or the plain chain's (|a| if it
+        """The chain's last number: a stacked chain's ``_split_fold``, or the plain chain's (|a| if it
         takes no step), after ``_carried``'s steps and then ``_plain_chain``'s."""
         if self.stacked:
-            return _weighted_sum(self.a.digits, self.rule)
+            return _split_fold(self.a.digits, self.rule)
         last = deque(_plain_chain(_carried(self.a.digits, self.rule)[0], self.rule), maxlen=1)
         return last[0] if last else fold(self.a.digits, self.rule.base)
 
@@ -274,14 +275,13 @@ def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
     return fold(d, r.base) - top
 
 
-def _weighted_sum(x: _Magnitude, r: TestRule) -> int:
-    """|a|'s digits folded with the family's weight in its order: sum's omega**j from the top digit
-    down (order 1), binomial's (base - q)**j from the last digit up (order -1); where stacked chains end."""
-    family = FAMILY_TABLE[r.family]
-    return fold(_digits(x, r.base), family.weight(r), -family.order)
+def _digit_sum(x: _Magnitude, r: TestRule) -> int:
+    """A sum or binomial step: the ``_split_fold`` of |a|'s digits, their weighted digit sum
+    (sum's omega**j from the top digit down, binomial's (base - q)**j from the last digit up)."""
+    return _split_fold(_digits(x, r.base), r)
 
 
-_Derived = tuple[int | None, int | None, tuple[int, int, int] | None]
+_Derived = tuple[int | None, int | None, tuple[int, int, int]]
 
 
 def _derive_trim(q: int, base: int) -> _Derived:
@@ -292,7 +292,7 @@ def _derive_trim(q: int, base: int) -> _Derived:
 def _derive_binomial(q: int, base: int) -> _Derived:
     if q < 2:
         raise ValueError(f"binomial weights base - q need q >= 2, got {q}")
-    return None, None, None
+    return None, None, (1, base - q, 1)
 
 
 def _derive_last_digits(q: int, base: int) -> _Derived:
@@ -316,36 +316,34 @@ def _per_digit(steps: int, lengths: list[int]) -> int:
     return sum(n - 1 for n in lengths[:-1])
 
 
+def _weight(rule: TestRule) -> int:
+    """The weight ``_split_fold`` folds with: beta when k = alpha = 1, else alpha. A stacked chain folds
+    its digits with it, and the cost table shows its magnitude."""
+    k, alpha, beta = rule.split
+    return beta if k == alpha == 1 else alpha
+
+
 @dataclass(frozen=True)
 class Family:
-    """What sets one test family apart; ``FAMILY_TABLE`` has one record each. A family with an ``order`` has a
-    weighted digit sum: sum's and binomial's step, and where trim's and left trim's stacked chains end."""
+    """What sets one test family apart; ``FAMILY_TABLE`` has one record each. A family whose chain can
+    stack has an ``order``: at q = base - 1 both fold shapes apply, so the split cannot say it."""
 
     derive: Callable[[int, int], _Derived]  # checks (q, base), returns (omega, k, split)
     step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
-    weight: Callable[[TestRule], int]  # weighted sums and stacked chains fold with it; the cost table shows |weight|
     digit_ops: Callable[[int, list[int]], int]  # multiply-adds, from the step count and the lengths measured
-    order: int | None = None  # its weighted digit sum folds digits[::order] (low digit first), if any
+    order: int | None = None  # its stacked chain folds digits[::order] (low digit first), if it can stack
     chain_op: str | None = None  # the op name of the stacked chain's trace steps, if its chain can stack
     always_stacked: bool = False  # its chain runs stacked even without stacked=True
     default_q: int | None = None  # the divisor the family is fixed at, if any
 
 
 FAMILY_TABLE = {
-    TRIM: Family(_derive_trim, _split, lambda r: r.omega, _per_step, order=1, chain_op="stack"),
-    LEFT_TRIM: Family(
-        _derive_binomial,
-        _left_trim,
-        lambda r: r.base - r.q,
-        _per_step,
-        order=-1,
-        chain_op="left_trim",
-        always_stacked=True,
-    ),
-    SUM: Family(lambda q, base: (weight_inverse(q, base), None, None), _weighted_sum, lambda r: r.omega, _per_digit, 1),
-    BINOMIAL: Family(_derive_binomial, _weighted_sum, lambda r: r.base - r.q, _per_digit, -1),
-    TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, lambda r: 2, _per_step, default_q=7),
-    LAST_DIGITS: Family(_derive_last_digits, _split, lambda r: 0, lambda steps, lengths: 0),
+    TRIM: Family(_derive_trim, _split, _per_step, order=1, chain_op="stack"),
+    LEFT_TRIM: Family(_derive_binomial, _left_trim, _per_step, order=-1, chain_op="left_trim", always_stacked=True),
+    SUM: Family(_derive_trim, _digit_sum, _per_digit),
+    BINOMIAL: Family(_derive_binomial, _digit_sum, _per_digit),
+    TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, _per_step, default_q=7),
+    LAST_DIGITS: Family(_derive_last_digits, _split, lambda steps, lengths: 0),
 }
 
 
@@ -424,7 +422,7 @@ def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]
             yield TraceStep(rule.family, v, ds if v >= 0 else tuple(-d for d in ds), base)
         return
     d = a.digits[::order]
-    for folded, (acc, value) in enumerate(_folded(a, order, family.weight(rule)), 2):
+    for folded, (acc, value) in enumerate(_folded(a, order, _weight(rule)), 2):
         yield TraceStep(family.chain_op, value, ((acc,) + d[folded:])[::order], base)
 
 
@@ -457,7 +455,7 @@ def _step_texts(
         return
     texts = [str(d) for d in a.digits]
     ends = list(accumulate((len(t) + len(sep) for t in texts), initial=0))
-    steps = enumerate(_folded(a, order, family.weight(rule)), start=2)
+    steps = enumerate(_folded(a, order, _weight(rule)), start=2)
     if order == 1:  # the fold of the low digits, then the digits not yet folded
         tail = "".join(sep + t for t in texts)
         for folded, (acc, value) in steps:
@@ -477,7 +475,7 @@ def _step_texts(
 def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
     """Each plain step's value text, from the digits d of |a|, least significant first.
 
-    A trim step (the split (k, alpha, beta) = (1, 1, omega)) drops the last digit d_0
+    A trim step (``_split`` with (k, alpha, beta) = (1, 1, omega)) drops the last digit d_0
     of x and adds omega * d_0 at the low end. The chain takes its first ``_carried_steps``
     steps as they are, as ``_carried`` proves: each is positive, at least base**2 and
     shrinking, so a carry past the top digit is one digit. They run on a buffer of x's
@@ -485,7 +483,7 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
     each text is one ``translate``. The chain steps on from the buffer's number (in every
     other family, from |a|) with ``_plain_chain``, each value converted once by ``digits._text``.
     """
-    base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
+    base, (k, alpha, beta) = rule.base, rule.split
     x: _Magnitude = d
     if (k, alpha) == (1, 1) and (steps := _carried_steps(len(d), rule)):
         buf = bytearray(d[::-1])
@@ -507,11 +505,11 @@ def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
     """How many steps of the chain ``iterate(a, rule)`` runs ``_carried`` takes at once, and each
     later step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
     """
-    order, family = _chain_kind(a, rule, False)
+    order = _chain_kind(a, rule, False)[0]
     if order is None:
         x, carried = _carried(a.digits, rule)
         return carried, _plain_chain(x, rule)
-    return 0, (value for _, value in _folded(a, order, family.weight(rule)))
+    return 0, (value for _, value in _folded(a, order, _weight(rule)))
 
 
 def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]]:
@@ -537,23 +535,14 @@ def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]
         yield acc, value
 
 
-def _terminal(d: tuple[int, ...], rule: TestRule) -> int:
-    """The int a verdict reads in one pass over the digits d of |a|: q divides it exactly when it divides a.
-
-    A split rule reads its ``_split_fold``, every other rule its ``_weighted_sum``: omega**(n - 1) * |a|
-    for sum, |a| for binomial and left trim (mod q). Stacking changes what a trace prints, not this
-    int: a stacked trim chain ends at trim's ``_split_fold``, Khare's sum.
-    """
-    return _split_fold(d, rule) if rule.split else _weighted_sum(d, rule)
-
-
 def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
     """The split chain run on stacked base-B groups D_i of |a| (B = base**k) to one coefficient,
     sum(alpha**i * beta**(N - 1 - i) * D_i): beta**(N - 1) * |a| (mod q), for alpha = beta * B.
 
-    Trim (k = alpha = 1) is Horner from the top digit with beta, Khare's sum. With beta = 1 it
-    is fold(groups, alpha), as sum(base**j * fold(d[j::k], alpha)); last digits (alpha = 0)
-    reads only its first group. ``TestRule`` admits no other shape.
+    Trim and sum (k = alpha = 1) are Horner from the top digit with beta, Khare's sum. With
+    beta = 1 it is fold(groups, alpha), as sum(base**j * fold(d[j::k], alpha)): binomial's and left
+    trim's fold(d, base - q); last digits (alpha = 0) reads only its first group, as binomial does
+    at q = base. ``TestRule`` admits no other shape.
     """
     base, (k, alpha, beta) = rule.base, rule.split
     if k == alpha == 1:
@@ -610,15 +599,16 @@ def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
 
 
 def _carried_steps(n: int, rule: TestRule) -> int:
-    """How many steps ``_carried`` proves the split chain takes exactly on an |a| of n digits.
+    """How many steps ``_carried`` proves a ``_split`` chain takes exactly on an |a| of n digits; none
+    in a family that steps otherwise, as sum's (1, 1, omega) is trim's split but not its chain.
 
     The bound is not tight: ``least`` one lower gives the same keep for every rule. That keep
     differs only if some B**m = least - 1, that is B**m - B = 2 * |beta| + 1, and B**m - B is even.
-    Widening the guard alpha <= B / 2 to alpha <= B changes no count: no family has B / 2 < alpha.
+    Widening the guard alpha <= B / 2 to alpha <= B changes no count: no ``_split`` family has B / 2 < alpha.
     """
-    base, (k, alpha, beta) = rule.base, rule.split or (0, 0, 0)
+    base, (k, alpha, beta) = rule.base, rule.split
     big = base**k
-    if not 0 < alpha <= big // 2:
+    if FAMILY_TABLE[rule.family].step is not _split or not 0 < alpha <= big // 2:
         return 0
     keep, power, least = 1, 1, 2 * (abs(beta) + 1) + big
     while power < least:  # power = B**(keep - 1)
@@ -627,7 +617,7 @@ def _carried_steps(n: int, rule: TestRule) -> int:
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict, read from ``_terminal``'s one pass over the digits of |a|.
+    """Drive a rule to a verdict, read from ``_split_fold``'s one pass over the digits of |a|.
 
     ``stacked=True`` (trim only) runs the stacked chain, as left trimming always does; the verdict
     does not read it. A chain runs, the terminal is converted and the steps are built only when
@@ -636,10 +626,10 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     if type(stacked) is not bool:
         raise ValueError(f"stacked must be a bool, got {stacked!r:.60}")
     stacked = _chain_kind(a, rule, stacked)[0] is not None
-    return Trace(rule, a, stacked, DIVISIBLE if _terminal(a.digits, rule) % rule.q == 0 else NOT_DIVISIBLE)
+    return Trace(rule, a, stacked, DIVISIBLE if _split_fold(a.digits, rule) % rule.q == 0 else NOT_DIVISIBLE)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
     """Decide q | a as ``iterate`` does, in one pass over the digits of |a| that runs no chain and converts nothing."""
     _check_operands(a, rule)
-    return _terminal(a.digits, rule) % rule.q == 0
+    return _split_fold(a.digits, rule) % rule.q == 0

@@ -64,8 +64,9 @@ def weight_inverse(q: int, base: int = 10) -> int:
     The result is the unique integer in (-q/2, q/2] with base*omega = 1
     (mod q). Requires gcd(q, base) = 1.
     """
-    if type(q) is not int or type(base) is not int:
-        raise ValueError(f"q and base must be ints, got {q!r:.60} and {base!r:.60}")
+    for name, value in (("q", q), ("base", base)):
+        if type(value) is not int:  # exactly int: True, or an int subclass, is refused
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r:.60}")
     if q < 1:
         raise ValueError(f"divisor must be >= 1, got {q}")
     if base < 2:

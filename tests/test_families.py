@@ -213,7 +213,9 @@ def test_split_families_build_exactly_when_their_obligation_holds(base):
             assert apply_once(DigitString.from_int(v, base), rule).value == alpha * high + beta * low, rule
 
 
-@pytest.mark.parametrize("family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8)])
+@pytest.mark.parametrize(
+    "family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8), ("sum", 7), ("binomial", 7), ("left_trim", 7)]
+)
 def test_a_split_rule_has_one_of_the_two_folded_shapes(monkeypatch, family, q):
     """beta = 1 or k = alpha = 1: a sound split of any other shape builds no rule either."""
     record = FAMILY_TABLE[family]
@@ -225,7 +227,9 @@ def test_a_split_rule_has_one_of_the_two_folded_shapes(monkeypatch, family, q):
         TestRule(family, q)
 
 
-@pytest.mark.parametrize("family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8)])
+@pytest.mark.parametrize(
+    "family,q", [("trim", 7), ("talmud", 7), ("last_digits", 8), ("sum", 7), ("binomial", 7), ("left_trim", 7)]
+)
 def test_every_split_rule_is_checked_against_the_obligation(monkeypatch, family, q):
     """A derive whose (k, alpha, beta) breaks Zbikowski's condition builds no rule, in any split family."""
     record = FAMILY_TABLE[family]
@@ -858,8 +862,8 @@ def _int_chain(ds, rule, stacked):
 
     A stacked trim folds ds from the last digit up with omega, a left trim from the top down with
     base - q, and after i digits each step is that fold beside the digits not yet folded. A plain
-    step maps x to alpha * (x // base**k) + beta * (x % base**k) for a split rule and to the
-    weighted digit sum of x for sum and binomial; none is taken below base**2, and the chain
+    step maps x to alpha * (x // base**k) + beta * (x % base**k) for trim, Talmud and last digits
+    and to the weighted digit sum of x for sum and binomial; none is taken below base**2, and the chain
     goes on from the step's abs and stops after a step below base**2 or one that fails to shrink.
     """
     base, n, x = rule.base, len(ds), _horner(ds[::-1], rule.base)
@@ -876,7 +880,7 @@ def _int_chain(ds, rule, stacked):
         while m:
             m, d = divmod(m, base)
             low_first.append(d)
-        if rule.split:
+        if rule.family in ("trim", "talmud", "last_digits"):
             k, alpha, beta = rule.split
             v = alpha * (x // base**k) + beta * (x % base**k)
         elif rule.family == "sum":
@@ -955,7 +959,7 @@ def test_sum_binomial_and_last_digits_terminals_match_stepping_on_long_inputs(ba
         for ds in _adversarial_digits(base, length, rng):
             a = DigitString(1, base, ds)
             for rule, step in rules:
-                if length > 3000 and abs(FAMILY_TABLE[rule.family].weight(rule)) > base + 1:
+                if length > 3000 and abs(families._weight(rule)) > base + 1:
                     continue  # a weight near q / 2 makes a step some 20 times as long as a: tier-1 time
                 terminal, steps = _stepped_terminal(ds, base, step)
                 assert divides_via(a, rule) is (terminal % rule.q == 0), (rule, length, ds[-3:])

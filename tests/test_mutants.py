@@ -1,11 +1,12 @@
-"""Mutants of the split verdict's fold, the weighted digit sum, the chain's proof bounds, the trace
-buffer, the stacked chain's fold and the rule obligation: each is killed by a small fixed input set.
+"""Mutants of the split verdict's fold, the sum and binomial step, the chain's proof bounds and the
+key that keeps them to ``_split`` chains, the trace buffer, the stacked chain's fold and the rule
+obligation: each is killed by a small fixed input set.
 
 A mutant is one function of the library recompiled from its source with one snippet
 replaced, and monkeypatched in. Every case is judged against ``oracle.remainder``, and
 its terminal and printed trace (every step's value and coefficients and the ``terminal:``
-line) against its chain made here: a split rule's, and a sum or binomial rule's weighted
-digit sums, stepped on ints, a stacked-trim or left-trim rule's folded one digit at a time.
+line) against its chain made here: a trim, Talmud or last-digits rule's splits, and a sum or
+binomial rule's weighted digit sums, stepped on ints, a stacked-trim or left-trim rule's folded one digit at a time.
 The unmutated code passes every case, and each mutant fails at least one. A rule the
 obligation rejects is skipped, so a mutant that lets it build is judged by its verdicts.
 """
@@ -39,17 +40,24 @@ MUTANTS = {
     # groups aligned to the top of an odd digit count, not to its last digit
     "talmud_top_group_misaligned": (families, "_split_fold", "d[j:top:k]", "d[j + top % k : top : k]"),
     "carried_steps_one_higher": (families, "_carried_steps", "-(-n // k) - 1 - keep", "-(-n // k) - keep"),
+    # sum's (1, 1, omega) and binomial's (1, base - q, 1) carried as if their chain split like trim's
+    "split_key_dropped": (
+        families,
+        "_carried_steps",
+        "FAMILY_TABLE[rule.family].step is not _split or not 0 < alpha",
+        "not 0 < alpha",
+    ),
     # the carried stack's top groups not scaled by alpha**t, and Talmud's chain drifts from it
     "carried_scale_not_alpha": (families, "_carried", "scale *= alpha", "scale *= 1"),
     # a first step as long as |a| taken as shorter by bit length: the chain steps on past |a|
     "smaller_bit_bound_one_high": (families, "_smaller", "n * (base.bit_length() - 1)", "n * base.bit_length()"),
-    # the sum test's weights attached from the last digit up, not from the top down; binomial's are unchanged
-    "sum_folded_from_last_digit": (families, "_weighted_sum", "-family.order", "abs(family.order)"),
+    # the step's digits reversed: the sum test's weights attach from the last digit up, not from the top down
+    "sum_folded_from_last_digit": (families, "_digit_sum", "_digits(x, r.base)", "_digits(x, r.base)[::-1]"),
     "binomial_weight_one_high": (
         families,
-        "_weighted_sum",
-        "family.weight(r)",
-        "family.weight(r) + (r.family == BINOMIAL)",
+        "_split_fold",
+        "fold(d[j:top:k], alpha)",
+        "fold(d[j:top:k], alpha + (rule.family == BINOMIAL))",
     ),
     # a reversed leaf read from the front of the coefficients, not from their back
     "reversed_leaf_misplaced": (digits, "_fold", "coeffs[n - hi : n - lo]", "coeffs[lo:hi]"),
@@ -209,7 +217,8 @@ def _failures():
     for rule, stacked, v in _cases():
         a = DigitString.from_int(v, rule.base)
         divisible = remainder(a, rule.q) == 0
-        chain = _folds(v, rule) if stacked else _stepped(v, rule) if rule.split else _summed(v, rule)
+        split = rule.family in ("trim", "talmud", "last_digits")
+        chain = _folds(v, rule) if stacked else _stepped(v, rule) if split else _summed(v, rule)
         values = [value for _, value in chain]
         last = values[-1] if chain else v
         try:

@@ -70,6 +70,24 @@ def test_weights_take_only_int_arguments(derive, args):
         derive(*args)
 
 
+class Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((Int(7),), "q must be an integer, got Int 7"),  # was "q and base must be ints, got 7 and 10"
+        ((7, Int(10)), "base must be an integer, got Int 10"),
+        ((7, True), "base must be an integer, got bool True"),
+    ],
+)
+def test_weight_inverse_names_the_bad_argument_and_its_type(args, message):
+    with pytest.raises(ValueError) as error:
+        weight_inverse(*args)
+    assert str(error.value) == message
+
+
 def test_three_methods_agree_below_ten_thousand():
     for q in COPRIME_Q:
         t = weight_table(q)
