@@ -144,9 +144,14 @@ def _text(v: int, base: int) -> str:
     return "-" + body if v < 0 else body
 
 
-def _check_base(base: int) -> None:
-    if type(base) is not int or base < 2:
-        raise ValueError(f"base must be an int >= 2, got {base!r}")
+def _check_int(name: str, value: int, least: int | None = None, most: int | None = None) -> None:
+    """Refuse value unless it is exactly an int (not bool, nor an int subclass) in [least, most]."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r:.60}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 def _in_range(digits: tuple[int, ...], base: int) -> bool:
@@ -170,7 +175,7 @@ class DigitString:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_base(self.base)
+        _check_int("base", self.base, 2)
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be the int +1 or -1, got {self.sign!r}")
         # one C-level pass: a non-empty tuple whose items are all exactly int (bool is not)
@@ -185,9 +190,8 @@ class DigitString:
 
     @classmethod
     def from_int(cls, value: int, base: int = 10) -> DigitString:
-        if type(value) is not int:
-            raise ValueError(f"value must be an int, got {value!r:.60}")
-        _check_base(base)
+        _check_int("value", value)
+        _check_int("base", base, 2)
         return cls(1 if value >= 0 else -1, base, _digits_of(abs(value), base))
 
     @property

@@ -55,7 +55,7 @@ from math import gcd
 from operator import add
 
 from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _text, fold
-from .weights import weight_inverse
+from .weights import _check_divisor, weight_inverse
 
 TRIM = "trim"
 LEFT_TRIM = "left_trim"
@@ -88,14 +88,7 @@ class TestRule:
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("q", "base"):
-            value = getattr(self, name)
-            if type(value) is not int:  # exactly int: True, or an int subclass, is refused
-                raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r:.60}")
-        if self.q < 1:
-            raise ValueError(f"divisor must be >= 1, got {self.q}")
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+        _check_divisor(self.q, self.base)
         omega, k, split = FAMILY_TABLE[self.family].derive(self.q, self.base)
         width, alpha, beta = split
         shaped = beta == 1 or (width, alpha) == (1, 1)
@@ -624,7 +617,7 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     they are read, so reading a stacked or left-trim terminal folds |a| once more.
     """
     if type(stacked) is not bool:
-        raise ValueError(f"stacked must be a bool, got {stacked!r:.60}")
+        raise ValueError(f"stacked must be a bool, got {type(stacked).__name__} {stacked!r:.60}")
     stacked = _chain_kind(a, rule, stacked)[0] is not None
     return Trace(rule, a, stacked, DIVISIBLE if _split_fold(a.digits, rule) % rule.q == 0 else NOT_DIVISIBLE)
 

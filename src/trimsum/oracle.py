@@ -5,6 +5,8 @@ this module referees them. The seeded fuzzer checks that one application
 of a rule keeps the remainder congruence its family promises. Its inputs
 are ``random.Random``'s own ``randrange`` draws, taken straight from
 ``getrandbits``, so a seed gives the same inputs on Python 3.10-3.13.
+Each modulus, base, count and seed goes through ``digits._check_int``:
+exactly an int (not bool), in range, or ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .digits import DigitString, _check_base
+from .digits import DigitString, _check_int
 from .families import SUM, TRIM, TestRule, apply_once
 
 # fuzz_equivalence's caps: a run's time grows with trials * max_digits
@@ -22,13 +24,10 @@ MAX_DIGITS = 10**4
 
 
 def remainder(a: DigitString, q: int) -> int:
-    """value(a) mod q, in [0, q), by the left-to-right digit fold."""
+    """value(a) mod q, in [0, q), by the left-to-right digit fold; q is an exact int >= 1."""
     if not isinstance(a, DigitString):
         raise ValueError(f"expected a DigitString, got {a!r:.60}")
-    if type(q) is not int:
-        raise ValueError(f"modulus must be an int, got {q!r}")
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
+    _check_int("modulus", q, 1)
     r = 0
     base = a.base
     for d in reversed(a.digits):
@@ -38,15 +37,6 @@ def remainder(a: DigitString, q: int) -> int:
 
 def divides(a: DigitString, q: int) -> bool:
     return remainder(a, q) == 0
-
-
-def _check_count(name: str, value: int, cap: int) -> None:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    if value > cap:
-        raise ValueError(f"{name} must be <= {cap}, got {value}")
 
 
 def _below(draw, n: int, count: int) -> list[int]:
@@ -72,7 +62,7 @@ def _randranges(rng, n: int, count: int) -> list[int]:
 def random_digit_string(
     rng: random.Random, base: int = 10, max_digits: int = 60, signed: bool = True
 ) -> DigitString:
-    """A uniform-length random canonical value, occasionally negative.
+    """A uniform-length random canonical value of 1..max_digits digits in base >= 2, occasionally negative.
 
     The draws are randint(1, max_digits), randrange(base) per digit,
     randrange(1, base) for the top digit and random() for the sign. A
@@ -80,12 +70,12 @@ def random_digit_string(
     a subclass included, makes them through its own randrange, which may draw
     otherwise (through its own random(), say).
     """
-    _check_base(base)  # getrandbits(0) is 0: a base <= 0 would redraw forever
-    _check_count("max_digits", max_digits, MAX_DIGITS)
+    _check_int("base", base, 2)  # getrandbits(0) is 0: a base <= 0 would redraw forever
+    _check_int("max_digits", max_digits, 1, MAX_DIGITS)
     if type(rng) is not random.Random and not all(callable(getattr(rng, m, None)) for m in ("randrange", "random")):
         raise ValueError(f"rng must have randrange and random methods, like random.Random, got {rng!r:.60}")
     if type(signed) is not bool:
-        raise ValueError(f"signed must be a bool, got {signed!r:.60}")
+        raise ValueError(f"signed must be a bool, got {type(signed).__name__} {signed!r:.60}")
     below = partial(_below, rng.getrandbits) if type(rng) is random.Random else partial(_randranges, rng)
     n = 1 + below(max_digits, 1)[0]
     digits = below(base, n)
@@ -114,13 +104,13 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
 
     lam, a unit mod q worked out here, is base**-1 for trim, base**-(n - 1) for sum
     on n digits and 1 otherwise. mean_length_drop averages length(a) - length(f(a)).
+    trials runs 1..MAX_TRIALS, max_digits 1..MAX_DIGITS, and seed is any exact int.
     """
     if not isinstance(rule, TestRule):
         raise ValueError(f"expected a TestRule, got {rule!r:.60}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r:.60}")
-    _check_count("trials", trials, MAX_TRIALS)
-    _check_count("max_digits", max_digits, MAX_DIGITS)
+    _check_int("seed", seed)
+    _check_int("trials", trials, 1, MAX_TRIALS)
+    _check_int("max_digits", max_digits, 1, MAX_DIGITS)
     q, base = rule.q, rule.base
     # trim and sum rules exist only for gcd(base, q) = 1, so the inverse does too
     inverse = pow(base, -1, q) if rule.family in (TRIM, SUM) else 1

@@ -5,8 +5,9 @@ derivations are provided: a four-case table keyed on the last digit of q
 (base 10 only), a rounding rule that triples q when it ends in 3 or 7 and
 then rounds q/10 to the nearest integer (base 10 only), and the least
 absolute residue of the inverse of the base modulo q, which works in any
-base coprime to q. Each derivation takes q and the base as exact ints
-(not bool) and returns the weight itself, an int.
+base coprime to q. Each derivation refuses a q or base that is not exactly
+an int (``digits._check_int``: bool and int subclasses are refused too) and
+returns the weight itself, an int.
 All three produce the same integer wherever their domains overlap, and
 the canonical method for the test families is ``inverse``.
 """
@@ -15,17 +16,24 @@ from __future__ import annotations
 
 import math
 
+from .digits import _check_int
+
 TABLE = "table"
 ROUNDING = "rounding"
 INVERSE = "inverse"
 METHODS = (TABLE, ROUNDING, INVERSE)
 
 
+def _check_divisor(q: int, base: int = 10) -> None:
+    """Refuse a q or base that is not exactly an int, then a q below 1 and a base below 2."""
+    _check_int("q", q)
+    _check_int("base", base)
+    _check_int("divisor", q, 1)
+    _check_int("base", base, 2)
+
+
 def _check_base10_divisor(q: int) -> None:
-    if type(q) is not int:  # exactly int: True would pass as 1
-        raise ValueError(f"q must be an int, got {q!r:.60}")
-    if q < 1:
-        raise ValueError(f"divisor must be >= 1, got {q}")
+    _check_divisor(q)
     if q % 2 == 0 or q % 5 == 0:
         raise ValueError(
             f"no base-10 trimming weight for q={q}: last digit must be 1, 3, 7 or 9"
@@ -64,13 +72,7 @@ def weight_inverse(q: int, base: int = 10) -> int:
     The result is the unique integer in (-q/2, q/2] with base*omega = 1
     (mod q). Requires gcd(q, base) = 1.
     """
-    for name, value in (("q", q), ("base", base)):
-        if type(value) is not int:  # exactly int: True, or an int subclass, is refused
-            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r:.60}")
-    if q < 1:
-        raise ValueError(f"divisor must be >= 1, got {q}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+    _check_divisor(q, base)
     if math.gcd(q, base) != 1:
         raise ValueError(f"q={q} and base={base} share a factor; no trimming weight exists")
     inv = pow(base, -1, q)

@@ -94,6 +94,11 @@ class _Int(int):
         (1, 10, (1, 0), "leading zero digit"),
         (1, 1000, (1, 0), "leading zero digit"),
         (-1, 10, (0,), "zero must have positive sign"),
+        # the base is one exact-int check, which names the type: these printed "base must be an int >= 2"
+        (1, True, (1,), "base must be an integer, got bool True"),
+        (1, _Int(10), (1,), "base must be an integer, got _Int 10"),
+        (1, 10.0, (1,), "base must be an integer, got float 10.0"),
+        (1, 1, (0,), "base must be >= 2, got 1"),
     ],
 )
 def test_digit_validation_keeps_every_rejection_and_its_message(sign, base, ds, message):
@@ -255,11 +260,14 @@ def test_stacked_number_validation_and_json():
 
 
 def test_from_int_rejects_values_that_are_not_ints():
-    # "5" raised TypeError, True returned 1 and 5.0 failed with a digits message
-    for bad in ("5", True, 5.0, None):
-        with pytest.raises(ValueError, match="value must be an int"):
-            DigitString.from_int(bad)
-    with pytest.raises(ValueError, match="base must be an int >= 2"):
+    # "5" raised TypeError, True returned 1 and 5.0 failed with a digits message; an int
+    # subclass printed "value must be an int, got 5", and a long list its whole repr
+    for bad in ("5", True, 5.0, None, _Int(5), [0] * 3400):
+        for name, args in (("value", (bad,)), ("base", (5, bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {type(bad).__name__} ") as e:
+                DigitString.from_int(*args)
+            assert len(str(e.value)) < 200
+    with pytest.raises(ValueError, match="^base must be >= 2, got 1$"):  # was "base must be an int >= 2, got 1"
         DigitString.from_int(5, 1)
 
 

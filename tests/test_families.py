@@ -116,9 +116,10 @@ def test_rules_refuse_an_int_subclass_as_q_or_base(family):
     """q and base must be exactly int, as in ``DigitString`` and the oracle: trim and sum raised
     from ``weight_inverse`` with a message naming neither, and the other families built."""
     q, base = 8 if family == "last_digits" else 7, 10
-    for args, name in (((_Int(q), base), "q"), ((q, _Int(base)), "base")):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got _Int"):
-            TestRule(family, *args)
+    for bad in (_Int, bool, float):
+        for args, name in (((bad(q), base), "q"), ((q, bad(base)), "base")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad.__name__} "):
+                TestRule(family, *args)
     TestRule(family, q, base)
 
 
@@ -260,6 +261,9 @@ def test_public_entry_points_reject_wrong_types():
     for call in calls:  # each raised AttributeError
         with pytest.raises(ValueError):
             call()
+    for stacked in (1, None):  # the message named no type: "stacked must be a bool, got 1"
+        with pytest.raises(ValueError, match=f"^stacked must be a bool, got {type(stacked).__name__} {stacked}$"):
+            iterate(A, rule, stacked=stacked)
 
 
 # --- iteration -------------------------------------------------------------

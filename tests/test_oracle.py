@@ -13,6 +13,10 @@ from trimsum.families import TestRule, apply_once
 from trimsum.oracle import MAX_DIGITS, MAX_TRIALS, divides, fuzz_equivalence, random_digit_string, remainder
 
 
+class _Int(int):
+    pass
+
+
 def test_remainder_examples():
     assert remainder(parse("32184"), 7) == 5  # 32184 = 7*4597 + 5
     assert remainder(parse("0"), 97) == 0
@@ -118,9 +122,12 @@ def test_random_digit_string_follows_a_subclass_stream(base):
     ],
 )
 def test_random_digit_string_rejects_bad_arguments_before_any_draw(base, max_digits):
+    """A base or digit cap that is not exactly an int is refused by name and type."""
     rng = random.Random(8)
     state = rng.getstate()
-    with pytest.raises(ValueError, match="base must be" if max_digits == 60 else "max_digits must be"):
+    name, value = ("base", base) if max_digits == 60 else ("max_digits", max_digits)
+    kind = f"an integer, got {type(value).__name__} " if type(value) is not int else "[<>]= "
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
         random_digit_string(rng, base, max_digits)
     assert rng.getstate() == state
 
@@ -138,7 +145,8 @@ def test_random_digit_string_rejects_bad_arguments_before_any_draw(base, max_dig
 )
 def test_random_digit_string_rejects_a_bad_rng_or_signed_before_any_draw(rng, signed):
     state = rng.getstate() if isinstance(rng, random.Random) else None
-    with pytest.raises(ValueError, match="rng must" if signed is True else "signed must"):
+    message = "^rng must" if signed is True else f"^signed must be a bool, got {type(signed).__name__} {signed!r}$"
+    with pytest.raises(ValueError, match=message):
         random_digit_string(rng, 10, 60, signed)
     if state is not None:
         assert rng.getstate() == state
@@ -200,6 +208,25 @@ def test_fuzz_caps_trials_and_digits_before_any_trial(monkeypatch, trials, max_d
 def test_oracle_rejects_non_int_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("bad", [True, _Int(7), 7.0, [0] * 3400])
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("modulus", lambda bad: remainder(parse("5"), bad)),  # _Int(7) printed "modulus must be an int, got 7"
+        ("trials", lambda bad: fuzz_equivalence(TestRule.trim(7), bad)),
+        ("max_digits", lambda bad: fuzz_equivalence(TestRule.trim(7), 10, bad)),
+        ("seed", lambda bad: fuzz_equivalence(TestRule.trim(7), 10, 5, bad)),
+        ("base", lambda bad: random_digit_string(random.Random(8), bad)),
+        ("max_digits", lambda bad: random_digit_string(random.Random(8), 10, bad)),
+    ],
+)
+def test_oracle_int_arguments_name_their_type(name, call, bad):
+    """Each int argument is refused by name and type, with the value cut short (a long list printed whole)."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {type(bad).__name__} ") as error:
+        call(bad)
+    assert len(str(error.value)) < 200
 
 
 def test_fuzz_catches_a_step_that_keeps_divisibility_but_not_the_remainder(monkeypatch):

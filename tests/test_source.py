@@ -1,6 +1,7 @@
 """The package holds no orphaned code: every private module-level name is read somewhere in
 ``src/trimsum``, and every module uses each name it imports. No package or test module defines
-one name twice, as the second definition silently replaces the first.
+one name twice, as the second definition silently replaces the first. The exact-int message is
+written in one function, so every int argument is refused in one form.
 
 A private helper that only the tests read is code the library does not run; these checks
 parse the source with ``ast`` and import nothing.
@@ -66,3 +67,22 @@ def test_no_module_level_def_or_class_name_is_bound_twice():
         defs = (n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         repeated += [(path.name, name) for name, count in Counter(defs).items() if count > 1]
     assert repeated == []
+
+
+def _strings(node, owner=None):
+    """(owner, text) for each string constant under node, owner being the innermost def that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield owner, child.value
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _strings(child, inner)
+
+
+def test_the_integer_message_is_written_once():
+    """Every exact-int argument goes through ``digits._check_int``, so its message is written there
+    alone, and the older "must be an int, got 7" wording, which named no type, is gone."""
+    strings = [(module, owner, text) for module, tree in MODULES.items() for owner, text in _strings(tree)]
+    assert {(module, owner) for module, owner, text in strings if "must be an integer" in text} == {
+        ("digits.py", "_check_int")
+    }
+    assert [(module, owner) for module, owner, text in strings if "must be an int," in text] == []

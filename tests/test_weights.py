@@ -80,12 +80,18 @@ class Int(int):
         ((Int(7),), "q must be an integer, got Int 7"),  # was "q and base must be ints, got 7 and 10"
         ((7, Int(10)), "base must be an integer, got Int 10"),
         ((7, True), "base must be an integer, got bool True"),
+        # a lone q reaches the base-10 derivations too, which printed "q must be an int, got 7"
+        ((True,), "q must be an integer, got bool True"),
+        ((7.0,), "q must be an integer, got float 7.0"),
+        (([0] * 3400,), "q must be an integer, got list " + repr([0] * 3400)[:60]),
     ],
 )
 def test_weight_inverse_names_the_bad_argument_and_its_type(args, message):
-    with pytest.raises(ValueError) as error:
-        weight_inverse(*args)
-    assert str(error.value) == message
+    """Every derivation that takes the arguments names the bad one and its type, the value cut to 60 characters."""
+    for derive in (weight_inverse, weight_table, weight_rounding) if len(args) == 1 else (weight_inverse,):
+        with pytest.raises(ValueError) as error:
+            derive(*args)
+        assert str(error.value) == message, derive
 
 
 def test_three_methods_agree_below_ten_thousand():
