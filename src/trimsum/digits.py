@@ -9,11 +9,16 @@ its value is ``fold(coeffs, base)``.
 Digits are stored least significant first so that dropping the last
 digit and dropping the top digit are both cheap slices.
 
-Text and digits convert in C. ``parse`` maps characters to digit values
-with one ``bytes.translate`` and range-checks them with another, and
-``DigitString`` checks its digits the same way up to base 256. ``_text``
-prints an int with ``str`` in base 10 and ``format`` in bases 2, 8 and 16,
-and ``_digits_of`` (``from_int``, and the sum and binomial steps) maps
+Each digit is checked once, where it enters. ``parse`` maps characters
+to digit values with one ``bytes.translate`` and range-checks them with
+another; ``DigitString(...)`` checks a caller's tuple the same way up to
+base 256; and the digits that ``from_int``, ``abs`` and the fuzzer's
+``random.Random`` draws make are canonical by construction. These four
+build their values with ``DigitString._unchecked``, with no second pass.
+
+Text and digits convert in C. ``_text`` prints an int with ``str`` in
+base 10 and ``format`` in bases 2, 8 and 16, and ``_digits_of``
+(``from_int``, and the sum and binomial steps) maps
 that text back to digit values. A base-10 value past the interpreter's
 int->str digit limit is split into pieces of ``_CHUNK`` < 640 digits (the
 least limit Python allows), each printed by ``str``; nothing here reads
@@ -51,6 +56,8 @@ _FORMATS = {2: "b", 8: "o", 16: "x"}
 _LEAF = 64
 # decimal digits per str() call past the int->str limit: under 640, the least limit Python allows
 _CHUNK = 512
+# an error message writes out an int of magnitude below this, and gives only the digit count of any other
+_SHOWN_BELOW = 10**60
 
 
 def fold(coeffs: tuple[int, ...], x: int, order: int = 1) -> int:
@@ -144,14 +151,27 @@ def _text(v: int, base: int) -> str:
     return "-" + body if v < 0 else body
 
 
+def _shown(value: object) -> str:
+    """value as an error message writes it: an exact int in full, another value as its repr cut to
+    60 characters, and an int past 60 digits (which could pass the int->str limit) as its digit
+    count, "<5001-digit int>" or "-<5001-digit int>"."""
+    if isinstance(value, int) and not -_SHOWN_BELOW < value < _SHOWN_BELOW:
+        m = abs(value)
+        count = (m.bit_length() - 1) * 30102999 // 10**8 + 1  # at most len(str(m)): 0.30102999 < log10(2)
+        while 10**count <= m:
+            count += 1
+        return f"{'-' if value < 0 else ''}<{count}-digit int>"
+    return str(value) if type(value) is int else f"{value!r:.60}"
+
+
 def _check_int(name: str, value: int, least: int | None = None, most: int | None = None) -> None:
     """Refuse value unless it is exactly an int (not bool, nor an int subclass) in [least, most]."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r:.60}")
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {_shown(value)}")
     if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {_shown(value)}")
     if most is not None and value > most:
-        raise ValueError(f"{name} must be <= {most}, got {value}")
+        raise ValueError(f"{name} must be <= {most}, got {_shown(value)}")
 
 
 def _in_range(digits: tuple[int, ...], base: int) -> bool:
@@ -189,10 +209,28 @@ class DigitString:
             raise ValueError("zero must have positive sign")
 
     @classmethod
+    def _unchecked(cls, sign: int, base: int, digits: tuple[int, ...]) -> DigitString:
+        """The DigitString of these parts, built without ``__post_init__``.
+
+        Every caller must already have checked its parts exactly as ``__post_init__`` would:
+        base an exact int >= 2, sign the int +1 or -1, digits a non-empty tuple of exact ints
+        in [0, base) with no leading zero, and sign +1 for zero.
+        """
+        if cls is not DigitString:  # a subclass (from_int's cls) may add fields or checks of its own
+            return cls(sign, base, digits)
+        self = object.__new__(cls)
+        # set as the dataclass __init__ sets them; a __dict__.update would give each value a dict of its own
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", digits)
+        return self
+
+    @classmethod
     def from_int(cls, value: int, base: int = 10) -> DigitString:
         _check_int("value", value)
         _check_int("base", base, 2)
-        return cls(1 if value >= 0 else -1, base, _digits_of(abs(value), base))
+        # _digits_of's digits are canonical: below the base, no leading zero, (0,) for 0
+        return cls._unchecked(1 if value >= 0 else -1, base, _digits_of(abs(value), base))
 
     @property
     def value(self) -> int:
@@ -202,7 +240,7 @@ class DigitString:
         return len(self.digits)
 
     def __abs__(self) -> DigitString:
-        return self if self.sign > 0 else DigitString(1, self.base, self.digits)
+        return self if self.sign > 0 else DigitString._unchecked(1, self.base, self.digits)
 
     def render(self) -> str:
         """Text form: optional '-', then digits 0-9a-z, most significant first."""
@@ -232,5 +270,5 @@ def parse(text: str, base: int = 10) -> DigitString:
         ch = next(ch for ch in reversed(body) if not ch.isascii() or _VALUE_TABLE[ord(ch)] >= base)
         raise ValueError(f"invalid digit {ch!r} for base {base}")
     digits = tuple(values.lstrip(b"\0")[::-1]) or (0,)
-    return DigitString(1 if digits == (0,) else sign, base, digits)
+    return DigitString._unchecked(1 if digits == (0,) else sign, base, digits)
 

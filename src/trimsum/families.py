@@ -54,7 +54,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _text, fold
+from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _shown, _text, fold
 from .weights import _check_divisor, weight_inverse
 
 TRIM = "trim"
@@ -95,7 +95,8 @@ class TestRule:
         if not shaped or gcd(beta, self.q) != 1 or (alpha - beta * pow(self.base, width, self.q)) % self.q:
             raise ValueError(
                 f"the {self.family} split (k, alpha, beta) = {split} needs gcd(beta, q) = 1, "
-                f"alpha = beta * base**k (mod q), and beta = 1 or k = alpha = 1, got q={self.q} base={self.base}"
+                f"alpha = beta * base**k (mod q), and beta = 1 or k = alpha = 1, "
+                f"got q={_shown(self.q)} base={_shown(self.base)}"
             )
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
@@ -284,18 +285,18 @@ def _derive_trim(q: int, base: int) -> _Derived:
 
 def _derive_binomial(q: int, base: int) -> _Derived:
     if q < 2:
-        raise ValueError(f"binomial weights base - q need q >= 2, got {q}")
+        raise ValueError(f"binomial weights base - q need q >= 2, got {_shown(q)}")
     return None, None, (1, base - q, 1)
 
 
 def _derive_last_digits(q: int, base: int) -> _Derived:
-    k, power = 0, 1
+    k, power = 0, 1 % q  # power = base**k mod q
     # if every prime of q divides the base, k never exceeds log2(q)
-    while power % q and k <= q.bit_length():
+    while power and k <= q.bit_length():
         k += 1
-        power *= base
-    if power % q:
-        raise ValueError(f"q={q} divides no power of base {base}; no last-digits test")
+        power = power * base % q
+    if power:
+        raise ValueError(f"q={_shown(q)} divides no power of base {_shown(base)}; no last-digits test")
     return None, k, (k, 0, 1)
 
 

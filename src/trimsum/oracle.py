@@ -66,9 +66,10 @@ def random_digit_string(
 
     The draws are randint(1, max_digits), randrange(base) per digit,
     randrange(1, base) for the top digit and random() for the sign. A
-    ``random.Random`` has them made straight from getrandbits; any other rng,
+    ``random.Random`` has them made straight from getrandbits, which keeps
+    every digit below the base, so they are not checked again; any other rng,
     a subclass included, makes them through its own randrange, which may draw
-    otherwise (through its own random(), say).
+    otherwise (through its own random(), say), and ``DigitString`` checks them.
     """
     _check_int("base", base, 2)  # getrandbits(0) is 0: a base <= 0 would redraw forever
     _check_int("max_digits", max_digits, 1, MAX_DIGITS)
@@ -76,7 +77,8 @@ def random_digit_string(
         raise ValueError(f"rng must have randrange and random methods, like random.Random, got {rng!r:.60}")
     if type(signed) is not bool:
         raise ValueError(f"signed must be a bool, got {type(signed).__name__} {signed!r:.60}")
-    below = partial(_below, rng.getrandbits) if type(rng) is random.Random else partial(_randranges, rng)
+    exact = type(rng) is random.Random
+    below = partial(_below, rng.getrandbits) if exact else partial(_randranges, rng)
     n = 1 + below(max_digits, 1)[0]
     digits = below(base, n)
     if n > 1:
@@ -84,7 +86,9 @@ def random_digit_string(
     sign = -1 if signed and rng.random() < 0.2 else 1
     if digits == [0]:
         sign = 1
-    return DigitString(sign, base, tuple(digits))
+    # Random's own getrandbits makes canonical digits here; a getrandbits set on the instance may not
+    trusted = exact and "getrandbits" not in vars(rng)
+    return (DigitString._unchecked if trusted else DigitString)(sign, base, tuple(digits))
 
 
 @dataclass(frozen=True)

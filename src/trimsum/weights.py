@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .digits import _check_int
+from .digits import _check_int, _shown
 
 TABLE = "table"
 ROUNDING = "rounding"
@@ -36,7 +36,7 @@ def _check_base10_divisor(q: int) -> None:
     _check_divisor(q)
     if q % 2 == 0 or q % 5 == 0:
         raise ValueError(
-            f"no base-10 trimming weight for q={q}: last digit must be 1, 3, 7 or 9"
+            f"no base-10 trimming weight for q={_shown(q)}: last digit must be 1, 3, 7 or 9"
         )
 
 
@@ -74,6 +74,6 @@ def weight_inverse(q: int, base: int = 10) -> int:
     """
     _check_divisor(q, base)
     if math.gcd(q, base) != 1:
-        raise ValueError(f"q={q} and base={base} share a factor; no trimming weight exists")
+        raise ValueError(f"q={_shown(q)} and base={_shown(base)} share a factor; no trimming weight exists")
     inv = pow(base, -1, q)
     return inv - q if 2 * inv > q else inv

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trimsum import digits
 from trimsum.digits import DigitString, fold, parse
 from trimsum.families import TestRule, TraceStep, apply_once, iterate
+from trimsum.oracle import random_digit_string
 
 ints = st.integers(min_value=-(10**45), max_value=10**45)
 bases = st.sampled_from([2, 7, 10, 16, 36])
@@ -370,3 +371,81 @@ def test_conversions_round_trip_under_the_least_int_to_str_limit(base):
         _round_trips(base)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# the text bases, the first base without text, each side of 256 (where the range check leaves bytes), and two above
+_MADE_BASES = (*range(2, 37), 37, 256, 257, 1000, 2**32 + 5)
+
+
+@pytest.mark.parametrize("base", _MADE_BASES)
+def test_made_digit_strings_pass_the_check_they_skip(base):
+    """parse, from_int and abs build their values without __post_init__; each one is exactly
+    what DigitString(...) builds from its parts, and passes every check on the way."""
+    rng = random.Random(f"made-{base}")
+    made = [DigitString.from_int(0, base)]
+    for n in (1, 63, 64, 65, 4301):
+        top = (rng.randrange(1 if n > 1 else 0, base),)
+        for ds in (tuple(rng.randrange(base) for _ in range(n - 1)) + top, (base - 1,) * n):
+            for v in (fold(ds, base), -fold(ds, base)):
+                a = DigitString.from_int(v, base)
+                made += [a, abs(a)]
+            if base <= digits.MAX_TEXT_BASE:
+                text = "".join(_CHARS[d] for d in reversed(ds))
+                made += [parse(prefix + text, base) for prefix in ("", "0", "000", "-", "-0", "-000")]
+                made.append(abs(parse("-" + text, base)))
+    if base <= digits.MAX_TEXT_BASE:
+        made += [parse(text, base) for text in ("0", "-0", "000", "-000")]
+    for s in made:
+        assert type(s) is DigitString and DigitString(s.sign, s.base, s.digits) == s, (base, s.sign, len(s))
+
+
+def test_the_makers_of_checked_digits_do_not_check_them_again(monkeypatch):
+    """A value that parse, from_int, abs or a random.Random's draws make skips __post_init__, its
+    second pass over the digits; a caller's own tuple is still checked."""
+    checked = []
+    monkeypatch.setattr(DigitString, "__post_init__", lambda self: checked.append(self))
+    DigitString(1, 10, (1,))
+    assert len(checked) == 1
+    rng = random.Random(3)
+    for base in (2, 10, 36, 1000):
+        a = DigitString.from_int(-(base**70) + 1, base)
+        made = [a, abs(a), DigitString.from_int(0, base), random_digit_string(rng, base, 100)]
+        if base <= digits.MAX_TEXT_BASE:
+            made += [parse("-0011", base), parse("0", base), abs(parse("-1", base))]
+        assert all(type(s) is DigitString for s in made)
+    assert len(checked) == 1
+
+
+def test_a_subclass_built_by_from_int_still_runs_its_own_checks():
+    class Even(DigitString):
+        def __post_init__(self):
+            super().__post_init__()
+            if self.digits[0] % 2:
+                raise ValueError("odd")
+
+    a = Even.from_int(-12)
+    assert type(a) is Even and (a.sign, a.base, a.digits) == (-1, 10, (2, 1))
+    with pytest.raises(ValueError, match="^odd$"):
+        Even.from_int(13)
+
+
+def test_an_error_message_shows_a_long_int_by_its_digit_count():
+    """An int of up to 60 digits is written out as before; a longer one, which could pass the
+    int->str digit limit, by how many digits it has. Other values keep their repr, cut to 60 characters."""
+    for value, shown in [
+        (0, "0"),
+        (-7, "-7"),
+        (10**60 - 1, "9" * 60),
+        (-(10**60) + 1, "-" + "9" * 60),
+        (10**60, "<61-digit int>"),
+        (-(10**60), "-<61-digit int>"),
+        (10**5000 - 1, "<5000-digit int>"),
+        (-(10**5000), "-<5001-digit int>"),
+        (2**100000, "<30103-digit int>"),
+        (True, "True"),
+        (_Int(7), "7"),
+        (_Int(10**80), "<81-digit int>"),
+        (7.5, "7.5"),
+        ([0] * 3400, repr([0] * 3400)[:60]),
+    ]:
+        assert digits._shown(value) == shown, shown

@@ -11,6 +11,7 @@ from trimsum import families, oracle
 from trimsum.digits import DigitString, parse
 from trimsum.families import TestRule, apply_once
 from trimsum.oracle import MAX_DIGITS, MAX_TRIALS, divides, fuzz_equivalence, random_digit_string, remainder
+from trimsum.weights import weight_inverse, weight_table
 
 
 class _Int(int):
@@ -112,6 +113,55 @@ def test_random_digit_string_follows_a_subclass_stream(base):
         for _ in range(50):
             assert random_digit_string(rng, base, 20) == _reference_digit_string(reference, base, 20, True)
         assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("base", [*range(2, 37), 37, 256, 257, 1000, 2**32 + 5])
+def test_random_digit_strings_pass_the_check_they_skip(base):
+    """A random.Random's draws build their value without __post_init__; each one is exactly what
+    DigitString(...) builds from its parts, and passes every check on the way."""
+    for max_digits, draws in ((1, 30), (2, 30), (65, 30), (4301, 3)):
+        rng = random.Random(f"{base}-{max_digits}")
+        for i in range(draws):
+            s = random_digit_string(rng, base, max_digits, signed=i % 3 != 0)
+            assert type(s) is DigitString and DigitString(s.sign, s.base, s.digits) == s, (base, max_digits, i)
+
+
+class _DuckRng:
+    """Draws one good length, then gives every digit draw the value it was made with."""
+
+    def __init__(self, bad):
+        self.bad, self.draws = bad, iter([2])  # randrange(max_digits) = 2: three digits
+
+    def randrange(self, *args):
+        return next(self.draws, self.bad)
+
+    def random(self):
+        return 0.5
+
+
+class _RandomSubclass(_DuckRng, random.Random):
+    """The same draws from a random.Random subclass."""
+
+
+def _bad_getrandbits(bad):
+    """A random.Random with a getrandbits of its own set on the instance: one good length, then bad."""
+    rng, draws = random.Random(0), iter([2])
+    rng.getrandbits = lambda k: next(draws, bad)
+    return rng
+
+
+@pytest.mark.parametrize(
+    "make,bad",
+    [
+        *((make, bad) for make in (_RandomSubclass, _DuckRng) for bad in (True, -1, 10, 1.5)),
+        *((_bad_getrandbits, bad) for bad in (True, -1, 1.5)),  # 10 would be drawn again for ever
+    ],
+)
+def test_a_custom_rngs_digits_are_still_checked(make, bad):
+    """Only a random.Random's own getrandbits draws skip DigitString's checks; a subclass, a
+    duck-typed rng or a getrandbits set on the instance may draw anything, and is refused."""
+    with pytest.raises(ValueError, match="^digit"):
+        random_digit_string(make(bad), 10, 60)
 
 
 @pytest.mark.parametrize(
@@ -227,6 +277,35 @@ def test_oracle_int_arguments_name_their_type(name, call, bad):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {type(bad).__name__} ") as error:
         call(bad)
     assert len(str(error.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: remainder(parse("5"), -(10**5000)), "modulus must be >= 1, got -<5001-digit int>"),
+        (lambda: TestRule.trim(-(10**5000)), "divisor must be >= 1, got -<5001-digit int>"),
+        (lambda: TestRule.trim(_Int(10**5000)), "q must be an integer, got _Int <5001-digit int>"),
+        (lambda: DigitString.from_int(5, -(10**5000)), "base must be >= 2, got -<5001-digit int>"),
+        (
+            lambda: weight_inverse(10**5001, 10),
+            "q=<5002-digit int> and base=10 share a factor; no trimming weight exists",
+        ),
+        (
+            lambda: TestRule.last_digits(10**5000 + 1),
+            "q=<5001-digit int> divides no power of base 10; no last-digits test",
+        ),
+        (lambda: fuzz_equivalence(TestRule.trim(7), 10**5000), f"trials must be <= {MAX_TRIALS}, got <5001-digit int>"),
+        (
+            lambda: weight_table(2 * 10**5000),
+            "no base-10 trimming weight for q=<5001-digit int>: last digit must be 1, 3, 7 or 9",
+        ),
+    ],
+)
+def test_a_huge_int_argument_is_named_in_a_short_message(call, message):
+    """These raised Python's own "Exceeds the limit (4300 digits)" error, which names no argument."""
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message and len(message) < 200
 
 
 def test_fuzz_catches_a_step_that_keeps_divisibility_but_not_the_remainder(monkeypatch):

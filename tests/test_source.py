@@ -1,7 +1,8 @@
 """The package holds no orphaned code: every private module-level name is read somewhere in
 ``src/trimsum``, and every module uses each name it imports. No package or test module defines
 one name twice, as the second definition silently replaces the first. The exact-int message is
-written in one function, so every int argument is refused in one form.
+written in one function, so every int argument is refused in one form, and only the four makers
+of canonical digits build a ``DigitString`` that skips its checks.
 
 A private helper that only the tests read is code the library does not run; these checks
 parse the source with ``ast`` and import nothing.
@@ -69,20 +70,43 @@ def test_no_module_level_def_or_class_name_is_bound_twice():
     assert repeated == []
 
 
-def _strings(node, owner=None):
-    """(owner, text) for each string constant under node, owner being the innermost def that holds it."""
+def _nodes(node, owner=""):
+    """(owner, child) for each node under node, owner being the dotted name of the innermost class
+    and def that hold it ("" at module level)."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield owner, child.value
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _strings(child, inner)
+        yield owner, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _nodes(child, f"{owner}.{child.name}".lstrip(".") if named else owner)
 
 
 def test_the_integer_message_is_written_once():
     """Every exact-int argument goes through ``digits._check_int``, so its message is written there
     alone, and the older "must be an int, got 7" wording, which named no type, is gone."""
-    strings = [(module, owner, text) for module, tree in MODULES.items() for owner, text in _strings(tree)]
+    strings = [
+        (module, owner, node.value)
+        for module, tree in MODULES.items()
+        for owner, node in _nodes(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
     assert {(module, owner) for module, owner, text in strings if "must be an integer" in text} == {
         ("digits.py", "_check_int")
     }
     assert [(module, owner) for module, owner, text in strings if "must be an int," in text] == []
+
+
+def test_only_the_makers_of_checked_digits_skip_the_digit_check():
+    """``DigitString._unchecked`` builds a value without ``__post_init__``. Only the four makers whose
+    digits are right by construction read it: parse after its translate check, from_int from
+    ``_digits_of``, abs of a checked value, and random_digit_string on a random.Random's own draws."""
+    readers = {
+        (module, owner)
+        for module, tree in MODULES.items()
+        for owner, node in _nodes(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+    }
+    assert readers == {
+        ("digits.py", "parse"),
+        ("digits.py", "DigitString.from_int"),
+        ("digits.py", "DigitString.__abs__"),
+        ("oracle.py", "random_digit_string"),
+    }
