@@ -1,20 +1,20 @@
 """Work accounting across the test families.
 
 Cost is counted in single-digit multiply-adds: one unit per trimming
-step, one unit per digit position when a summing test is evaluated by
-running scale-and-add. Together with the weight magnitude and the peak
-size of the intermediates this quantifies why small-weight summing beats
-binomial summing, and why trimming beats both per decision.
+step, one per digit position beyond the first when a summing test is
+evaluated by running scale-and-add, and none for a last-digits step.
+Together with the weight magnitude and the peak size of the
+intermediates this quantifies why small-weight summing beats binomial
+summing, and why trimming beats both per decision.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import log2
 
-from .digits import DigitString
-from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _values, _weight
+from .digits import DigitString, _digit_count, _shown
+from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _digit_sum, _split, _values, _weight
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
 
@@ -40,37 +40,24 @@ class CostReport:
 
 
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
-    """Instrument one full run of the rule's verdict chain, keeping only its step lengths.
+    """Instrument one full run of the rule's verdict chain, counting as its values arrive.
 
-    The steps the chain's carried stack takes at once are counted as it takes them; each
-    is shorter than |a|, so only the steps after them are measured.
+    The steps its carried stack takes at once, each shorter than |a|, are counted as it takes
+    them. A weighted digit sum step costs one multiply-add per input digit beyond the first,
+    a last-digits split (alpha = 0) none, and any other step one; no value is converted.
     """
     carried, values = _values(a, rule)  # checks the operands before len(a) reads them
-    lengths = [len(a), *_digit_counts(values, len(a), rule.base)]
-    steps = carried + len(lengths) - 1
-    ops = FAMILY_TABLE[rule.family].digit_ops(steps, lengths)
-    return CostReport(rule.q, rule.base, rule.family, abs(_weight(rule)), steps, ops, max(lengths))
-
-
-def _digit_counts(values: Iterator[int], n: int, base: int) -> Iterator[int]:
-    """The digit count of each value, moved from the previous count n by comparing with p = base**(n - 1).
-
-    A value some 64 digits or more from p by bit length (a long input's digit sum, a large
-    weight's step) restarts the count from one power of the base, not a multiply per digit.
-    """
-    p, far = base ** (n - 1), 64 * base.bit_length()
+    base, step = rule.base, FAMILY_TABLE[rule.family].step
+    steps, peak, ops, n = carried, 0, 0, len(a)
     for v in values:
         m = abs(v)
-        if abs(m.bit_length() - p.bit_length()) > far:
-            n = max(int(m.bit_length() / log2(base)), 1)  # m has n or n + 1 digits
-            p = base ** (n - 1)
-        while n > 1 and m < p:
-            p //= base
-            n -= 1
-        while m >= p * base:
-            p *= base
-            n += 1
-        yield n
+        steps, peak = steps + 1, max(peak, m)
+        if step is _digit_sum:  # each application reads its input's n digits
+            ops, n = ops + n - 1, _digit_count(m, base)
+    if step is not _digit_sum:
+        ops = 0 if step is _split and not rule.split[1] else steps
+    digits = max(len(a), _digit_count(peak, base))  # the carried steps are shorter than |a|
+    return CostReport(rule.q, base, rule.family, abs(_weight(rule)), steps, ops, digits)
 
 
 @dataclass(frozen=True)
@@ -88,7 +75,7 @@ def _checked_iter(name: str, values) -> Iterator:
     try:
         return iter(values)
     except TypeError:
-        raise ValueError(f"{name} must be iterable, got {values!r:.60}") from None
+        raise ValueError(f"{name} must be iterable, got {_shown(values)}") from None
 
 
 def compare(q_list, a_list, base: int = 10) -> ComparisonTable:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from math import log2
 
 MAX_TEXT_BASE = 36
 
@@ -151,17 +152,27 @@ def _text(v: int, base: int) -> str:
     return "-" + body if v < 0 else body
 
 
+def _digit_count(m: int, base: int) -> int:
+    """How many base-``base`` digits m >= 0 has (1 for 0), with no text: floor((L - 1) / log2(base)) + 1
+    from its bit length L, less a float margin, is at most that, and powers of the base add the rest (<= 2)."""
+    count = max(int((m.bit_length() - 1) / log2(base) * (1 - 1e-12)), 0) + 1
+    power = base**count
+    while m >= power:
+        power *= base
+        count += 1
+    return count
+
+
 def _shown(value: object) -> str:
     """value as an error message writes it: an exact int in full, another value as its repr cut to
-    60 characters, and an int past 60 digits (which could pass the int->str limit) as its digit
-    count, "<5001-digit int>" or "-<5001-digit int>"."""
+    60 characters (its type's name, "<tuple>", if the repr raises), and an int past 60 digits
+    (which could pass the int->str limit) as its digit count, "<5001-digit int>" or "-<5001-digit int>"."""
     if isinstance(value, int) and not -_SHOWN_BELOW < value < _SHOWN_BELOW:
-        m = abs(value)
-        count = (m.bit_length() - 1) * 30102999 // 10**8 + 1  # at most len(str(m)): 0.30102999 < log10(2)
-        while 10**count <= m:
-            count += 1
-        return f"{'-' if value < 0 else ''}<{count}-digit int>"
-    return str(value) if type(value) is int else f"{value!r:.60}"
+        return f"{'-' if value < 0 else ''}<{_digit_count(abs(value), 10)}-digit int>"
+    try:
+        return str(value) if type(value) is int else f"{value!r:.60}"
+    except Exception:  # a caller's repr may raise anything; a tuple holding an int past the int->str limit does
+        return f"<{type(value).__name__}>"
 
 
 def _check_int(name: str, value: int, least: int | None = None, most: int | None = None) -> None:
@@ -197,12 +208,12 @@ class DigitString:
     def __post_init__(self) -> None:
         _check_int("base", self.base, 2)
         if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"sign must be the int +1 or -1, got {self.sign!r}")
+            raise ValueError(f"sign must be the int +1 or -1, got {_shown(self.sign)}")
         # one C-level pass: a non-empty tuple whose items are all exactly int (bool is not)
         if type(self.digits) is not tuple or set(map(type, self.digits)) != {int}:
-            raise ValueError(f"digits must be a non-empty tuple of ints, got {self.digits!r:.60}")
+            raise ValueError(f"digits must be a non-empty tuple of ints, got {_shown(self.digits)}")
         if not _in_range(self.digits, self.base):
-            raise ValueError(f"digit out of range for base {self.base}: {self.digits!r:.60}")
+            raise ValueError(f"digit out of range for base {self.base}: {_shown(self.digits)}")
         if len(self.digits) > 1 and self.digits[-1] == 0:
             raise ValueError("leading zero digit")
         if self.digits == (0,) and self.sign < 0:
@@ -257,9 +268,9 @@ def parse(text: str, base: int = 10) -> DigitString:
     dropped so the result is canonical.
     """
     if not isinstance(text, str):
-        raise ValueError(f"text must be a str, got {text!r:.60}")
+        raise ValueError(f"text must be a str, got {_shown(text)}")
     if type(base) is not int or not 2 <= base <= MAX_TEXT_BASE:
-        raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {base!r}")
+        raise ValueError(f"text form supports bases 2..{MAX_TEXT_BASE}, got {_shown(base)}")
     body, sign = text, 1
     if body.startswith("-"):
         body, sign = body[1:], -1

@@ -87,7 +87,7 @@ class TestRule:
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {_shown(self.family)}")
         _check_divisor(self.q, self.base)
         omega, k, split = FAMILY_TABLE[self.family].derive(self.q, self.base)
         width, alpha, beta = split
@@ -300,16 +300,6 @@ def _derive_last_digits(q: int, base: int) -> _Derived:
     return None, k, (k, 0, 1)
 
 
-def _per_step(steps: int, lengths: list[int]) -> int:
-    return steps
-
-
-def _per_digit(steps: int, lengths: list[int]) -> int:
-    # one multiply-add per digit position beyond the first, per application; a summing
-    # chain carries no steps, so lengths are its input's and every step's
-    return sum(n - 1 for n in lengths[:-1])
-
-
 def _weight(rule: TestRule) -> int:
     """The weight ``_split_fold`` folds with: beta when k = alpha = 1, else alpha. A stacked chain folds
     its digits with it, and the cost table shows its magnitude."""
@@ -320,11 +310,11 @@ def _weight(rule: TestRule) -> int:
 @dataclass(frozen=True)
 class Family:
     """What sets one test family apart; ``FAMILY_TABLE`` has one record each. A family whose chain can
-    stack has an ``order``: at q = base - 1 both fold shapes apply, so the split cannot say it."""
+    stack has an ``order``: at q = base - 1 both fold shapes apply, so the split cannot say it.
+    The cost table reads a family's work off its ``step`` and split, so the record carries no cost."""
 
     derive: Callable[[int, int], _Derived]  # checks (q, base), returns (omega, k, split)
     step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
-    digit_ops: Callable[[int, list[int]], int]  # multiply-adds, from the step count and the lengths measured
     order: int | None = None  # its stacked chain folds digits[::order] (low digit first), if it can stack
     chain_op: str | None = None  # the op name of the stacked chain's trace steps, if its chain can stack
     always_stacked: bool = False  # its chain runs stacked even without stacked=True
@@ -332,18 +322,18 @@ class Family:
 
 
 FAMILY_TABLE = {
-    TRIM: Family(_derive_trim, _split, _per_step, order=1, chain_op="stack"),
-    LEFT_TRIM: Family(_derive_binomial, _left_trim, _per_step, order=-1, chain_op="left_trim", always_stacked=True),
-    SUM: Family(_derive_trim, _digit_sum, _per_digit),
-    BINOMIAL: Family(_derive_binomial, _digit_sum, _per_digit),
-    TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, _per_step, default_q=7),
-    LAST_DIGITS: Family(_derive_last_digits, _split, lambda steps, lengths: 0),
+    TRIM: Family(_derive_trim, _split, order=1, chain_op="stack"),
+    LEFT_TRIM: Family(_derive_binomial, _left_trim, order=-1, chain_op="left_trim", always_stacked=True),
+    SUM: Family(_derive_trim, _digit_sum),
+    BINOMIAL: Family(_derive_binomial, _digit_sum),
+    TALMUD: Family(lambda q, base: (None, None, (2, 2, 1)), _split, default_q=7),
+    LAST_DIGITS: Family(_derive_last_digits, _split),
 }
 
 
 def _check_operands(a: DigitString, rule: TestRule) -> None:
     if not isinstance(a, DigitString) or not isinstance(rule, TestRule):
-        raise ValueError(f"expected a DigitString and a TestRule, got {a!r:.60} and {rule!r:.60}")
+        raise ValueError(f"expected a DigitString and a TestRule, got {_shown(a)} and {_shown(rule)}")
     if a.base != rule.base:
         raise ValueError(f"base mismatch: value in base {a.base}, rule in base {rule.base}")
 
@@ -618,7 +608,7 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
     they are read, so reading a stacked or left-trim terminal folds |a| once more.
     """
     if type(stacked) is not bool:
-        raise ValueError(f"stacked must be a bool, got {type(stacked).__name__} {stacked!r:.60}")
+        raise ValueError(f"stacked must be a bool, got {type(stacked).__name__} {_shown(stacked)}")
     stacked = _chain_kind(a, rule, stacked)[0] is not None
     return Trace(rule, a, stacked, DIVISIBLE if _split_fold(a.digits, rule) % rule.q == 0 else NOT_DIVISIBLE)
 

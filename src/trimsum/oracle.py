@@ -15,7 +15,7 @@ import random
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .digits import DigitString, _check_int
+from .digits import DigitString, _check_int, _shown
 from .families import SUM, TRIM, TestRule, apply_once
 
 # fuzz_equivalence's caps: a run's time grows with trials * max_digits
@@ -26,7 +26,7 @@ MAX_DIGITS = 10**4
 def remainder(a: DigitString, q: int) -> int:
     """value(a) mod q, in [0, q), by the left-to-right digit fold; q is an exact int >= 1."""
     if not isinstance(a, DigitString):
-        raise ValueError(f"expected a DigitString, got {a!r:.60}")
+        raise ValueError(f"expected a DigitString, got {_shown(a)}")
     _check_int("modulus", q, 1)
     r = 0
     base = a.base
@@ -66,18 +66,19 @@ def random_digit_string(
 
     The draws are randint(1, max_digits), randrange(base) per digit,
     randrange(1, base) for the top digit and random() for the sign. A
-    ``random.Random`` has them made straight from getrandbits, which keeps
-    every digit below the base, so they are not checked again; any other rng,
-    a subclass included, makes them through its own randrange, which may draw
-    otherwise (through its own random(), say), and ``DigitString`` checks them.
+    ``random.Random`` has them made straight from its own getrandbits, which
+    keeps every digit below the base, so they are not checked again; any other
+    rng, a subclass or a getrandbits set on the instance included, makes them
+    through its own randrange, which may draw otherwise (through its own
+    random(), say), and ``DigitString`` checks them.
     """
     _check_int("base", base, 2)  # getrandbits(0) is 0: a base <= 0 would redraw forever
     _check_int("max_digits", max_digits, 1, MAX_DIGITS)
     if type(rng) is not random.Random and not all(callable(getattr(rng, m, None)) for m in ("randrange", "random")):
-        raise ValueError(f"rng must have randrange and random methods, like random.Random, got {rng!r:.60}")
+        raise ValueError(f"rng must have randrange and random methods, like random.Random, got {_shown(rng)}")
     if type(signed) is not bool:
-        raise ValueError(f"signed must be a bool, got {type(signed).__name__} {signed!r:.60}")
-    exact = type(rng) is random.Random
+        raise ValueError(f"signed must be a bool, got {type(signed).__name__} {_shown(signed)}")
+    exact = type(rng) is random.Random and "getrandbits" not in vars(rng)
     below = partial(_below, rng.getrandbits) if exact else partial(_randranges, rng)
     n = 1 + below(max_digits, 1)[0]
     digits = below(base, n)
@@ -86,9 +87,7 @@ def random_digit_string(
     sign = -1 if signed and rng.random() < 0.2 else 1
     if digits == [0]:
         sign = 1
-    # Random's own getrandbits makes canonical digits here; a getrandbits set on the instance may not
-    trusted = exact and "getrandbits" not in vars(rng)
-    return (DigitString._unchecked if trusted else DigitString)(sign, base, tuple(digits))
+    return (DigitString._unchecked if exact else DigitString)(sign, base, tuple(digits))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
     trials runs 1..MAX_TRIALS, max_digits 1..MAX_DIGITS, and seed is any exact int.
     """
     if not isinstance(rule, TestRule):
-        raise ValueError(f"expected a TestRule, got {rule!r:.60}")
+        raise ValueError(f"expected a TestRule, got {_shown(rule)}")
     _check_int("seed", seed)
     _check_int("trials", trials, 1, MAX_TRIALS)
     _check_int("max_digits", max_digits, 1, MAX_DIGITS)

@@ -6,8 +6,9 @@ import tracemalloc
 
 import pytest
 
+from trimsum import analyzer
 from trimsum.analyzer import CSV_HEADER, CostReport, compare, cost_profile
-from trimsum.digits import DigitString, parse
+from trimsum.digits import DigitString, _digit_count, parse
 from trimsum.families import FAMILIES, TestRule, iterate
 from trimsum.oracle import random_digit_string
 
@@ -119,10 +120,20 @@ def test_cost_rows_match_the_recorded_trace(family, base):
             rules.append(TestRule(family, q, base))
         except ValueError:
             pass
-    for _ in range(40):
-        a = random_digit_string(rng, base, max_digits=80)
-        rule = rng.choice(rules)
+    cases = [(random_digit_string(rng, base, max_digits=80), rng.choice(rules)) for _ in range(40)]
+    # long inputs: weighted digit sums of 1000 and 3000 digits, and a left trim whose values outgrow |a|
+    for n in (1000, 3000) if family in ("sum", "binomial") else ():
+        cases += [(_long_input(rng, base, n), TestRule(family, q, base)) for q in (7, 101, 10**6 + 3)]
+    if family == "left_trim":
+        a, rule = _long_input(rng, base, 1000), TestRule.left_trim(2 * base + 3, base)
+        assert cost_profile(a, rule).max_intermediate_digits > len(a)
+        cases.append((a, rule))
+    for a, rule in cases:
         assert cost_profile(a, rule) == _row_from_trace(a, rule), (a, rule)
+
+
+def _long_input(rng, base, n):
+    return DigitString(1, base, tuple(rng.randrange(base) for _ in range(n - 1)) + (rng.randrange(1, base),))
 
 
 def test_compare_rejects_inputs_that_are_not_digit_strings():
@@ -162,10 +173,19 @@ def test_cost_profile_counts_digits_without_converting(monkeypatch):
         return from_int(cls, value, base)
 
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
+    counted = []  # a trim, Talmud, last-digits or left-trim row counts the digits of its peak alone
+
+    def counting_digit_count(m, base):
+        counted.append(m)
+        return _digit_count(m, base)
+
+    monkeypatch.setattr(analyzer, "_digit_count", counting_digit_count)
     rng = random.Random(300)
     a = parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(299)))
-    for rule in (TestRule.trim(7), TestRule.talmud()):
+    for rule in (TestRule.trim(7), TestRule.talmud(), TestRule.left_trim(7), TestRule.last_digits(8)):
         report = cost_profile(a, rule)
-        assert converted == [] and report.iterations > 100
+        assert converted == [] and len(counted) == 1
+        assert report.iterations > 100 or rule.family == "last_digits"
         assert report == _row_from_trace(a, rule)  # which converts every step
         converted.clear()
+        counted.clear()

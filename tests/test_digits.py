@@ -1,11 +1,12 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trimsum import digits
+from trimsum import analyzer, digits, oracle
 from trimsum.digits import DigitString, fold, parse
 from trimsum.families import TestRule, TraceStep, apply_once, iterate
 from trimsum.oracle import random_digit_string
@@ -447,5 +448,49 @@ def test_an_error_message_shows_a_long_int_by_its_digit_count():
         (_Int(10**80), "<81-digit int>"),
         (7.5, "7.5"),
         ([0] * 3400, repr([0] * 3400)[:60]),
+        ((10**5000,), "<tuple>"),  # a repr that raises past the int->str limit
     ]:
         assert digits._shown(value) == shown, shown
+
+
+_BIG = 10**5000  # past the int->str limit, so its repr raises
+
+
+@pytest.mark.parametrize(
+    "refuse,named",
+    [
+        (lambda: DigitString(1, 10, (_BIG,)), "^digit out of range"),
+        (lambda: DigitString(1, 10, [_BIG]), "^digits must be"),
+        (lambda: DigitString(_BIG, 10, (1,)), "^sign must be"),
+        (lambda: DigitString("x" * 10**5, 10, (1,)), "^sign must be"),
+        (lambda: parse("5", _BIG), "supports bases"),
+        (lambda: TestRule.trim(Fraction(_BIG)), "^q must be"),
+        (lambda: TestRule("x" * 10**5, 7), "^unknown family"),
+        (lambda: iterate(parse("5"), TestRule.trim(7), stacked=(_BIG,)), "^stacked must be"),
+        (lambda: apply_once((_BIG,), TestRule.trim(7)), "^expected a DigitString and a TestRule"),
+        (lambda: analyzer.compare(_BIG, [parse("5")]), "^q_list must be"),
+        (lambda: oracle.remainder((_BIG,), 7), "^expected a DigitString"),
+        (lambda: oracle.fuzz_equivalence((_BIG,), 1), "^expected a TestRule"),
+        (lambda: random_digit_string((_BIG,)), "^rng must have"),
+        (lambda: random_digit_string(random.Random(1), signed=(_BIG,)), "^signed must be"),
+    ],
+    ids=[
+        "digit", "digit_list", "sign", "long_sign", "parse_base", "fraction_q", "long_family",
+        "stacked", "apply_once", "q_list", "remainder", "fuzz_rule", "rng", "signed",
+    ],
+)
+def test_a_refused_value_past_the_int_to_str_limit_or_long_is_shown_short(refuse, named):
+    """Each raised the interpreter's int->str limit error, which names no argument, or wrote out ~100 kB."""
+    with pytest.raises(ValueError, match=named) as refused:
+        refuse()
+    assert len(str(refused.value)) < 200
+
+
+def test_digit_count_is_exact_at_the_powers_of_the_base():
+    for base in (2, 10, 36, 1000):
+        assert digits._digit_count(0, base) == digits._digit_count(1, base) == 1
+        power = 1
+        for k in range(1, 5001):
+            power *= base  # base**k has k + 1 digits, base**k - 1 has k
+            counts = [digits._digit_count(m, base) for m in (power - 1, power, power + 1)]
+            assert counts == [k, k + 1, k + 1], (base, k)
