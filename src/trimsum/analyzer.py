@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .digits import DigitString, _digit_count, _shown
+from .digits import DigitString, _digit_count, _shown, _text
 from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _digit_sum, _split, _values, _weight
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
@@ -33,7 +33,7 @@ class CostReport:
 
     # vars(self) holds the fields in declaration order; astuple and asdict would deep-copy each one
     def as_csv_row(self) -> str:
-        return ",".join(map(str, vars(self).values()))
+        return ",".join(v if type(v) is str else _text(v, 10) for v in vars(self).values())
 
     def as_json(self) -> dict:
         return dict(vars(self))

@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import analyzer, oracle
-from .digits import parse
+from .digits import _shown, parse
 from .families import (
     BINOMIAL,
     FAMILIES,
@@ -62,7 +62,7 @@ def _divisors(text: str) -> list[int]:
     except ValueError:
         q_list = []
     if not q_list:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integer divisors, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer divisors, got {_shown(text)}")
     return q_list
 
 

@@ -34,14 +34,14 @@ and adds omega times it at the low end, so the steps ``_carried`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
-Every verdict is one pass over the digits of |a|: the rule's split chain run stacked as one
-``_split_fold``. No verdict runs a chain or reads the chain kind: stacking changes what
-a trace prints, not what it decides. ``Trace.last`` reads a stacked chain's ``_split_fold``
-too, and runs a plain chain: ``_carried`` makes the steps a ``_split`` chain provably
-takes, as many as ``_carried_steps`` counts, in one pass over the digit groups with
-the rule's (k, alpha, beta), and reports that count to the cost table (``_values``);
-the steps after them are taken one at a time. A printed trace reads neither: it
-ends at its own last step, so it runs its chain once.
+Every verdict is ``divides_via``'s one pass over the digits of |a|, the rule's split chain
+run stacked as one ``_split_fold``; a ``Trace`` decides its own with it when built. No verdict
+runs a chain or reads the chain kind: stacking changes what a trace prints, not what it
+decides. ``Trace.last`` reads a stacked chain's ``_split_fold`` too, and runs a plain chain:
+``_carried`` makes the steps a ``_split`` chain provably takes, as many as ``_carried_steps``
+counts, in one pass over the digit groups with the rule's (k, alpha, beta), and reports that
+count to the cost table (``_values``); the steps after them are taken one at a time. A printed
+trace reads neither: it ends at its own last step, so it runs its chain once.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
-    """A chain's verdict; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
+    """A rule's chain on a; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
 
-    The verdict does not depend on ``stacked``, so the trace holds no fold of its own. ``render()`` and
+    Building one checks its operands and ``stacked``, decides the ``verdict`` with ``divides_via``, which
+    does not read ``stacked``, and sets ``stacked`` for left trim, whose chain always stacks. ``render()`` and
     ``_json_chunks()`` (what ``trace`` and ``trace --json`` print) run the chain once, making their
     text a step at a time with ``_step_texts`` (from the step ints, or a long plain trim chain's
     digit buffer); they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()`` builds the
@@ -169,8 +170,18 @@ class Trace:
 
     rule: TestRule
     a: DigitString
-    stacked: bool
-    verdict: str = field(compare=False)
+    stacked: bool = False
+    verdict: str = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if type(self.stacked) is not bool:
+            raise ValueError(f"stacked must be a bool, got {type(self.stacked).__name__} {_shown(self.stacked)}")
+        object.__setattr__(self, "verdict", DIVISIBLE if divides_via(self.a, self.rule) else NOT_DIVISIBLE)
+        family = FAMILY_TABLE[self.rule.family]
+        if self.stacked and not family.order:
+            chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.order)
+            raise ValueError(f"stacked iteration applies to {chained} rules only")
+        object.__setattr__(self, "stacked", self.stacked or family.always_stacked)
 
     @cached_property
     def last(self) -> int:
@@ -187,7 +198,7 @@ class Trace:
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
-        return tuple(_steps(self.a, self.rule, self.stacked))
+        return tuple(_steps(self))
 
     def as_json(self) -> dict:
         """The ``trace --json`` document: each step's ``coeffs`` are ints, its value and the terminal digit text.
@@ -213,10 +224,10 @@ class Trace:
         Each step's value text is bound to ``terminal``, so the ``terminal:`` line prints the last one.
         """
         rule, terminal = self.rule, abs(self.a).render()  # checks the base, as in as_json
-        omega = "" if rule.omega is None else f" omega={rule.omega:+d}"
-        yield f"rule: family={rule.family} q={rule.q} base={rule.base}{omega}"
+        omega = "" if rule.omega is None else f" omega={'+' if rule.omega >= 0 else ''}{_text(rule.omega, 10)}"
+        yield f"rule: family={rule.family} q={_text(rule.q, 10)} base={rule.base}{omega}"
         sep = ", " if self.stacked else None  # a plain step's line shows no coefficients
-        for i, (op, coeffs, terminal) in enumerate(_step_texts(self.a, rule, self.stacked, sep), start=1):
+        for i, (op, coeffs, terminal) in enumerate(_step_texts(self, sep), start=1):
             yield f"step {i}: {op} -> [{coeffs}] = {terminal}" if sep else f"step {i}: {op} -> {terminal}"
         yield f"terminal: {terminal}"
         yield f"verdict: {self.verdict.replace('_', ' ')}"
@@ -229,13 +240,13 @@ class Trace:
         ``"terminal"`` is the last step's value text, or |a|'s.
         """
         rule, terminal = self.rule, abs(self.a).render()
-        omega = "null" if rule.omega is None else rule.omega
+        omega = "null" if rule.omega is None else _text(rule.omega, 10)
         yield (
-            f'{{\n  "rule": {{\n    "family": "{rule.family}",\n    "q": {rule.q},\n'
+            f'{{\n  "rule": {{\n    "family": "{rule.family}",\n    "q": {_text(rule.q, 10)},\n'
             f'    "base": {rule.base},\n    "omega": {omega}\n  }},\n  "steps": ['
         )
         lead, close = "\n", "]"  # an empty list stays on one line
-        for op, coeffs, terminal in _step_texts(self.a, rule, self.stacked, ",\n        "):
+        for op, coeffs, terminal in _step_texts(self, ",\n        "):
             yield (
                 f'{lead}    {{\n      "op": "{op}",\n      "coeffs": [\n        {coeffs}\n      ],\n'
                 f'      "collapsed": "{terminal}"\n    }}'
@@ -348,18 +359,6 @@ def apply_once(a: DigitString, rule: TestRule) -> DigitString:
 trim = apply_once
 
 
-def _chain_kind(a: DigitString, rule: TestRule, stacked: bool) -> tuple[int | None, Family]:
-    """The stacked chain's fold order (None if plain) and the rule's family; checks the operands first."""
-    _check_operands(a, rule)
-    family = FAMILY_TABLE[rule.family]
-    if family.chain_op and (stacked or family.always_stacked):
-        return family.order, family
-    if stacked:
-        chained = " and ".join(repr(name) for name, f in FAMILY_TABLE.items() if f.chain_op)
-        raise ValueError(f"stacked iteration applies to {chained} rules only")
-    return None, family
-
-
 def _plain_chain(x: _Magnitude, rule: TestRule) -> Iterator[int]:
     """Each step's int from x = |a|, stepping while |v| >= base**2 until a step fails to shrink |v|.
 
@@ -393,26 +392,24 @@ def _smaller(m: int, x: _Magnitude, base: int) -> bool:
     return m.bit_length() <= n * (base.bit_length() - 1) or m < base**n or m < fold(x, base)
 
 
-def _steps(a: DigitString, rule: TestRule, stacked: bool) -> Iterator[TraceStep]:
-    """Each of the chain's steps as a ``TraceStep``, from ``_plain_chain``'s ints or ``_folded``'s folds.
+def _steps(trace: Trace) -> Iterator[TraceStep]:
+    """Each of the trace's chain steps as a ``TraceStep``, from ``_plain_chain``'s ints or ``_folded``'s folds.
 
     A stacked chain's step i holds the fold of i + 1 digits in the last folded digit's
     slot, beside the digits not yet folded, so its last step is the 1-tuple of the fold.
     """
-    base, (order, family) = rule.base, _chain_kind(a, rule, stacked)
-    if order is None:
+    a, rule, family = trace.a, trace.rule, FAMILY_TABLE[trace.rule.family]
+    if not trace.stacked:
         for v in _plain_chain(a.digits, rule):
-            ds = _digits_of(abs(v), base)
-            yield TraceStep(rule.family, v, ds if v >= 0 else tuple(-d for d in ds), base)
+            ds = _digits_of(abs(v), rule.base)
+            yield TraceStep(rule.family, v, ds if v >= 0 else tuple(-d for d in ds), rule.base)
         return
-    d = a.digits[::order]
-    for folded, (acc, value) in enumerate(_folded(a, order, _weight(rule)), 2):
-        yield TraceStep(family.chain_op, value, ((acc,) + d[folded:])[::order], base)
+    d = a.digits[:: family.order]
+    for folded, (acc, value) in enumerate(_folded(a, rule), 2):
+        yield TraceStep(family.chain_op, value, ((acc,) + d[folded:])[:: family.order], rule.base)
 
 
-def _step_texts(
-    a: DigitString, rule: TestRule, stacked: bool, sep: str | None
-) -> Iterator[tuple[str, str | None, str]]:
+def _step_texts(trace: Trace, sep: str | None) -> Iterator[tuple[str, str | None, str]]:
     """Each trace step's op, its coefficients' decimal texts joined by sep, and its value's text.
 
     A plain step's value text comes from ``_plain_texts``, and its coefficients (None if
@@ -422,8 +419,8 @@ def _step_texts(
     step before, with no fold per step; its coefficients are its fold beside the
     digits not yet folded, whose texts are joined once per trace.
     """
-    base, (order, family) = rule.base, _chain_kind(a, rule, stacked)
-    if order is None:
+    a, rule, base = trace.a, trace.rule, trace.a.base
+    if not trace.stacked:
         texts = _plain_texts(a.digits, rule)
         if sep is None:
             yield from ((rule.family, None, text) for text in texts)
@@ -439,8 +436,9 @@ def _step_texts(
         return
     texts = [str(d) for d in a.digits]
     ends = list(accumulate((len(t) + len(sep) for t in texts), initial=0))
-    steps = enumerate(_folded(a, order, _weight(rule)), start=2)
-    if order == 1:  # the fold of the low digits, then the digits not yet folded
+    family = FAMILY_TABLE[rule.family]
+    steps = enumerate(_folded(a, rule), start=2)
+    if family.order == 1:  # the fold of the low digits, then the digits not yet folded
         tail = "".join(sep + t for t in texts)
         for folded, (acc, value) in steps:
             yield family.chain_op, _text(acc, 10) + tail[ends[folded] :], _text(value, base)
@@ -481,7 +479,7 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
             elif not buf[0]:  # a borrow reached the top digit
                 del buf[: len(buf) - len(buf.lstrip(b"\0"))]
             yield buf.translate(_CHAR_TABLE).decode()
-        x = int(buf.translate(_CHAR_TABLE), base)
+        x = fold(buf, base, -1)
     yield from (_text(v, base) for v in _plain_chain(x, rule))
 
 
@@ -489,14 +487,14 @@ def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
     """How many steps of the chain ``iterate(a, rule)`` runs ``_carried`` takes at once, and each
     later step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
     """
-    order = _chain_kind(a, rule, False)[0]
-    if order is None:
-        x, carried = _carried(a.digits, rule)
-        return carried, _plain_chain(x, rule)
-    return 0, (value for _, value in _folded(a, order, _weight(rule)))
+    _check_operands(a, rule)
+    if FAMILY_TABLE[rule.family].always_stacked:
+        return 0, (value for _, value in _folded(a, rule))
+    x, carried = _carried(a.digits, rule)
+    return carried, _plain_chain(x, rule)
 
 
-def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]]:
+def _folded(a: DigitString, rule: TestRule) -> Iterator[tuple[int, int]]:
     """Each stacked step's fold, acc * weight + the next of a.digits[::order], and its value, carried step to step.
 
     Trim folds from the last digit up with omega, ending at the sum test:
@@ -505,7 +503,7 @@ def _folded(a: DigitString, order: int, weight: int) -> Iterator[tuple[int, int]
     the binomial test: folding in the digit below acc moves the value by
     (weight - base) * acc * base**r, where r digits are still unfolded.
     """
-    base, d = a.base, a.digits
+    base, d, order, weight = a.base, a.digits, FAMILY_TABLE[rule.family].order, _weight(rule)
     value, power = fold(d, base), base ** (len(d) - 1)
     digits = iter(d[::order])
     acc = next(digits)
@@ -601,19 +599,16 @@ def _carried_steps(n: int, rule: TestRule) -> int:
 
 
 def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
-    """Drive a rule to a verdict, read from ``_split_fold``'s one pass over the digits of |a|.
+    """The ``Trace`` of the rule's chain on a, ``Trace(rule, a, stacked)``, which decides its verdict when built.
 
     ``stacked=True`` (trim only) runs the stacked chain, as left trimming always does; the verdict
     does not read it. A chain runs, the terminal is converted and the steps are built only when
     they are read, so reading a stacked or left-trim terminal folds |a| once more.
     """
-    if type(stacked) is not bool:
-        raise ValueError(f"stacked must be a bool, got {type(stacked).__name__} {_shown(stacked)}")
-    stacked = _chain_kind(a, rule, stacked)[0] is not None
-    return Trace(rule, a, stacked, DIVISIBLE if _split_fold(a.digits, rule) % rule.q == 0 else NOT_DIVISIBLE)
+    return Trace(rule, a, stacked)
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a as ``iterate`` does, in one pass over the digits of |a| that runs no chain and converts nothing."""
+    """Decide q | a, as a ``Trace`` does when built: one pass over |a|'s digits, running no chain, converting none."""
     _check_operands(a, rule)
     return _split_fold(a.digits, rule) % rule.q == 0

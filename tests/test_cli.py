@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from trimsum import cli, families
+from trimsum import analyzer, cli, families
 from trimsum.cli import main
 from trimsum.digits import DigitString, parse
 from trimsum.families import FAMILIES, TestRule, iterate
@@ -349,9 +349,19 @@ def test_trace_json_prints_a_fold_past_the_int_to_str_limit_as_a_json_integer(ca
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 def test_streamed_trace_under_the_least_int_to_str_limit(capsys):
     a, limit = _long_binomial_input(), sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    rng = random.Random(2000)
+    long_trim = parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(1999)))
+    wide = iterate(long_trim, TestRule.trim(10**700 + 3))  # q and omega have over 640 digits
+    table = analyzer.compare([wide.rule.q], [parse("123456789")])
+    views = (wide.render, lambda: "".join(wide._json_chunks()), table.to_csv)
+    sys.set_int_max_str_digits(0)
     try:
+        printed = [view() for view in views]  # as printed with no limit
+        sys.set_int_max_str_digits(640)
         _assert_streams_match_the_document(capsys, a, TestRule.binomial(2), False)
+        # the digit buffer hands the chain over at a number of about 640 digits, past the limit
+        _assert_streams_match_the_document(capsys, long_trim, TestRule.trim(10**639 + 3), False)
+        assert [view() for view in views] == printed
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -584,13 +594,15 @@ def test_compare_omits_families_without_a_test_for_q(capsys):
 
 
 def test_compare_rejects_a_malformed_or_empty_divisor_list_as_usage(capsys):
-    for q in ["abc", "7.5", "7,x", ",", ""]:  # each exited 1 or printed a header-only table
+    for q in ["abc", "7.5", "7,x", ",", "", "x" * 100000]:  # each exited 1 or printed a header-only table
         with pytest.raises(SystemExit) as exc:
             main(["compare", "-q", q, "12"])
-        assert exc.value.code == 2, q
+        assert exc.value.code == 2, q[:10]
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("usage: trimsum compare"), q
-        assert f"argument -q: expected comma-separated integer divisors, got {q!r}" in err, q
+        assert out == "" and err.startswith("usage: trimsum compare"), q[:10]
+        shown = f"{q!r:.60}"  # a long text is cut, as every refused value is: its whole was written to stderr
+        assert f"argument -q: expected comma-separated integer divisors, got {shown}\n" in err, q[:10]
+        assert len(err) < 300, q[:10]
     assert run(capsys, "compare", "-q", "7,,9", "12")[0] == 0  # an empty part is skipped, as before
     for q in ["0", "-7"]:
         code, out, err = run(capsys, "compare", "-q", q, "12")

@@ -17,6 +17,7 @@ from trimsum.families import (
     FAMILY_TABLE,
     NOT_DIVISIBLE,
     TestRule,
+    Trace,
     apply_once,
     divides_via,
     iterate,
@@ -257,13 +258,15 @@ def test_public_entry_points_reject_wrong_types():
         lambda: divides_via(A, "trim"),
         lambda: analyzer.cost_profile(5, rule),
         lambda: parse(5),
+        lambda: Trace("x", parse("5")),  # a hand-built trace raised AttributeError when read
     ]
     for call in calls:  # each raised AttributeError
         with pytest.raises(ValueError):
             call()
     for stacked in (1, None):  # the message named no type: "stacked must be a bool, got 1"
-        with pytest.raises(ValueError, match=f"^stacked must be a bool, got {type(stacked).__name__} {stacked}$"):
-            iterate(A, rule, stacked=stacked)
+        for call in (lambda: iterate(A, rule, stacked=stacked), lambda: Trace(rule, parse("5"), stacked)):
+            with pytest.raises(ValueError, match=f"^stacked must be a bool, got {type(stacked).__name__} {stacked}$"):
+                call()
 
 
 # --- iteration -------------------------------------------------------------
@@ -274,6 +277,7 @@ def test_iterate_trim_chain_for_seven():
     assert [s.collapsed for s in trace.steps] == [parse("3210"), parse("321"), parse("30")]
     assert trace.terminal == parse("30")
     assert trace.verdict == NOT_DIVISIBLE
+    assert Trace(TestRule.trim(7), A).verdict == NOT_DIVISIBLE  # a hand-built trace decides its own verdict
 
 
 def test_iterate_stacked_reaches_the_digit_sum():
@@ -406,6 +410,8 @@ def test_trace_builds_its_steps_once_and_only_when_read(monkeypatch):
     assert len(converted) == 1  # the steps keep ints and convert none
     assert iterate(A, TestRule.trim(7), stacked=True) != iterate(A, TestRule.trim(7))
     assert iterate(A, TestRule.left_trim(7), stacked=True) == iterate(A, TestRule.left_trim(7))
+    assert Trace(TestRule.left_trim(7), A) == iterate(A, TestRule.left_trim(7))  # a left-trim chain always stacks
+    assert Trace(TestRule.left_trim(7), A).stacked is True
 
 
 def test_lazy_steps_match_the_step_stream():
@@ -415,7 +421,7 @@ def test_lazy_steps_match_the_step_stream():
             runs = [False, True] if rule.family == "trim" else [False]
             for stacked in runs:
                 trace = iterate(a, rule, stacked=stacked)
-                assert trace.steps == tuple(families._steps(a, rule, stacked)), (a, rule, stacked)
+                assert trace.steps == tuple(families._steps(trace)), (a, rule, stacked)
                 assert trace == iterate(a, rule, stacked=stacked)
                 for step in trace.steps:
                     assert digits.fold(step.coeffs, rule.base) == step.value
@@ -432,8 +438,9 @@ def test_traces_check_the_base_before_building_steps():
 
 
 def test_iterate_rejects_stacked_for_summing_families():
-    with pytest.raises(ValueError):
-        iterate(A, TestRule.sum(7), stacked=True)
+    for call in (lambda: iterate(A, TestRule.sum(7), stacked=True), lambda: Trace(TestRule.sum(7), A, True)):
+        with pytest.raises(ValueError, match="^stacked iteration applies to 'trim' and 'left_trim' rules only$"):
+            call()
 
 
 def test_divides_via_examples():
@@ -661,9 +668,9 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     def chain_run(*args):
         raise AssertionError("a verdict ran its chain")
 
-    def kindless_divides_via(x, rule):  # divides_via reads no chain kind
-        with monkeypatch.context() as kindless:
-            kindless.setattr(families, "_chain_kind", chain_run)
+    def traceless_divides_via(x, rule):  # divides_via builds no trace
+        with monkeypatch.context() as traceless:
+            traceless.setattr(families, "Trace", chain_run)
             return divides_via(x, rule)
 
     monkeypatch.setattr(families, "fold", recording_fold)
@@ -679,7 +686,7 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
                     reads, divisible = _verdict_reads(x.digits, rule), remainder(x, rule.q) == 0
                     assert divisible is (_remainder(x.digits, base, rule.q) == 0)
                     verdicts = [lambda: iterate(x, rule, stacked=stacked).verdict == DIVISIBLE]
-                    verdicts += [] if stacked else [lambda: kindless_divides_via(x, rule)]
+                    verdicts += [] if stacked else [lambda: traceless_divides_via(x, rule)]
                     for verdict in verdicts:
                         folded.clear()
                         assert verdict() is divisible, (text[:20], rule, stacked)
@@ -1043,8 +1050,8 @@ def test_buffered_trim_traces_print_the_int_chains_text(base):
         cases.append(DigitString(1, base, list(_adversarial_digits(base, length, rng))[i % 4]))
     for i, a in enumerate(cases):
         rule = rules[i % len(rules)]
-        lines = families._step_texts(a, rule, False, None)  # what trace prints
-        items = families._step_texts(a, rule, False, ",\n        ")  # and trace --json
+        lines = families._step_texts(iterate(a, rule), None)  # what trace prints
+        items = families._step_texts(iterate(a, rule), ",\n        ")  # and trace --json
         for step, (line, item, (op, coeffs, text)) in enumerate(
             zip(lines, items, _int_chain_texts(a, rule, ",\n        "), strict=True), 1
         ):
