@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .digits import DigitString, _digit_count, _shown, _text
+from .digits import DigitString, _digit_count, _repr, _shown, _text
 from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _digit_sum, _split, _values, _weight
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
@@ -30,6 +30,8 @@ class CostReport:
     iterations: int
     digit_ops: int
     max_intermediate_digits: int
+
+    __repr__ = _repr
 
     # vars(self) holds the fields in declaration order; astuple and asdict would deep-copy each one
     def as_csv_row(self) -> str:

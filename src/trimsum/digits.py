@@ -32,13 +32,20 @@ power x**h (``fold(coeffs, x, -1)`` reads the coefficients top first, as
 (other bases, and the base-10 pieces) splits the value with divmod by
 base**h, each squaring its powers once per call. Below ``_LEAF`` digits
 they fall back to Horner's rule and to one divmod per digit.
+
+``fold(coeffs, x, order, q)`` is that number mod q. When the weights
+x**i % q recur (``_cycle``, searched once per x and q), ``_residue``
+takes it as a few C-level sums of strided slices, each class of equal
+weights summed on its own, so no power of x and no big number is built.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from math import log2
+from operator import mul
 
 MAX_TEXT_BASE = 36
 
@@ -55,22 +62,30 @@ _FORMATS = {2: "b", 8: "o", 16: "x"}
 
 # a leaf: the most digits a conversion handles with one plain loop
 _LEAF = 64
+# the fewest coefficients per class of equal weights mod q for which a fold sums its classes, not Horner's rule
+_PER_CLASS = 16
 # decimal digits per str() call past the int->str limit: under 640, the least limit Python allows
 _CHUNK = 512
 # an error message writes out an int of magnitude below this, and gives only the digit count of any other
 _SHOWN_BELOW = 10**60
 
 
-def fold(coeffs: tuple[int, ...], x: int, order: int = 1) -> int:
-    """sum(coeffs[i] * x**i), or with order -1 fold(coeffs[::-1], x) with no reversed copy.
+def fold(coeffs: tuple[int, ...], x: int, order: int = 1, q: int | None = None) -> int:
+    """sum(coeffs[i] * x**i), or with order -1 fold(coeffs[::-1], x) with no reversed copy; with q, that sum mod q.
 
     Halves of the (reversed) index range are joined by powers of x, down to Horner's
     rule on _LEAF coefficients; a leaf of the reversed range is read forwards, in place.
+    With q, a fold of over _LEAF coefficients is ``_residue``'s, which builds no power of
+    x, when the weights x**i % q recur (``_cycle``) with _PER_CLASS or more coefficients to
+    each class of them; a shorter one, or one whose weights do not recur, is Horner's mod q.
     """
+    if q is not None and len(coeffs) > _LEAF and (cycle := _cycle(x, q)) and len(coeffs) >= _PER_CLASS * cycle[2]:
+        return _residue(coeffs, order, q, *cycle)
     powers: list[int] = []  # powers[i] = x**(_LEAF * 2**i)
     while _LEAF << len(powers) < len(coeffs):
         powers.append(powers[-1] * powers[-1] if powers else x**_LEAF)
-    return _fold(coeffs, 0, len(coeffs), x, powers, len(powers), order)
+    v = _fold(coeffs, 0, len(coeffs), x, powers, len(powers), order)
+    return v if q is None else v % q
 
 
 def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int, order: int) -> int:
@@ -86,6 +101,40 @@ def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], 
         return _fold(coeffs, lo, hi, x, powers, level - 1, order)
     low = _fold(coeffs, lo, mid, x, powers, level - 1, order)
     return low + powers[level - 1] * _fold(coeffs, mid, hi, x, powers, level - 1, order)
+
+
+@lru_cache(maxsize=256)
+def _cycle(x: int, q: int) -> tuple[tuple[int, ...], int, int] | None:
+    """The weights x**i % q up to their first recurrence, w_0 .. w_{mu + lam - 1}, with their preperiod
+    mu and period lam (w_{i + lam} = w_i for i >= mu), or None if none recurs within _LEAF steps.
+    Cached: every verdict of a rule folds with the same weight and q."""
+    first: dict[int, int] = {}  # each weight, in order, to the first i it appears at
+    w = 1 % q
+    while w not in first:
+        if len(first) == _LEAF:
+            return None
+        first[w] = len(first)
+        w = w * x % q
+    return tuple(first), first[w], len(first) - first[w]
+
+
+def _residue(coeffs: tuple[int, ...], order: int, q: int, weights: tuple[int, ...], mu: int, lam: int) -> int:
+    """fold(coeffs, x, order) % q from the recurring weights w_i = x**i % q that ``_cycle`` found.
+
+    The first mu coefficients (in fold order) take their own weights; past them, the
+    coefficients i = mu + r (mod lam) of each class r < lam share w_{mu + r}, which
+    multiplies the C-level ``sum`` of their strided slices, at most _LEAF coefficients
+    each. Order -1 reads each class down from the top with a negative stride, in place.
+    """
+    n, step = len(coeffs), order * lam
+    total = sum(map(mul, weights[:mu], coeffs if order == 1 else reversed(coeffs)))  # the preperiod
+    for r in range(lam):
+        part = 0
+        for lo in range(mu + r if order == 1 else n - 1 - mu - r, n if order == 1 else -1, _LEAF * step):
+            end = lo + _LEAF * step
+            part += sum(coeffs[lo : end if end >= 0 else None : step])
+        total += weights[mu + r] * part
+    return total % q
 
 
 def _expand(out: list[int], v: int, base: int, powers: list[int], level: int, pad: bool) -> None:
@@ -173,6 +222,22 @@ def _shown(value: object) -> str:
         return str(value) if type(value) is int else f"{value!r:.60}"
     except Exception:  # a caller's repr may raise anything; a tuple holding an int past the int->str limit does
         return f"<{type(value).__name__}>"
+
+
+def _repr_of(value: object) -> str:
+    """repr(value), but an int, alone or in a tuple, is written by ``_text``: no int->str digit limit applies."""
+    if type(value) is int:
+        return _text(value, 10)
+    if type(value) is tuple:
+        return f"({', '.join(map(_repr_of, value))}{',' if len(value) == 1 else ''})"
+    return repr(value)
+
+
+def _repr(self) -> str:
+    """The dataclass repr of self, each field written by ``_repr_of``: the ``__repr__`` of a dataclass
+    that may hold an int past the int->str digit limit (``TestRule``, ``Trace``, ``TraceStep``, ``CostReport``)."""
+    shown = (f"{f.name}={_repr_of(getattr(self, f.name))}" for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
 def _check_int(name: str, value: int, least: int | None = None, most: int | None = None) -> None:

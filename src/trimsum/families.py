@@ -35,7 +35,8 @@ it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
 Every verdict is ``divides_via``'s one pass over the digits of |a|, the rule's split chain
-run stacked as one ``_split_fold``; a ``Trace`` decides its own with it when built. No verdict
+run stacked as one ``_split_fold`` taken mod q, read off the weights' recurring residues with
+no big number built; a ``Trace`` decides its own with it when built. No verdict
 runs a chain or reads the chain kind: stacking changes what a trace prints, not what it
 decides. ``Trace.last`` reads a stacked chain's ``_split_fold`` too, and runs a plain chain:
 ``_carried`` makes the steps a ``_split`` chain provably takes, as many as ``_carried_steps``
@@ -54,7 +55,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _shown, _text, fold
+from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _repr, _shown, _text, fold
 from .weights import _check_divisor, weight_inverse
 
 TRIM = "trim"
@@ -84,6 +85,8 @@ class TestRule:
     omega: int | None = field(init=False)
     k: int | None = field(init=False)  # set for last digits only
     split: tuple[int, int, int] = field(init=False)
+
+    __repr__ = _repr  # the dataclass repr, past the int->str digit limit too
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
@@ -145,6 +148,8 @@ class TraceStep:
     coeffs: tuple[int, ...]
     base: int
 
+    __repr__ = _repr
+
     @property
     def stacked(self) -> TraceStep:
         return self
@@ -172,6 +177,8 @@ class Trace:
     a: DigitString
     stacked: bool = False
     verdict: str = field(init=False, compare=False)
+
+    __repr__ = _repr
 
     def __post_init__(self) -> None:
         if type(self.stacked) is not bool:
@@ -517,22 +524,25 @@ def _folded(a: DigitString, rule: TestRule) -> Iterator[tuple[int, int]]:
         yield acc, value
 
 
-def _split_fold(d: tuple[int, ...], rule: TestRule) -> int:
+def _split_fold(d: tuple[int, ...], rule: TestRule, q: int | None = None) -> int:
     """The split chain run on stacked base-B groups D_i of |a| (B = base**k) to one coefficient,
-    sum(alpha**i * beta**(N - 1 - i) * D_i): beta**(N - 1) * |a| (mod q), for alpha = beta * B.
+    F(a) = sum(alpha**i * beta**(N - 1 - i) * D_i): beta**(N - 1) * |a| (mod q), for alpha = beta * B.
+    With q, F(a) mod q, each ``fold`` taken mod q, which builds no F(a) when its weights recur.
 
     Trim and sum (k = alpha = 1) are Horner from the top digit with beta, Khare's sum. With
     beta = 1 it is fold(groups, alpha), as sum(base**j * fold(d[j::k], alpha)): binomial's and left
-    trim's fold(d, base - q); last digits (alpha = 0) reads only its first group, as binomial does
-    at q = base. ``TestRule`` admits no other shape.
+    trim's fold(d, base - q); last digits (alpha = 0) is its first group alone, fold(d[:k], base),
+    as binomial is at q = base. ``TestRule`` admits no other shape.
     """
     base, (k, alpha, beta) = rule.base, rule.split
     if k == alpha == 1:
-        return fold(d, beta, -1)
-    top, total = len(d) if alpha else k, 0
+        return fold(d, beta, -1, q)
+    if not alpha:
+        return fold(d[:k], base, 1, q)
+    total = 0
     for j in range(k):  # not sum() over a generator, whose closure and frame raise the peak heap
-        total += base**j * fold(d[j:top:k], alpha)
-    return total
+        total += base**j * fold(d[j::k], alpha, 1, q)
+    return total if q is None else total % q
 
 
 def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
@@ -609,6 +619,7 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a, as a ``Trace`` does when built: one pass over |a|'s digits, running no chain, converting none."""
+    """Decide q | a, as a ``Trace`` does when built: F(a) mod q from one pass over |a|'s digits, read off the
+    recurring weights (``_split_fold`` with q), running no chain, building no big number, converting none."""
     _check_operands(a, rule)
-    return _split_fold(a.digits, rule) % rule.q == 0
+    return _split_fold(a.digits, rule, rule.q) == 0

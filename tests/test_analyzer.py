@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,7 +9,7 @@ import pytest
 
 from trimsum import analyzer
 from trimsum.analyzer import CSV_HEADER, CostReport, compare, cost_profile
-from trimsum.digits import DigitString, _digit_count, parse
+from trimsum.digits import DigitString, _digit_count, _text, parse
 from trimsum.families import FAMILIES, TestRule, iterate
 from trimsum.oracle import random_digit_string
 
@@ -189,3 +190,41 @@ def test_cost_profile_counts_digits_without_converting(monkeypatch):
         assert report == _row_from_trace(a, rule)  # which converts every step
         converted.clear()
         counted.clear()
+
+
+def _dataclass_repr(value):
+    """The repr the dataclass decorator would write: each repr field as name=repr(value)."""
+    shown = ", ".join(f"{f.name}={getattr(value, f.name)!r}" for f in dataclasses.fields(value) if f.repr)
+    return f"{type(value).__qualname__}({shown})"
+
+
+def test_reprs_of_ordinary_values_are_the_dataclass_reprs():
+    rule = TestRule.trim(7)
+    assert repr(rule) == "TestRule(family='trim', q=7, base=10, omega=-2, k=None, split=(1, 1, -2))"
+    stacked = iterate(A, rule, stacked=True)
+    assert repr(stacked.steps[-1]) == "TraceStep(op='stack', value=3, coeffs=(3,), base=10)"  # a 1-tuple
+    assert repr(stacked).startswith(f"Trace(rule={rule!r}, a=DigitString(sign=1, base=10, digits=(4, 8, 1, 2, 3))")
+    for family in FAMILIES:
+        trace = iterate(parse("-987654321"), TestRule(family, 8 if family == "last_digits" else 7))
+        report = cost_profile(trace.a, trace.rule)
+        for value in (trace.rule, trace, *trace.steps, report):
+            assert repr(value) == _dataclass_repr(value), family
+
+
+def test_reprs_write_ints_past_the_int_to_str_limit():
+    """Under the default limit and under the least one (640 digits) alike."""
+    q, a = 10**5000 + 3, parse("12345")
+    rule = TestRule.trim(q)
+    q_text, omega = _text(q, 10), _text(rule.omega, 10)
+    assert repr(rule) == f"TestRule(family='trim', q={q_text}, base=10, omega={omega}, k=None, split=(1, 1, {omega}))"
+    trace = iterate(a, rule)
+    assert repr(trace) == f"Trace(rule={rule!r}, a={a!r}, stacked=False, verdict='not_divisible')"
+    (step,) = trace.steps  # 1234 + 5 * omega: a first step that does not shrink |a|
+    coeffs = ", ".join(map(str, step.coeffs))
+    assert _digit_count(abs(step.value), 10) > 5000
+    assert repr(step) == f"TraceStep(op='trim', value={_text(step.value, 10)}, coeffs=({coeffs}), base=10)"
+    report = cost_profile(a, rule)
+    assert repr(report) == (
+        f"CostReport(q={q_text}, base=10, family='trim', weight_magnitude={_text(abs(rule.omega), 10)}, "
+        f"iterations=1, digit_ops=1, max_intermediate_digits={report.max_intermediate_digits})"
+    )

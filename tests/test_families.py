@@ -326,9 +326,9 @@ def test_iterate_compares_equal_lengths_from_the_top():
 def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
     fold, lengths = digits.fold, []
 
-    def recording_fold(coeffs, x):
+    def recording_fold(coeffs, x, order=1, q=None):
         lengths.append(len(coeffs))
-        return fold(coeffs, x)
+        return fold(coeffs, x, order, q)
 
     monkeypatch.setattr(digits, "fold", recording_fold)
     monkeypatch.setattr(families, "fold", recording_fold)
@@ -341,18 +341,19 @@ def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
 def test_chains_collapse_only_their_terminal(monkeypatch):
     fold, calls = families.fold, []
 
-    def counting_fold(coeffs, x, order=1):
-        calls.append(coeffs)
-        return fold(coeffs, x, order)
+    def counting_fold(coeffs, x, order=1, q=None):
+        calls.append((coeffs, q))
+        return fold(coeffs, x, order, q)
 
     monkeypatch.setattr(families, "fold", counting_fold)
-    a = parse("3" * 50)
-    trace = iterate(a, TestRule.left_trim(7))
-    assert calls == [a.digits]  # the terminal is one fold of the input, with no step taken
-    assert len(trace.steps) == 49
-    assert calls == [a.digits, a.digits]  # the steps carry their values from one more fold of the input
-    trace.as_json()  # renders the values the steps hold
-    assert len(calls) == 2
+    for a in (parse("3" * 50), parse("3" * 500)):  # Horner's rule mod 7, and the recurring weights
+        calls.clear()
+        trace = iterate(a, TestRule.left_trim(7))
+        assert calls == [(a.digits, 7)]  # the verdict folds the input mod q, and nothing else is folded
+        assert len(trace.steps) == len(a) - 1
+        assert calls == [(a.digits, 7), (a.digits, None)]  # the steps carry their values from one fold of the input
+        trace.as_json()  # renders the values the steps hold
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -639,27 +640,27 @@ def _verdict_rules(base):
 
 
 def _verdict_reads(d, rule):
-    """The folds a verdict makes, as (coeffs, x, order): one pass over the digits d of |a|.
+    """The folds a verdict makes, as (coeffs, x, order, q), each taken mod q: one pass over the digits d of |a|.
 
     Trim, sum and stacked trim fold d from the top with omega, binomial and left trim from
     the last digit with base - q; Talmud folds its two strided halves with 2, and last
-    digits reads its low k digits, one group of them each.
+    digits folds its low k digits with the base.
     """
     if rule.family in ("binomial", "left_trim"):
-        return [(d, rule.base - rule.q, 1)]
+        return [(d, rule.base - rule.q, 1, rule.q)]
     if rule.family == "talmud":
-        return [(d[0::2], 2, 1), (d[1::2], 2, 1)]
+        return [(d[0::2], 2, 1, rule.q), (d[1::2], 2, 1, rule.q)]
     if rule.family == "last_digits":
-        return [(d[j : rule.k : rule.k], 0, 1) for j in range(rule.k)]
-    return [(d, rule.omega, -1)]
+        return [(d[: rule.k], rule.base, 1, rule.q)]
+    return [(d, rule.omega, -1, rule.q)]
 
 
 def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
     fold, from_int, folded, converted = families.fold, DigitString.from_int.__func__, [], []
 
-    def recording_fold(coeffs, x, order=1):
-        folded.append((coeffs, x, order))
-        return fold(coeffs, x, order)
+    def recording_fold(coeffs, x, order=1, q=None):
+        folded.append((coeffs, x, order, q))
+        return fold(coeffs, x, order, q)
 
     def counting_from_int(cls, value, base=10):
         converted.append(value)
@@ -692,7 +693,7 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
                         assert verdict() is divisible, (text[:20], rule, stacked)
                         assert folded == reads and converted == [], (text[:20], rule, stacked)
                         # the input itself, not a copy
-                        assert all(got is want for (got, _, _), (want, _, _) in zip(folded, reads) if want is x.digits)
+                        assert all(got is want for (got, *_), (want, *_) in zip(folded, reads) if want is x.digits)
                     if stacked:  # a stacked trim verdict reads what the plain trim verdict reads
                         stacked_reads = folded[:]
                         folded.clear()
@@ -713,6 +714,42 @@ def test_plain_verdicts_at_ten_thousand_digits(base):
             if r:  # and the multiple of q just below |a|
                 multiple = DigitString(1, base, _less(a.digits, base, r))
                 assert divides_via(multiple, rule) is True, (text[:20], rule)
+
+
+# Talmud needs base**2 = 2 (mod q); q = 8, 12 and 33 share a factor with a binomial weight
+# base - q (preperiod weights), q = 97 and 10**40 + 7 mostly have weights that do not recur
+_RESIDUE_QS = (1, 2, 3, 4, 7, 8, 9, 12, 13, 31, 33, 37, 97, 647, 10**40 + 7)
+
+
+def _residue_lengths(rule):
+    """1, 2 and 700 digits, and the lengths about each fold's weight period lam times _LEAF and
+    about the _PER_CLASS * lam coefficients from which a fold is read off its recurring weights."""
+    k = rule.split[0]
+    cycle = digits._cycle(families._weight(rule), rule.q)
+    lam = cycle[2] if cycle else 1
+    ends = {k * lam * digits._LEAF, k * max(digits._LEAF + 1, digits._PER_CLASS * lam)}
+    return sorted({1, 2, 700} | {n + d for n in ends for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 36, 1000])
+def test_residue_verdicts_match_the_oracle_and_the_exact_fold(base):
+    rng = random.Random(base)
+    for q in _RESIDUE_QS:
+        for family, stacked in [(f, False) for f in FAMILIES] + [("trim", True)]:
+            try:
+                rule = TestRule(family, q, base)
+            except ValueError:
+                continue
+            for n in _residue_lengths(rule):
+                v = rng.randrange(base ** (n - 1), base**n) if n > 1 else rng.randrange(base)
+                for m in {v, v - v % q}:  # and the multiple of q at or below it
+                    for sign in (1, -1) if m else (1,):
+                        a = DigitString.from_int(sign * m, base)
+                        divisible = remainder(a, q) == 0
+                        assert families._split_fold(a.digits, rule, q) == families._split_fold(a.digits, rule) % q
+                        assert divides_via(a, rule) is divisible, (rule, n, sign)
+                        verdict = iterate(a, rule, stacked=stacked).verdict
+                        assert verdict == (DIVISIBLE if divisible else NOT_DIVISIBLE), (rule, n, sign, stacked)
 
 
 # --- long inputs: closed-form terminals against step-by-step chains --------

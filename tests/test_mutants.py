@@ -1,6 +1,6 @@
-"""Mutants of the split verdict's fold, the sum and binomial step, the chain's proof bounds and the
-key that keeps them to ``_split`` chains, the trace buffer, the stacked chain's fold and the rule
-obligation: each is killed by a small fixed input set.
+"""Mutants of the split verdict's fold and its residue mod q, the sum and binomial step, the chain's
+proof bounds and the key that keeps them to ``_split`` chains, the trace buffer, the stacked chain's
+fold and the rule obligation: each is killed by a small fixed input set.
 
 A mutant is one function of the library recompiled from its source with one snippet
 replaced, and monkeypatched in. Every case is judged against ``oracle.remainder``, and
@@ -35,10 +35,10 @@ _FOLD_STEP = """if order == 1:
 
 # name: (module, function, snippet, its replacement)
 MUTANTS = {
-    "order_flipped": (families, "_split_fold", "fold(d, beta, -1)", "fold(d, beta)"),
+    "order_flipped": (families, "_split_fold", "fold(d, beta, -1, q)", "fold(d, beta, 1, q)"),
     "alpha_beta_swapped": (families, "_split_fold", "base, (k, alpha, beta)", "base, (k, beta, alpha)"),
     # groups aligned to the top of an odd digit count, not to its last digit
-    "talmud_top_group_misaligned": (families, "_split_fold", "d[j:top:k]", "d[j + top % k : top : k]"),
+    "talmud_top_group_misaligned": (families, "_split_fold", "d[j::k], alpha, 1", "d[j + len(d) % k :: k], alpha, 1"),
     "carried_steps_one_higher": (families, "_carried_steps", "-(-n // k) - 1 - keep", "-(-n // k) - keep"),
     # sum's (1, 1, omega) and binomial's (1, base - q, 1) carried as if their chain split like trim's
     "split_key_dropped": (
@@ -56,9 +56,19 @@ MUTANTS = {
     "binomial_weight_one_high": (
         families,
         "_split_fold",
-        "fold(d[j:top:k], alpha)",
-        "fold(d[j:top:k], alpha + (rule.family == BINOMIAL))",
+        "fold(d[j::k], alpha, 1, q)",
+        "fold(d[j::k], alpha + (rule.family == BINOMIAL), 1, q)",
     ),
+    # the verdict's residue: the weights' period one short, the preperiod's own weights left out, and
+    # the negative stride that reads a fold from the top (order -1) starting one position off
+    "residue_period_one_short": (digits, "_cycle", "len(first) - first[w]", "len(first) - first[w] - 1"),
+    "residue_preperiod_dropped": (
+        digits,
+        "_residue",
+        "total = sum(map(mul, weights[:mu], coeffs if order == 1 else reversed(coeffs)))",
+        "total = 0",
+    ),
+    "residue_reversed_start_one_off": (digits, "_residue", "n - 1 - mu - r", "n - 2 - mu - r"),
     # a reversed leaf read from the front of the coefficients, not from their back
     "reversed_leaf_misplaced": (digits, "_fold", "coeffs[n - hi : n - lo]", "coeffs[lo:hi]"),
     # the trace buffer's borrow or carry never reaches the top digit
@@ -110,6 +120,8 @@ RULES = [
 RULES += [(family, q, base) for family in ("sum", "binomial") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # a large weight: the first step of |a| = base**3 + r can outgrow |a| at its bit length
 RULES += [("sum", 101, 36)]
+# weights base - q that share a factor with q, so their powers mod q recur after a preperiod
+RULES += [("binomial", 8, 10), ("binomial", 12, 10), ("binomial", 33, 36)]
 # stacked trim and left trim, run stacked: (family, q, base)
 STACKED = [(family, q, base) for family in ("trim", "left_trim") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # one digit, the lengths around the chain's carried steps, and fold's leaf and its multiples
