@@ -68,6 +68,7 @@ _PER_CLASS = 16
 _CHUNK = 512
 # an error message writes out an int of magnitude below this, and gives only the digit count of any other
 _SHOWN_BELOW = 10**60
+_SHOWN_ITEMS = 21
 
 
 def fold(coeffs: tuple[int, ...], x: int, order: int = 1, q: int | None = None) -> int:
@@ -215,13 +216,23 @@ def _digit_count(m: int, base: int) -> int:
 def _shown(value: object) -> str:
     """value as an error message writes it: an exact int in full, another value as its repr cut to
     60 characters (its type's name, "<tuple>", if the repr raises), and an int past 60 digits
-    (which could pass the int->str limit) as its digit count, "<5001-digit int>" or "-<5001-digit int>"."""
+    (which could pass the int->str limit) as its digit count, "<5001-digit int>" or "-<5001-digit int>".
+    A long tuple or list of ints, alone or as a DigitString's digits, is written from its ``_head``."""
     if isinstance(value, int) and not -_SHOWN_BELOW < value < _SHOWN_BELOW:
         return f"{'-' if value < 0 else ''}<{_digit_count(abs(value), 10)}-digit int>"
     try:
-        return str(value) if type(value) is int else f"{value!r:.60}"
+        if type(value) is DigitString:  # its dataclass repr
+            return f"DigitString(sign={value.sign!r}, base={value.base!r}, digits={_head(value.digits)!r})"[:60]
+        return str(value) if type(value) is int else f"{_head(value)!r:.60}"
     except Exception:  # a caller's repr may raise anything; a tuple holding an int past the int->str limit does
         return f"<{type(value).__name__}>"
+
+
+def _head(value: object) -> object:
+    """value, or a tuple or list of over _SHOWN_ITEMS ints cut to its first _SHOWN_ITEMS, whose repr begins with
+    the same 60 characters, each item writing at least "0, ". Only ints: an item may hold the list itself."""
+    cut = type(value) in (tuple, list) and len(value) > _SHOWN_ITEMS and set(map(type, value[:_SHOWN_ITEMS])) == {int}
+    return value[:_SHOWN_ITEMS] if cut else value
 
 
 def _repr_of(value: object) -> str:

@@ -4,7 +4,8 @@ Nothing here calls into the test families when computing a remainder;
 this module referees them. The seeded fuzzer checks that one application
 of a rule keeps the remainder congruence its family promises. Its inputs
 are ``random.Random``'s own ``randrange`` draws, taken straight from
-``getrandbits``, so a seed gives the same inputs on Python 3.10-3.13.
+``getrandbits``, so a seed gives the same inputs on Python 3.10-3.13; it
+draws from an exact ``random.Random`` and refuses any other rng.
 Each modulus, base, count and seed goes through ``digits._check_int``:
 exactly an int (not bool), in range, or ``ValueError`` naming it.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from functools import partial
 
 from .digits import DigitString, _check_int, _shown
 from .families import SUM, TRIM, TestRule, apply_once
@@ -35,10 +35,6 @@ def remainder(a: DigitString, q: int) -> int:
     return (-r) % q if a.sign < 0 else r
 
 
-def divides(a: DigitString, q: int) -> bool:
-    return remainder(a, q) == 0
-
-
 def _below(draw, n: int, count: int) -> list[int]:
     """count draws of randrange(n), made as CPython 3.10-3.13 makes them.
 
@@ -54,40 +50,26 @@ def _below(draw, n: int, count: int) -> list[int]:
     return out
 
 
-def _randranges(rng, n: int, count: int) -> list[int]:
-    """count draws of rng.randrange(n), made as rng makes them."""
-    return [rng.randrange(n) for _ in range(count)]
-
-
-def random_digit_string(
-    rng: random.Random, base: int = 10, max_digits: int = 60, signed: bool = True
-) -> DigitString:
+def random_digit_string(rng: random.Random, base: int = 10, max_digits: int = 60) -> DigitString:
     """A uniform-length random canonical value of 1..max_digits digits in base >= 2, occasionally negative.
 
     The draws are randint(1, max_digits), randrange(base) per digit,
-    randrange(1, base) for the top digit and random() for the sign. A
-    ``random.Random`` has them made straight from its own getrandbits, which
-    keeps every digit below the base, so they are not checked again; any other
-    rng, a subclass or a getrandbits set on the instance included, makes them
-    through its own randrange, which may draw otherwise (through its own
-    random(), say), and ``DigitString`` checks them.
+    randrange(1, base) for the top digit and random() for the sign, made as
+    ``random.Random`` makes them, straight from its own getrandbits. So rng must
+    be exactly a ``random.Random`` with no getrandbits set on the instance; any
+    other rng, a subclass included, is refused before any draw. The digits are
+    below the base by construction, so they are not checked again.
     """
     _check_int("base", base, 2)  # getrandbits(0) is 0: a base <= 0 would redraw forever
     _check_int("max_digits", max_digits, 1, MAX_DIGITS)
-    if type(rng) is not random.Random and not all(callable(getattr(rng, m, None)) for m in ("randrange", "random")):
-        raise ValueError(f"rng must have randrange and random methods, like random.Random, got {_shown(rng)}")
-    if type(signed) is not bool:
-        raise ValueError(f"signed must be a bool, got {type(signed).__name__} {_shown(signed)}")
-    exact = type(rng) is random.Random and "getrandbits" not in vars(rng)
-    below = partial(_below, rng.getrandbits) if exact else partial(_randranges, rng)
-    n = 1 + below(max_digits, 1)[0]
-    digits = below(base, n)
+    if type(rng) is not random.Random or "getrandbits" in vars(rng):
+        raise ValueError(f"rng must be a random.Random drawing from its own getrandbits, got {_shown(rng)}")
+    n = 1 + _below(rng.getrandbits, max_digits, 1)[0]
+    digits = _below(rng.getrandbits, base, n)
     if n > 1:
-        digits[-1] = 1 + below(base - 1, 1)[0]
-    sign = -1 if signed and rng.random() < 0.2 else 1
-    if digits == [0]:
-        sign = 1
-    return (DigitString._unchecked if exact else DigitString)(sign, base, tuple(digits))
+        digits[-1] = 1 + _below(rng.getrandbits, base - 1, 1)[0]
+    sign = -1 if rng.random() < 0.2 and digits != [0] else 1  # random() is drawn for zero too
+    return DigitString._unchecked(sign, base, tuple(digits))
 
 
 @dataclass(frozen=True)

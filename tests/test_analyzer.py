@@ -33,7 +33,7 @@ def test_single_digit_needs_no_iterations():
 def test_trim_costs_one_op_per_step():
     rng = random.Random(88)
     for _ in range(50):
-        a = random_digit_string(rng, max_digits=25, signed=False)
+        a = abs(random_digit_string(rng, max_digits=25))
         q = rng.choice([7, 13, 17, 181, 2077])
         report = cost_profile(a, TestRule.trim(q))
         assert report.digit_ops == report.iterations
@@ -42,7 +42,7 @@ def test_trim_costs_one_op_per_step():
 def test_summing_cost_floor():
     rng = random.Random(89)
     for _ in range(50):
-        a = random_digit_string(rng, max_digits=25, signed=False)
+        a = abs(random_digit_string(rng, max_digits=25))
         for rule in (TestRule.sum(17), TestRule.binomial(17)):
             report = cost_profile(a, rule)
             if report.iterations:

@@ -560,6 +560,38 @@ def test_check_json_prints_the_pinned_report(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "args,family,q,base,omega,drop",
+    [
+        (["--family", "trim", "-q", "7"], "trim", 7, 10, "-2", "0.979"),
+        (["--family", "sum", "-q", "13"], "sum", 13, 10, "4", "11.471"),
+        (["--family", "binomial", "-q", "13"], "binomial", 13, 10, "null", "15.404"),
+        (["--family", "left_trim", "-q", "7"], "left_trim", 7, 10, "null", "0.138"),
+        (["--family", "talmud"], "talmud", 7, 10, "null", "1.417"),
+        (["--family", "last_digits", "-q", "8", "--base", "2"], "last_digits", 8, 2, "null", "28.51"),
+    ],
+    ids=["trim", "sum", "binomial", "left_trim", "talmud", "last_digits"],
+)
+def test_check_json_prints_every_familys_pinned_report(capsys, args, family, q, base, omega, drop):
+    """The same seed draws the same inputs on every Python: each report is pinned to the byte."""
+    code, out, err = run(capsys, "check", *args, "--trials", "1000", "--seed", "42", "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "rule": {\n'
+        f'    "family": "{family}",\n'
+        f'    "q": {q},\n'
+        f'    "base": {base},\n'
+        f'    "omega": {omega}\n'
+        "  },\n"
+        '  "trials": 1000,\n'
+        '  "mismatches": 0,\n'
+        f'  "mean_length_drop": {drop},\n'
+        '  "seed": 42\n'
+        "}\n"
+    )
+
+
 def test_check_talmud_uses_its_fixed_divisor(capsys):
     code, out, err = run(capsys, "check", "--family", "talmud", "--trials", "200", "--seed", "3")
     assert (code, err) == (0, "")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from trimsum import families, oracle
 from trimsum.digits import DigitString, parse
 from trimsum.families import TestRule, apply_once
-from trimsum.oracle import MAX_DIGITS, MAX_TRIALS, divides, fuzz_equivalence, random_digit_string, remainder
+from trimsum.oracle import MAX_DIGITS, MAX_TRIALS, fuzz_equivalence, random_digit_string, remainder
 from trimsum.weights import weight_inverse, weight_table
 
 
@@ -34,9 +35,9 @@ def test_remainder_rejects_nonpositive_modulus():
 
 
 def test_divides_examples():
-    assert divides(parse("32184"), 7) is False
-    assert divides(parse("32184"), 8) is True
-    assert divides(parse("0"), 1) is True
+    assert remainder(parse("32184"), 7) != 0
+    assert remainder(parse("32184"), 8) == 0
+    assert remainder(parse("0"), 1) == 0
 
 
 @given(
@@ -74,13 +75,13 @@ def test_random_digit_string_is_canonical_and_bounded():
         assert parse(ds.render()) == ds
 
 
-def _reference_digit_string(rng, base, max_digits, signed):
+def _reference_digit_string(rng, base, max_digits):
     # random_digit_string's draws, made through Random's own methods
     n = rng.randint(1, max_digits)
     digits = [rng.randrange(base) for _ in range(n)]
     if n > 1:
         digits[-1] = rng.randrange(1, base)
-    sign = -1 if signed and rng.random() < 0.2 else 1
+    sign = -1 if rng.random() < 0.2 else 1
     if digits == [0]:
         sign = 1
     return DigitString(sign, base, tuple(digits))
@@ -89,14 +90,15 @@ def _reference_digit_string(rng, base, max_digits, signed):
 @pytest.mark.parametrize("base", [2, 3, 10, 36, 255, 256, 1000, 2**31 + 11])
 @pytest.mark.parametrize("max_digits", [1, 60])
 def test_random_digit_string_keeps_randoms_stream(base, max_digits):
+    """random() is drawn for the sign on every call, zero included."""
     for seed in range(6):
-        signed = seed % 3 != 0
         rng, reference = random.Random(seed), random.Random(seed)
         for _ in range(50):
-            assert random_digit_string(rng, base, max_digits, signed) == _reference_digit_string(
-                reference, base, max_digits, signed
-            )
+            assert random_digit_string(rng, base, max_digits) == _reference_digit_string(reference, base, max_digits)
         assert rng.getstate() == reference.getstate()
+
+
+_REFUSED_RNG = "^rng must be a random.Random drawing from its own getrandbits, got "
 
 
 class _RandomThroughRandom(random.Random):
@@ -108,11 +110,12 @@ class _RandomThroughRandom(random.Random):
 
 @pytest.mark.parametrize("base", [2, 10, 36, 1000])
 def test_random_digit_string_follows_a_subclass_stream(base):
+    """A subclass may draw otherwise, so it is refused before any draw: its stream goes on as an untouched one does."""
     for seed in range(6):
         rng, reference = _RandomThroughRandom(seed), _RandomThroughRandom(seed)
-        for _ in range(50):
-            assert random_digit_string(rng, base, 20) == _reference_digit_string(reference, base, 20, True)
-        assert rng.getstate() == reference.getstate()
+        with pytest.raises(ValueError, match=_REFUSED_RNG):
+            random_digit_string(rng, base, 20)
+        assert [rng.randrange(base) for _ in range(20)] == [reference.randrange(base) for _ in range(20)]
 
 
 @pytest.mark.parametrize("base", [*range(2, 37), 37, 256, 257, 1000, 2**32 + 5])
@@ -122,12 +125,12 @@ def test_random_digit_strings_pass_the_check_they_skip(base):
     for max_digits, draws in ((1, 30), (2, 30), (65, 30), (4301, 3)):
         rng = random.Random(f"{base}-{max_digits}")
         for i in range(draws):
-            s = random_digit_string(rng, base, max_digits, signed=i % 3 != 0)
+            s = random_digit_string(rng, base, max_digits)
             assert type(s) is DigitString and DigitString(s.sign, s.base, s.digits) == s, (base, max_digits, i)
 
 
 class _DuckRng:
-    """Draws one good length, then gives every digit draw the value it was made with."""
+    """Would draw one good length, then give every digit draw the value it was made with."""
 
     def __init__(self, bad):
         self.bad, self.draws = bad, iter([2])  # randrange(max_digits) = 2: three digits
@@ -145,8 +148,9 @@ class _RandomSubclass(_DuckRng, random.Random):
 
 def _bad_getrandbits(bad):
     """A random.Random with a getrandbits of its own set on the instance: one good length, then bad."""
-    rng, draws = random.Random(0), iter([2])
-    rng.getrandbits = lambda k: next(draws, bad)
+    rng = random.Random(0)
+    rng.draws = iter([2])
+    rng.getrandbits = lambda k: next(rng.draws, bad)
     return rng
 
 
@@ -158,10 +162,15 @@ def _bad_getrandbits(bad):
     ],
 )
 def test_a_custom_rngs_digits_are_still_checked(make, bad):
-    """Only a random.Random's own getrandbits draws skip DigitString's checks; a subclass, a
-    duck-typed rng or a getrandbits set on the instance may draw anything, and is refused."""
-    with pytest.raises(ValueError, match="^digit"):
-        random_digit_string(make(bad), 10, 60)
+    """Only a random.Random's own getrandbits draws skip DigitString's checks. A subclass, a duck-typed
+    rng or a getrandbits set on the instance may draw anything, so it is refused before any draw."""
+    rng = make(bad)
+    state = rng.getstate() if type(rng) is random.Random else None
+    with pytest.raises(ValueError, match=_REFUSED_RNG):
+        random_digit_string(rng, 10, 60)
+    assert next(rng.draws) == 2  # the length was not drawn
+    if state is not None:
+        assert rng.getstate() == state
 
 
 @pytest.mark.parametrize(
@@ -182,24 +191,10 @@ def test_random_digit_string_rejects_bad_arguments_before_any_draw(base, max_dig
     assert rng.getstate() == state
 
 
-@pytest.mark.parametrize(
-    "rng,signed",
-    [
-        (object(), True),  # raised AttributeError
-        (None, True),
-        (8, True),
-        (random.Random(8), "no"),  # signed the result as True does
-        (random.Random(8), 1),
-        (random.Random(8), None),
-    ],
-)
-def test_random_digit_string_rejects_a_bad_rng_or_signed_before_any_draw(rng, signed):
-    state = rng.getstate() if isinstance(rng, random.Random) else None
-    message = "^rng must" if signed is True else f"^signed must be a bool, got {type(signed).__name__} {signed!r}$"
-    with pytest.raises(ValueError, match=message):
-        random_digit_string(rng, 10, 60, signed)
-    if state is not None:
-        assert rng.getstate() == state
+@pytest.mark.parametrize("rng", [object(), None, 8])  # object() raised AttributeError
+def test_random_digit_string_rejects_a_bad_rng_before_any_draw(rng):
+    with pytest.raises(ValueError, match=_REFUSED_RNG + re.escape(repr(rng)) + "$"):
+        random_digit_string(rng, 10, 60)
 
 
 def test_fuzz_equivalence_known_rules():
@@ -317,8 +312,8 @@ def test_fuzz_catches_a_step_that_keeps_divisibility_but_not_the_remainder(monke
     rng, off_congruence = random.Random(0), 0
     for _ in range(1000):  # the draws fuzz_equivalence(rule, 1000, seed=0) makes
         a = random_digit_string(rng)
-        assert divides(a, 7) == divides(apply_once(a, rule), 7)
-        off_congruence += not divides(a, 7)  # -omega * |a| = omega * |a| only when 7 | a
+        assert (remainder(a, 7) == 0) == (remainder(apply_once(a, rule), 7) == 0)
+        off_congruence += remainder(a, 7) != 0  # -omega * |a| = omega * |a| only when 7 | a
     assert fuzz_equivalence(rule, 1000, seed=0).mismatches == off_congruence > 0
 
 
@@ -336,7 +331,7 @@ def test_trim_length_drop_reported_not_asserted(capsys):
         if q % 5 == 0:
             continue
         rule = TestRule.trim(q)
-        a = random_digit_string(rng, max_digits=30, signed=False)
+        a = abs(random_digit_string(rng, max_digits=30))
         if len(a) > len(DigitString.from_int(rule.omega)) + 2 and len(apply_once(a, rule)) >= len(a):
             violations += 1
     print(f"trim length-drop violations beyond len(omega)+2: {violations}")
