@@ -33,10 +33,11 @@ power x**h (``fold(coeffs, x, -1)`` reads the coefficients top first, as
 base**h, each squaring its powers once per call. Below ``_LEAF`` digits
 they fall back to Horner's rule and to one divmod per digit.
 
-``fold(coeffs, x, order, q)`` is that number mod q. When the weights
-x**i % q recur (``_cycle``, searched once per x and q), ``_residue``
-takes it as a few C-level sums of strided slices, each class of equal
-weights summed on its own, so no power of x and no big number is built.
+``fold(coeffs, x, order, q)`` is that number mod q, and builds no big
+number. When the weights x**i % q recur (``_cycle``, searched once per
+x and q), ``_residue`` takes it as a few C-level sums of strided slices,
+each class of equal weights summed on its own, with no power of x;
+otherwise the divide and conquer reduces each power and each join mod q.
 """
 
 from __future__ import annotations
@@ -78,20 +79,24 @@ def fold(coeffs: tuple[int, ...], x: int, order: int = 1, q: int | None = None) 
     rule on _LEAF coefficients; a leaf of the reversed range is read forwards, in place.
     With q, a fold of over _LEAF coefficients is ``_residue``'s, which builds no power of
     x, when the weights x**i % q recur (``_cycle``) with _PER_CLASS or more coefficients to
-    each class of them; a shorter one, or one whose weights do not recur, is Horner's mod q.
+    each class of them; any other is the same divide and conquer with each power and each
+    join reduced mod q, so it builds no number much past q times a leaf's.
     """
     if q is not None and len(coeffs) > _LEAF and (cycle := _cycle(x, q)) and len(coeffs) >= _PER_CLASS * cycle[2]:
         return _residue(coeffs, order, q, *cycle)
-    powers: list[int] = []  # powers[i] = x**(_LEAF * 2**i)
+    powers: list[int] = []  # powers[i] = x**(_LEAF * 2**i), mod q with q
     while _LEAF << len(powers) < len(coeffs):
-        powers.append(powers[-1] * powers[-1] if powers else x**_LEAF)
-    v = _fold(coeffs, 0, len(coeffs), x, powers, len(powers), order)
+        power = powers[-1] * powers[-1] if powers else x**_LEAF
+        powers.append(power if q is None else power % q)
+    v = _fold(coeffs, 0, len(coeffs), x, powers, len(powers), order, q)
     return v if q is None else v % q
 
 
-def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int, order: int) -> int:
-    """fold(coeffs, x, order) restricted to indices lo..hi - 1 of the (reversed) range, where
-    hi - lo <= _LEAF * 2**level, slicing coeffs only at a leaf."""
+def _fold(
+    coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], level: int, order: int, q: int | None
+) -> int:
+    """fold(coeffs, x, order, q) restricted to indices lo..hi - 1 of the (reversed) range, where hi - lo <=
+    _LEAF * 2**level, slicing coeffs only at a leaf; with q, reduced mod q at each join, not at a leaf."""
     if level == 0:
         v, n = 0, len(coeffs)
         for c in reversed(coeffs[lo:hi]) if order == 1 else coeffs[n - hi : n - lo]:
@@ -99,9 +104,10 @@ def _fold(coeffs: tuple[int, ...], lo: int, hi: int, x: int, powers: list[int], 
         return v
     mid = lo + (_LEAF << (level - 1))
     if hi <= mid:
-        return _fold(coeffs, lo, hi, x, powers, level - 1, order)
-    low = _fold(coeffs, lo, mid, x, powers, level - 1, order)
-    return low + powers[level - 1] * _fold(coeffs, mid, hi, x, powers, level - 1, order)
+        return _fold(coeffs, lo, hi, x, powers, level - 1, order, q)
+    low = _fold(coeffs, lo, mid, x, powers, level - 1, order, q)
+    v = low + powers[level - 1] * _fold(coeffs, mid, hi, x, powers, level - 1, order, q)
+    return v if q is None else v % q
 
 
 @lru_cache(maxsize=256)

@@ -30,7 +30,7 @@ fold and carries its value beside it, and ``_plain_chain`` yields each plain
 step's int; from these ``_steps`` makes the trace steps, and ``_step_texts``
 the text a stacked trace prints, one at a time. A plain
 trace's text comes from ``_plain_texts``: a trim step drops the last digit
-and adds omega times it at the low end, so the steps ``_carried`` proves
+and adds omega times it at the low end, so the steps ``_values`` proves
 it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
@@ -38,11 +38,12 @@ Every verdict is ``divides_via``'s one pass over the digits of |a|, the rule's s
 run stacked as one ``_split_fold`` taken mod q, read off the weights' recurring residues with
 no big number built; a ``Trace`` decides its own with it when built. No verdict
 runs a chain or reads the chain kind: stacking changes what a trace prints, not what it
-decides. ``Trace.last`` reads a stacked chain's ``_split_fold`` too, and runs a plain chain:
-``_carried`` makes the steps a ``_split`` chain provably takes, as many as ``_carried_steps``
-counts, in one pass over the digit groups with the rule's (k, alpha, beta), and reports that
-count to the cost table (``_values``); the steps after them are taken one at a time. A printed
-trace reads neither: it ends at its own last step, so it runs its chain once.
+decides. ``Trace.terminal`` reads a stacked chain's ``_split_fold`` too, and a plain chain's
+last value from ``_values``, the one runner of a plain chain, which the cost table reads as well:
+it takes the steps a ``_split`` chain provably takes, as many as ``_carried_steps`` counts, in
+one pass over the digit groups with the rule's (k, alpha, beta), reports that count, and yields
+each later step's value, taken one at a time. A printed trace reads neither: it ends at its own
+last step, so it runs its chain once.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
-    """A rule's chain on a; its ``last`` number, ``terminal`` and ``steps`` are built the first time they are read.
+    """A rule's chain on a; its ``terminal`` and ``steps`` are built the first time they are read.
 
     Building one checks its operands and ``stacked``, decides the ``verdict`` with ``divides_via``, which
     does not read ``stacked``, and sets ``stacked`` for left trim, whose chain always stacks. ``render()`` and
@@ -169,7 +170,7 @@ class Trace:
     text a step at a time with ``_step_texts`` (from the step ints, or a long plain trim chain's
     digit buffer); they build no ``TraceStep`` and leave ``steps`` unread. ``as_json()`` builds the
     same document from ``steps``. Each printed form ends at its own last step, whose value is the
-    terminal (|a| if the chain takes no step), so none reads ``last`` or ``terminal``.
+    terminal (|a| if the chain takes no step), so none reads ``terminal``.
     Traces are equal when their rule, input and chain kind (``stacked``) are.
     """
 
@@ -191,17 +192,13 @@ class Trace:
         object.__setattr__(self, "stacked", self.stacked or family.always_stacked)
 
     @cached_property
-    def last(self) -> int:
-        """The chain's last number: a stacked chain's ``_split_fold``, or the plain chain's (|a| if it
-        takes no step), after ``_carried``'s steps and then ``_plain_chain``'s."""
-        if self.stacked:
-            return _split_fold(self.a.digits, self.rule)
-        last = deque(_plain_chain(_carried(self.a.digits, self.rule)[0], self.rule), maxlen=1)
-        return last[0] if last else fold(self.a.digits, self.rule.base)
-
-    @cached_property
     def terminal(self) -> DigitString:
-        return DigitString.from_int(self.last, self.rule.base)
+        """Where the chain ends: a stacked chain's ``_split_fold``, or the last value ``_values`` yields
+        for a plain chain, each converted once; |a| itself if the plain chain takes no step."""
+        if self.stacked:
+            return DigitString.from_int(_split_fold(self.a.digits, self.rule), self.rule.base)
+        last = deque(_values(self.a, self.rule)[1], maxlen=1)
+        return DigitString.from_int(last[0], self.rule.base) if last else abs(self.a)
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -466,7 +463,7 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
 
     A trim step (``_split`` with (k, alpha, beta) = (1, 1, omega)) drops the last digit d_0
     of x and adds omega * d_0 at the low end. The chain takes its first ``_carried_steps``
-    steps as they are, as ``_carried`` proves: each is positive, at least base**2 and
+    steps as they are, as ``_values`` proves: each is positive, at least base**2 and
     shrinking, so a carry past the top digit is one digit. They run on a buffer of x's
     digits, most significant first, carrying or borrowing only as far as it runs, and
     each text is one ``translate``. The chain steps on from the buffer's number (in every
@@ -491,14 +488,54 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
 
 
 def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
-    """How many steps of the chain ``iterate(a, rule)`` runs ``_carried`` takes at once, and each
-    later step's value; checks the operands first. Each carried step shrinks, so it is shorter than |a|.
+    """How many steps of the chain ``iterate(a, rule)`` runs are taken at once, and each later step's
+    value; checks the operands first. A ``_split`` chain provably takes its first ``_carried_steps``
+    steps exactly, without abs or a stop, each shrinking, so shorter than |a|: they are taken at once,
+    in one pass over the digit groups of |a| = fold(d, base), and ``_plain_chain`` steps on from there.
+
+    Take B = base**k, |a|'s base-B digit groups D_0 .. D_{N-1} (D_{N-1} > 0), and
+    H_t = sum(D_i * B**(i - t - 1) for i > t), the groups above group t. A step is
+    f(x) = alpha * (x // B) + beta * (x % B), and f(s + alpha**t * B * H) =
+    alpha * (s // B) + beta * (s % B) + alpha**(t + 1) * H, since B divides the
+    second term. With H_t = D_{t+1} + B * H_{t+1}, t steps (without abs or a stop)
+    give x_t = s_t + alpha**t * B * H_t, where s_0 = D_0 and
+
+        s_{t+1} = alpha * (s_t // B) + beta * (s_t % B) + alpha**(t + 1) * D_{t+1}.
+
+    Let 1 <= alpha <= B / 2 (trim: alpha = 1 <= base / 2; Talmud: alpha = 2 <= base**2 / 2)
+    and c = 2 * (|beta| + 1). Then |s_t| <= c * B * alpha**t. It holds at t = 0 (D_0 < B).
+    As |s // B| <= |s| / B + 1, with A = alpha**(t + 1) >= alpha,
+    |s_{t+1}| <= c * A + alpha + |beta| * (B - 1) + A * (B - 1), which falls short of
+    c * B * A by (B - 1) * (A * (2|beta| + 1) - |beta|) - alpha
+    >= (B - 1) * (|beta| + 1) * A - alpha >= A - alpha >= 0.
+
+    The ``_carried_steps`` steps replaced are those that leave ``keep`` or more groups unread, with
+    B**(keep - 1) >= c + B. In such a step t -> t + 1, H_{t+1} >= B**(keep - 1), so
+    x_{t+1} >= alpha**(t + 1) * B * (B**(keep - 1) - c) >= B**2 >= base**2: the step
+    is positive, so abs changes nothing, and too large to stop. Its input has
+    H_t >= B**keep >= 2 * (c + B), so x_t >= B * (c + 2 * B) > 2 * |beta| * (B - 1);
+    and as f(x) <= alpha * x / B + |beta| * (B - 1) <= x / 2 + |beta| * (B - 1) for
+    x > 0, the step shrinks: f(x_t) < x_t. So the real chain takes each of these
+    steps exactly, and it goes on from their last value as it would have.
+    The groups are read lazily, and the fold sees only the ``keep`` unread top groups.
     """
     _check_operands(a, rule)
     if FAMILY_TABLE[rule.family].always_stacked:
         return 0, (value for _, value in _folded(a, rule))
-    x, carried = _carried(a.digits, rule)
-    return carried, _plain_chain(x, rule)
+    d = a.digits
+    if not (steps := _carried_steps(len(d), rule)):
+        return 0, _plain_chain(d, rule)
+    base, (k, alpha, beta) = rule.base, rule.split
+    big = base**k
+    groups = islice(d, 0, None, k)
+    for j in range(1, k):
+        groups = map(add, groups, map((base**j).__mul__, islice(d, j, None, k)))
+    s, scale = next(groups), 1
+    for group in islice(groups, steps):
+        high, low = divmod(s, big)
+        scale *= alpha
+        s = alpha * high + beta * low + scale * group
+    return steps, _plain_chain(s + scale * big * fold(d[k * (steps + 1) :], base), rule)
 
 
 def _folded(a: DigitString, rule: TestRule) -> Iterator[tuple[int, int]]:
@@ -545,53 +582,8 @@ def _split_fold(d: tuple[int, ...], rule: TestRule, q: int | None = None) -> int
     return total if q is None else total % q
 
 
-def _carried(d: tuple[int, ...], rule: TestRule) -> tuple[_Magnitude, int]:
-    """The split chain's number after the steps it provably takes on |a| = fold(d, base),
-    without abs or a stop, and how many they are; (d, 0) if it takes none of them.
-
-    Take B = base**k, |a|'s base-B digit groups D_0 .. D_{N-1} (D_{N-1} > 0), and
-    H_t = sum(D_i * B**(i - t - 1) for i > t), the groups above group t. A step is
-    f(x) = alpha * (x // B) + beta * (x % B), and f(s + alpha**t * B * H) =
-    alpha * (s // B) + beta * (s % B) + alpha**(t + 1) * H, since B divides the
-    second term. With H_t = D_{t+1} + B * H_{t+1}, t steps (without abs or a stop)
-    give x_t = s_t + alpha**t * B * H_t, where s_0 = D_0 and
-
-        s_{t+1} = alpha * (s_t // B) + beta * (s_t % B) + alpha**(t + 1) * D_{t+1}.
-
-    Let 1 <= alpha <= B / 2 (trim: alpha = 1 <= base / 2; Talmud: alpha = 2 <= base**2 / 2)
-    and c = 2 * (|beta| + 1). Then |s_t| <= c * B * alpha**t. It holds at t = 0 (D_0 < B).
-    As |s // B| <= |s| / B + 1, with A = alpha**(t + 1) >= alpha,
-    |s_{t+1}| <= c * A + alpha + |beta| * (B - 1) + A * (B - 1), which falls short of
-    c * B * A by (B - 1) * (A * (2|beta| + 1) - |beta|) - alpha
-    >= (B - 1) * (|beta| + 1) * A - alpha >= A - alpha >= 0.
-
-    The ``_carried_steps`` steps replaced are those that leave ``keep`` or more groups unread, with
-    B**(keep - 1) >= c + B. In such a step t -> t + 1, H_{t+1} >= B**(keep - 1), so
-    x_{t+1} >= alpha**(t + 1) * B * (B**(keep - 1) - c) >= B**2 >= base**2: the step
-    is positive, so abs changes nothing, and too large to stop. Its input has
-    H_t >= B**keep >= 2 * (c + B), so x_t >= B * (c + 2 * B) > 2 * |beta| * (B - 1);
-    and as f(x) <= alpha * x / B + |beta| * (B - 1) <= x / 2 + |beta| * (B - 1) for
-    x > 0, the step shrinks: f(x_t) < x_t. So the real chain takes each of these
-    steps exactly, and it goes on from their last value as it would have.
-    The groups are read lazily, and the fold sees only the ``keep`` unread top groups.
-    """
-    if not (steps := _carried_steps(len(d), rule)):
-        return d, 0
-    base, (k, alpha, beta) = rule.base, rule.split
-    big = base**k
-    groups = islice(d, 0, None, k)
-    for j in range(1, k):
-        groups = map(add, groups, map((base**j).__mul__, islice(d, j, None, k)))
-    s, scale = next(groups), 1
-    for group in islice(groups, steps):
-        high, low = divmod(s, big)
-        scale *= alpha
-        s = alpha * high + beta * low + scale * group
-    return s + scale * big * fold(d[k * (steps + 1) :], base), steps
-
-
 def _carried_steps(n: int, rule: TestRule) -> int:
-    """How many steps ``_carried`` proves a ``_split`` chain takes exactly on an |a| of n digits; none
+    """How many steps ``_values`` proves a ``_split`` chain takes exactly on an |a| of n digits; none
     in a family that steps otherwise, as sum's (1, 1, omega) is trim's split but not its chain.
 
     The bound is not tight: ``least`` one lower gives the same keep for every rule. That keep

@@ -459,22 +459,22 @@ def test_printed_traces_run_no_carried_stack_and_convert_nothing(monkeypatch):
     rng = random.Random(2201)
     inputs = [parse(str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(299))), parse("-32184")]
     inputs.append(DigitString.from_int(rng.randrange(36**299, 36**300), 36))
-    carried, from_int, calls = families._carried, DigitString.from_int.__func__, []
+    values, from_int, calls = families._values, DigitString.from_int.__func__, []
 
-    def counting_carried(d, rule):
-        calls.append(("_carried", rule))
-        return carried(d, rule)
+    def counting_values(a, rule):
+        calls.append(("_values", rule))
+        return values(a, rule)
 
     def counting_from_int(cls, value, base=10):
         calls.append(("from_int", value))
         return from_int(cls, value, base)
 
-    monkeypatch.setattr(families, "_carried", counting_carried)
+    monkeypatch.setattr(families, "_values", counting_values)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     for a in inputs:
         for rule, stacked in _one_rule_of_each_family(a.base):
-            trace = iterate(a, rule, stacked=stacked)  # a sum or binomial verdict runs _carried, which takes no step
-            calls.clear()
+            trace = iterate(a, rule, stacked=stacked)
+            assert calls == [], (rule, stacked)  # the verdict runs no chain and converts nothing
             trace.render()
             deque(trace._json_chunks(), maxlen=0)
             trace.as_json()

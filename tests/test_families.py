@@ -365,6 +365,11 @@ def test_chains_collapse_only_their_terminal(monkeypatch):
         # its even digits, then its odd ones, 12 kB at a time
         (TestRule.trim(7), 3000, 16 * 1024),
         (TestRule.talmud(), 3000, 20 * 1024),
+        # weights x**i % q that do not recur within _LEAF steps (10 has order 96 mod 97): every power and
+        # join of the fold is taken mod q, where a whole 10**5-digit F(a) peaks at 0.5 to 2 MiB
+        (TestRule.trim(1000003), 10**5, 64 * 1024),
+        (TestRule.sum(97), 10**5, 64 * 1024),
+        (TestRule.binomial(1000003), 10**5, 64 * 1024),
     ],
 )
 def test_verdicts_keep_only_the_current_number(rule, length, limit):
@@ -676,7 +681,7 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
 
     monkeypatch.setattr(families, "fold", recording_fold)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
-    for name in ("_plain_chain", "_carried", "_smaller", "_digits_of"):
+    for name in ("_plain_chain", "_values", "_smaller", "_digits_of"):
         monkeypatch.setattr(families, name, chain_run)
     for base, n in product((2, 10, 36), (1, 2, 3, 300, 3000)):
         for text in _long_digit_texts(base, n):
@@ -831,7 +836,7 @@ def test_carried_split_terminals_match_stepping_on_long_inputs(base):
 @pytest.mark.parametrize("base", [2, 10, 36])
 def test_split_verdicts_and_their_lazy_terminals_agree_on_long_inputs(base):
     """A split rule's verdict is its stacked chain's fold; its terminal is the plain chain's,
-    run only when ``Trace.last`` is read. q divides both or neither."""
+    run only when ``Trace.terminal`` is read. q divides both or neither."""
     rng = random.Random(f"drift-{base}")
     rules = [TestRule.trim(q, base) for q in (base - 1, base + 1, 1000003) if math.gcd(q, base) == 1]
     rules.append(TestRule("talmud", {2: 2, 10: 7, 36: 647}[base], base))
@@ -841,29 +846,41 @@ def test_split_verdicts_and_their_lazy_terminals_agree_on_long_inputs(base):
             a = DigitString(1, base, ds)
             for rule in rules:
                 trace = iterate(a, rule)
-                assert "last" not in vars(trace), rule  # the verdict ran no plain chain
+                assert "terminal" not in vars(trace), rule  # the verdict ran no plain chain
                 terminal = trace.terminal.value
-                assert trace.last == terminal, (rule, length, ds[-3:])
                 verdict = DIVISIBLE if terminal % rule.q == 0 else NOT_DIVISIBLE
                 assert trace.verdict == verdict, (rule, length, ds[-3:])
 
 
 def test_split_verdicts_run_no_carried_stack(monkeypatch):
-    carried, calls = families._carried, []
+    """A verdict runs no plain chain; the first read of ``terminal`` runs it once, through ``_values``,
+    and converts its last value once, or none where the chain takes no step and the terminal is |a|."""
+    values, from_int, calls, converted = families._values, DigitString.from_int.__func__, [], []
 
-    def counting_carried(d, rule):
+    def counting_values(a, rule):
         calls.append(rule)
-        return carried(d, rule)
+        return values(a, rule)
 
-    monkeypatch.setattr(families, "_carried", counting_carried)
-    a = parse(next(_long_digit_texts(10, 3000)))
-    for rule in (TestRule.trim(7), TestRule.talmud(), TestRule.last_digits(8)):
-        calls.clear()
-        divisible = _remainder(a.digits, 10, rule.q) == 0
-        assert divides_via(a, rule) is divisible
-        trace = iterate(a, rule)
-        assert (trace.verdict == DIVISIBLE) is divisible and calls == []
-        assert trace.terminal == trace.terminal and calls == [rule]  # run once, when first read
+    def counting_from_int(cls, value, base=10):
+        converted.append(value)
+        return from_int(cls, value, base)
+
+    monkeypatch.setattr(families, "_values", counting_values)
+    monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
+    for text in (next(_long_digit_texts(10, 3000)), "7", "-7", "0", "42", "-42", "-10"):  # no step below 3 digits
+        a = parse(text)
+        for rule in (TestRule.trim(7), TestRule.talmud(), TestRule.last_digits(8)):
+            calls.clear()
+            converted.clear()
+            divisible = _remainder(a.digits, 10, rule.q) == 0
+            assert divides_via(a, rule) is divisible
+            trace = iterate(a, rule)
+            assert (trace.verdict == DIVISIBLE) is divisible and calls == converted == []
+            assert trace.terminal == trace.terminal and calls == [rule]  # run once, when first read
+            if len(a) < 3:
+                assert trace.terminal == abs(a) and converted == [], (text, rule)
+            else:
+                assert len(converted) == 1 and trace.terminal.value == converted[0], rule
 
 
 @pytest.mark.parametrize("base", [2, 10, 36])
@@ -1074,8 +1091,8 @@ def test_buffered_trim_traces_print_the_int_chains_text(base):
 
     Long inputs run on the digit buffer, then hand over to ints; short ones, of 2 to 12
     digits in every shape and 300 random values below base**7, cover the handover and
-    the negative steps (109 trims by 7 to -8), whose zero digits print as 0. When
-    ``_carried`` takes n steps, the n-th step's text is that of the number it reaches.
+    the negative steps (109 trims by 7 to -8), whose zero digits print as 0. After the
+    n steps ``_values`` takes at once, the buffer prints each value ``_values`` yields.
     """
     rng = random.Random(f"buffer-{base}")
     # q = c * base + 1 has omega = -c: -2, then about -10**6 / base; 1000003's omega is near q / 2 or not
@@ -1098,10 +1115,9 @@ def test_buffered_trim_traces_print_the_int_chains_text(base):
             zip(lines, items, _int_chain_texts(a, rule, ",\n        "), strict=True), 1
         ):
             assert line == (op, None, text) and item == (op, coeffs, text), (rule, len(a), step)
-        x, carried = families._carried(a.digits, rule)  # the buffer hands over at the verdict's number
-        if carried:
-            texts = families._plain_texts(a.digits, rule)
-            assert next(islice(texts, carried - 1, None)) == digits._text(x, base), (rule, len(a))
+        carried, values = families._values(a, rule)  # the buffer hands over where _values steps on
+        texts = islice(families._plain_texts(a.digits, rule), carried, None)
+        assert list(texts) == [digits._text(v, base) for v in values], (rule, len(a))
 
 
 # --- algebraic relations ---------------------------------------------------

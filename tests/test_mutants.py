@@ -48,7 +48,7 @@ MUTANTS = {
         "not 0 < alpha",
     ),
     # the carried stack's top groups not scaled by alpha**t, and Talmud's chain drifts from it
-    "carried_scale_not_alpha": (families, "_carried", "scale *= alpha", "scale *= 1"),
+    "carried_scale_not_alpha": (families, "_values", "scale *= alpha", "scale *= 1"),
     # a first step as long as |a| taken as shorter by bit length: the chain steps on past |a|
     "smaller_bit_bound_one_high": (families, "_smaller", "n * (base.bit_length() - 1)", "n * base.bit_length()"),
     # the step's digits reversed: the sum test's weights attach from the last digit up, not from the top down
@@ -69,6 +69,8 @@ MUTANTS = {
         "total = 0",
     ),
     "residue_reversed_start_one_off": (digits, "_residue", "n - 1 - mu - r", "n - 2 - mu - r"),
+    # the ladder's powers of a fold mod q whose weights do not recur, reduced by the wrong modulus
+    "fold_power_reduced_mod_q_plus_one": (digits, "fold", "power % q", "power % (q + 1)"),
     # a reversed leaf read from the front of the coefficients, not from their back
     "reversed_leaf_misplaced": (digits, "_fold", "coeffs[n - hi : n - lo]", "coeffs[lo:hi]"),
     # the trace buffer's borrow or carry never reaches the top digit
@@ -257,9 +259,12 @@ def _mutant(owner, name, old, new):
 
 
 def _patch(monkeypatch, owner, name, old, new):
-    """Monkeypatch the mutant in, in the ``FAMILY_TABLE`` records that hold the function as their step too."""
+    """Monkeypatch the mutant in, in ``families`` if it imports the function (``fold``) and in the
+    ``FAMILY_TABLE`` records that hold the function as their step too."""
     original, mutant = getattr(owner, name), _mutant(owner, name, old, new)
     monkeypatch.setattr(owner, name, mutant)
+    if getattr(families, name, None) is original:
+        monkeypatch.setattr(families, name, mutant)
     for family, record in families.FAMILY_TABLE.items():
         if record.step is original:
             monkeypatch.setitem(families.FAMILY_TABLE, family, dataclasses.replace(record, step=mutant))
