@@ -19,14 +19,18 @@ build their values with ``DigitString._unchecked``, with no second pass.
 Text and digits convert in C. ``_text`` prints an int with ``str`` in
 base 10 and ``format`` in bases 2, 8 and 16, and ``_digits_of``
 (``from_int``, and the sum and binomial steps) maps
-that text back to digit values. A base-10 value past the interpreter's
-int->str digit limit is split into pieces of ``_CHUNK`` < 640 digits (the
-least limit Python allows), each printed by ``str``; nothing here reads
-or sets the limit itself.
+that text back to digit values. ``_int_of`` (``.value``, and every step
+that reads |a| from its digits) goes the other way in every text base:
+it writes the digits as text and reads pieces of it with ``int(text, base)``.
+A value past the interpreter's int->str digit limit is split into pieces
+of ``_CHUNK`` < 640 digits (the least limit Python allows), each printed
+by ``str`` or read by ``int``; nothing here reads or sets the limit itself.
 
 Other conversions between digits and ``int`` are divide and conquer
 (Brent and Zimmermann, *Modern Computer Arithmetic*, section 1.7):
-``fold`` splits the index range in half and joins the halves with a
+``_int_of`` joins its pieces pairwise by squared powers of base**_CHUNK;
+``fold`` (the weighted digit sums, stacked coefficients, and digits above
+base 36) splits the index range in half and joins the halves with a
 power x**h (``fold(coeffs, x, -1)`` reads the coefficients top first, as
 ``fold(coeffs[::-1], x)`` would, without the copy), and ``_expand_all``
 (other bases, and the base-10 pieces) splits the value with divmod by
@@ -65,7 +69,7 @@ _FORMATS = {2: "b", 8: "o", 16: "x"}
 _LEAF = 64
 # the fewest coefficients per class of equal weights mod q for which a fold sums its classes, not Horner's rule
 _PER_CLASS = 16
-# decimal digits per str() call past the int->str limit: under 640, the least limit Python allows
+# digits per str() or int() call past the int->str limit: under 640, the least limit Python allows
 _CHUNK = 512
 # an error message writes out an int of magnitude below this, and gives only the digit count of any other
 _SHOWN_BELOW = 10**60
@@ -74,6 +78,9 @@ _SHOWN_ITEMS = 21
 
 def fold(coeffs: tuple[int, ...], x: int, order: int = 1, q: int | None = None) -> int:
     """sum(coeffs[i] * x**i), or with order -1 fold(coeffs[::-1], x) with no reversed copy; with q, that sum mod q.
+
+    For the weighted sums that verdicts and the sum and binomial steps fold, and for stacked
+    coefficients, which are not digits; a value's own digits become an int by ``_int_of``.
 
     Halves of the (reversed) index range are joined by powers of x, down to Horner's
     rule on _LEAF coefficients; a leaf of the reversed range is read forwards, in place.
@@ -186,6 +193,29 @@ def _digits_of(mag: int, base: int) -> tuple[int, ...]:
     if base == 10 or base in _FORMATS:
         return tuple(_text(mag, base).encode().translate(_VALUE_TABLE)[::-1])
     return tuple(_expand_all(mag, base)) or (0,)
+
+
+def _int_of(digits, base: int) -> int:
+    """fold(digits, base) for digits in [0, base), least significant first: the inverse of ``_digits_of``; 0 for none.
+
+    Up to base 36 the digits are written as text, read in pieces of _CHUNK characters by
+    ``int(text, base)``, low piece first, and the pieces joined pairwise, each round by
+    the square of the last round's power of base**_CHUNK. Above base 36, ``fold``.
+    """
+    if base > MAX_TEXT_BASE:
+        return fold(digits, base)
+    text = _chars(digits[::-1])
+    if len(text) <= _CHUNK:
+        return int(text, base) if text else 0
+    pieces = [int(text[max(i - _CHUNK, 0) : i], base) for i in range(len(text), 0, -_CHUNK)]
+    power = base**_CHUNK
+    while True:
+        if len(pieces) % 2:
+            pieces.append(0)
+        pieces = [low + high * power for low, high in zip(pieces[::2], pieces[1::2])]
+        if len(pieces) == 1:
+            return pieces[0]
+        power *= power
 
 
 def _chars(digits) -> str:
@@ -327,7 +357,7 @@ class DigitString:
 
     @property
     def value(self) -> int:
-        return self.sign * fold(self.digits, self.base)
+        return self.sign * _int_of(self.digits, self.base)
 
     def __len__(self) -> int:
         return len(self.digits)

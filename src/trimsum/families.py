@@ -56,7 +56,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _repr, _shown, _text, fold
+from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _int_of, _repr, _shown, _text, fold
 from .weights import _check_divisor, weight_inverse
 
 TRIM = "trim"
@@ -273,15 +273,15 @@ def _split(x: _Magnitude, r: TestRule) -> int:
     """
     k, alpha, beta = r.split
     if not alpha:
-        return beta * (x % r.base**k if type(x) is int else fold(x[:k], r.base))
-    high, low = divmod(x if type(x) is int else fold(x, r.base), r.base**k)
+        return beta * (x % r.base**k if type(x) is int else _int_of(x[:k], r.base))
+    high, low = divmod(x if type(x) is int else _int_of(x, r.base), r.base**k)
     return alpha * high + beta * low
 
 
 def _left_trim(d: tuple[int, ...], r: TestRule) -> int:
     """Left trim, |a| less q * top * base**(n - 2): (base - q) * top folded one digit down."""
     top = r.q * d[-1] * r.base ** (len(d) - 2) if len(d) > 1 else 0
-    return fold(d, r.base) - top
+    return _int_of(d, r.base) - top
 
 
 def _digit_sum(x: _Magnitude, r: TestRule) -> int:
@@ -393,7 +393,7 @@ def _smaller(m: int, x: _Magnitude, base: int) -> bool:
     if type(x) is int:
         return m < x
     n = len(x) - 1
-    return m.bit_length() <= n * (base.bit_length() - 1) or m < base**n or m < fold(x, base)
+    return m.bit_length() <= n * (base.bit_length() - 1) or m < base**n or m < _int_of(x, base)
 
 
 def _steps(trace: Trace) -> Iterator[TraceStep]:
@@ -483,7 +483,7 @@ def _plain_texts(d: tuple[int, ...], rule: TestRule) -> Iterator[str]:
             elif not buf[0]:  # a borrow reached the top digit
                 del buf[: len(buf) - len(buf.lstrip(b"\0"))]
             yield buf.translate(_CHAR_TABLE).decode()
-        x = fold(buf, base, -1)
+        x = _int_of(buf[::-1], base)
     yield from (_text(v, base) for v in _plain_chain(x, rule))
 
 
@@ -491,7 +491,7 @@ def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
     """How many steps of the chain ``iterate(a, rule)`` runs are taken at once, and each later step's
     value; checks the operands first. A ``_split`` chain provably takes its first ``_carried_steps``
     steps exactly, without abs or a stop, each shrinking, so shorter than |a|: they are taken at once,
-    in one pass over the digit groups of |a| = fold(d, base), and ``_plain_chain`` steps on from there.
+    in one pass over the digit groups of |a| = _int_of(d, base), and ``_plain_chain`` steps on from there.
 
     Take B = base**k, |a|'s base-B digit groups D_0 .. D_{N-1} (D_{N-1} > 0), and
     H_t = sum(D_i * B**(i - t - 1) for i > t), the groups above group t. A step is
@@ -535,7 +535,7 @@ def _values(a: DigitString, rule: TestRule) -> tuple[int, Iterator[int]]:
         high, low = divmod(s, big)
         scale *= alpha
         s = alpha * high + beta * low + scale * group
-    return steps, _plain_chain(s + scale * big * fold(d[k * (steps + 1) :], base), rule)
+    return steps, _plain_chain(s + scale * big * _int_of(d[k * (steps + 1) :], base), rule)
 
 
 def _folded(a: DigitString, rule: TestRule) -> Iterator[tuple[int, int]]:
@@ -548,7 +548,7 @@ def _folded(a: DigitString, rule: TestRule) -> Iterator[tuple[int, int]]:
     (weight - base) * acc * base**r, where r digits are still unfolded.
     """
     base, d, order, weight = a.base, a.digits, FAMILY_TABLE[rule.family].order, _weight(rule)
-    value, power = fold(d, base), base ** (len(d) - 1)
+    value, power = _int_of(d, base), base ** (len(d) - 1)
     digits = iter(d[::order])
     acc = next(digits)
     for digit in digits:

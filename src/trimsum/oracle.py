@@ -8,6 +8,9 @@ are ``random.Random``'s own ``randrange`` draws, taken straight from
 draws from an exact ``random.Random`` and refuses any other rng.
 Each modulus, base, count and seed goes through ``digits._check_int``:
 exactly an int (not bool), in range, or ``ValueError`` naming it.
+``remainder`` and ``random_digit_string`` check their arguments and hand
+the work to ``_remainder`` and ``_draw``; ``fuzz_equivalence`` checks its
+own once and then calls only those two in each trial.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ def remainder(a: DigitString, q: int) -> int:
     if not isinstance(a, DigitString):
         raise ValueError(f"expected a DigitString, got {_shown(a)}")
     _check_int("modulus", q, 1)
+    return _remainder(a, q)
+
+
+def _remainder(a: DigitString, q: int) -> int:
+    """remainder(a, q) for a DigitString a and an exact int q >= 1, checked by the caller."""
     r = 0
     base = a.base
     for d in reversed(a.digits):
@@ -64,10 +72,26 @@ def random_digit_string(rng: random.Random, base: int = 10, max_digits: int = 60
     _check_int("max_digits", max_digits, 1, MAX_DIGITS)
     if type(rng) is not random.Random or "getrandbits" in vars(rng):
         raise ValueError(f"rng must be a random.Random drawing from its own getrandbits, got {_shown(rng)}")
-    n = 1 + _below(rng.getrandbits, max_digits, 1)[0]
-    digits = _below(rng.getrandbits, base, n)
-    if n > 1:
-        digits[-1] = 1 + _below(rng.getrandbits, base - 1, 1)[0]
+    return _draw(rng, base, max_digits)
+
+
+def _draw(rng: random.Random, base: int, max_digits: int) -> DigitString:
+    """random_digit_string(rng, base, max_digits) for arguments its caller has checked.
+
+    The length and the top digit are single draws, each a getrandbits loop as ``_below`` makes.
+    """
+    draw = rng.getrandbits
+    k = max_digits.bit_length()
+    n = draw(k)  # the length less one: randint(1, max_digits) is 1 + randrange(max_digits)
+    while n >= max_digits:
+        n = draw(k)
+    digits = _below(draw, base, n + 1)
+    if n:
+        k = (base - 1).bit_length()
+        top = draw(k)
+        while top >= base - 1:
+            top = draw(k)
+        digits[-1] = 1 + top
     sign = -1 if rng.random() < 0.2 and digits != [0] else 1  # random() is drawn for zero too
     return DigitString._unchecked(sign, base, tuple(digits))
 
@@ -89,7 +113,8 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
 
     lam, a unit mod q worked out here, is base**-1 for trim, base**-(n - 1) for sum
     on n digits and 1 otherwise. mean_length_drop averages length(a) - length(f(a)).
-    trials runs 1..MAX_TRIALS, max_digits 1..MAX_DIGITS, and seed is any exact int.
+    trials runs 1..MAX_TRIALS, max_digits 1..MAX_DIGITS, and seed is any exact int; each is
+    checked once, and its own ``random.Random(seed)`` needs no rng check, so a trial makes no check of its own.
     """
     if not isinstance(rule, TestRule):
         raise ValueError(f"expected a TestRule, got {_shown(rule)}")
@@ -102,10 +127,10 @@ def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: in
     rng = random.Random(seed)
     mismatches = total_drop = 0
     for _ in range(trials):
-        a = random_digit_string(rng, base, max_digits)
+        a = _draw(rng, base, max_digits)
         image = apply_once(a, rule)
         lam = pow(inverse, len(a) - 1, q) if rule.family == SUM else inverse
-        if remainder(image, q) != lam * a.sign * remainder(a, q) % q:
+        if _remainder(image, q) != lam * a.sign * _remainder(a, q) % q:
             mismatches += 1
         total_drop += len(a.digits) - len(image.digits)
     return FuzzReport(rule, trials, mismatches, total_drop / trials, seed)

@@ -313,6 +313,20 @@ def test_divide_and_conquer_round_trips(base):
         assert DigitString.from_int(-digits.fold(mixed, base), base) == DigitString(-1, base, mixed)
 
 
+@pytest.mark.parametrize("base", [*range(2, 37), 37, 1000])
+def test_int_of_is_the_fold_of_a_values_own_digits(base):
+    """Up to base 36 the digits are read as text in pieces of _CHUNK characters, joined pairwise;
+    37 and 1000 have no text form and fall back to fold. Lengths: none, the leaf and one, two and
+    three pieces, each +-1, and 3 * 10**4."""
+    rng = random.Random(f"int-of-{base}")
+    assert digits._int_of((), base) == 0
+    for n in (1, 2, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 3 * 10**4):
+        top = (rng.randrange(1, base),)
+        mixed = tuple(rng.choices(range(base), k=n - 1)) + top
+        for ds in (mixed, (0,) * (n - 1) + top, (base - 1,) * n):
+            assert digits._int_of(ds, base) == fold(ds, base), (base, n)
+
+
 @pytest.mark.parametrize("x", [0, 1, -1, -7])
 def test_fold_with_signed_coefficients(x):
     rng = random.Random(x)

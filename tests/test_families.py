@@ -324,14 +324,20 @@ def test_iterate_compares_equal_lengths_from_the_top():
 
 
 def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
-    fold, lengths = digits.fold, []
+    fold, int_of, lengths = digits.fold, digits._int_of, []
 
     def recording_fold(coeffs, x, order=1, q=None):
         lengths.append(len(coeffs))
         return fold(coeffs, x, order, q)
 
+    def recording_int_of(ds, base):
+        lengths.append(len(ds))
+        return int_of(ds, base)
+
     monkeypatch.setattr(digits, "fold", recording_fold)
     monkeypatch.setattr(families, "fold", recording_fold)
+    monkeypatch.setattr(digits, "_int_of", recording_int_of)
+    monkeypatch.setattr(families, "_int_of", recording_int_of)
     rule = TestRule.last_digits(8)
     assert divides_via(parse("9" * 2997 + "184"), rule) is True
     assert divides_via(parse("9" * 2997 + "185"), rule) is False
@@ -339,19 +345,24 @@ def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
 
 
 def test_chains_collapse_only_their_terminal(monkeypatch):
-    fold, calls = families.fold, []
+    fold, int_of, calls = families.fold, families._int_of, []
 
     def counting_fold(coeffs, x, order=1, q=None):
         calls.append((coeffs, q))
         return fold(coeffs, x, order, q)
 
+    def counting_int_of(ds, base):
+        calls.append(("int_of", ds))
+        return int_of(ds, base)
+
     monkeypatch.setattr(families, "fold", counting_fold)
+    monkeypatch.setattr(families, "_int_of", counting_int_of)
     for a in (parse("3" * 50), parse("3" * 500)):  # Horner's rule mod 7, and the recurring weights
         calls.clear()
         trace = iterate(a, TestRule.left_trim(7))
         assert calls == [(a.digits, 7)]  # the verdict folds the input mod q, and nothing else is folded
         assert len(trace.steps) == len(a) - 1
-        assert calls == [(a.digits, 7), (a.digits, None)]  # the steps carry their values from one fold of the input
+        assert calls == [(a.digits, 7), ("int_of", a.digits)]  # the steps carry their values from one read of the input
         trace.as_json()  # renders the values the steps hold
         assert len(calls) == 2
 
@@ -661,11 +672,15 @@ def _verdict_reads(d, rule):
 
 
 def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
-    fold, from_int, folded, converted = families.fold, DigitString.from_int.__func__, [], []
+    fold, int_of, from_int, folded, converted = families.fold, families._int_of, DigitString.from_int.__func__, [], []
 
     def recording_fold(coeffs, x, order=1, q=None):
         folded.append((coeffs, x, order, q))
         return fold(coeffs, x, order, q)
+
+    def recording_int_of(ds, base):
+        folded.append(("int_of", ds, base))
+        return int_of(ds, base)
 
     def counting_from_int(cls, value, base=10):
         converted.append(value)
@@ -680,6 +695,7 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
             return divides_via(x, rule)
 
     monkeypatch.setattr(families, "fold", recording_fold)
+    monkeypatch.setattr(families, "_int_of", recording_int_of)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     for name in ("_plain_chain", "_values", "_smaller", "_digits_of"):
         monkeypatch.setattr(families, name, chain_run)

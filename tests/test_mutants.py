@@ -1,6 +1,6 @@
 """Mutants of the split verdict's fold and its residue mod q, the sum and binomial step, the chain's
 proof bounds and the key that keeps them to ``_split`` chains, the trace buffer, the stacked chain's
-fold and the rule obligation: each is killed by a small fixed input set.
+fold, the join of a value's digit pieces and the rule obligation: each is killed by a small fixed input set.
 
 A mutant is one function of the library recompiled from its source with one snippet
 replaced, and monkeypatched in. Every case is judged against ``oracle.remainder``, and
@@ -71,6 +71,9 @@ MUTANTS = {
     "residue_reversed_start_one_off": (digits, "_residue", "n - 1 - mu - r", "n - 2 - mu - r"),
     # the ladder's powers of a fold mod q whose weights do not recur, reduced by the wrong modulus
     "fold_power_reduced_mod_q_plus_one": (digits, "fold", "power % q", "power % (q + 1)"),
+    # a value's digits read as pieces of text: joined high piece low, or by a power one digit short
+    "int_of_pieces_joined_high_first": (digits, "_int_of", "low + high * power", "high + low * power"),
+    "int_of_join_power_one_digit_short": (digits, "_int_of", "power = base**_CHUNK", "power = base**(_CHUNK - 1)"),
     # a reversed leaf read from the front of the coefficients, not from their back
     "reversed_leaf_misplaced": (digits, "_fold", "coeffs[n - hi : n - lo]", "coeffs[lo:hi]"),
     # the trace buffer's borrow or carry never reaches the top digit
@@ -128,6 +131,9 @@ RULES += [("binomial", 8, 10), ("binomial", 12, 10), ("binomial", 33, 36)]
 STACKED = [(family, q, base) for family in ("trim", "left_trim") for q, base in ((7, 10), (13, 10), (3, 2), (37, 36))]
 # one digit, the lengths around the chain's carried steps, and fold's leaf and its multiples
 LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 13, 64, 65, 129, 200)
+# three of _int_of's 512-character pieces, read whole by a plain Talmud trace's first step; a stacked
+# chain reads them too, but its printed steps, a coefficient list each, are slow to check at this length
+PIECES = 1025
 
 
 def _cases():
@@ -142,7 +148,7 @@ def _cases():
         except ValueError:
             continue
         base = rule.base
-        for n in LENGTHS:
+        for n in LENGTHS if stacked else (*LENGTHS, PIECES):
             v = rng.randrange(base ** (n - 1), base**n) if n > 1 else rng.randrange(base)
             yield rule, stacked, v
             yield rule, stacked, v - v % rule.q
@@ -215,6 +221,14 @@ def _folds(x, rule):
     return chain
 
 
+def _read(text, base):
+    """int(text, base), read 600 characters at a time from the top: under the least int->str digit limit."""
+    sign, body, v = -1 if text.startswith("-") else 1, text.lstrip("-"), 0
+    for i in range(0, len(body), 600):
+        v = v * base ** len(body[i : i + 600]) + int(body[i : i + 600], base)
+    return sign * v
+
+
 def _printed(text, base):
     """Each step's coefficient text and value, and the terminal, a ``trace`` text prints; the
     values read back if each is canonical text.
@@ -222,7 +236,7 @@ def _printed(text, base):
     *steps, terminal = re.findall(r"^step \d+: \w+ -> (?:\[(.*)\] = )?(.*)$|^terminal: (.*)$", text, re.M)
     texts = [value for _, value, _ in steps] + [terminal[2]]
     if all(re.fullmatch(r"-?[1-9a-z][0-9a-z]*|0", t) for t in texts):
-        texts = [int(t, base) for t in texts]
+        texts = [_read(t, base) for t in texts]
     return [coeffs for coeffs, _, _ in steps], texts
 
 

@@ -317,6 +317,24 @@ def test_fuzz_catches_a_step_that_keeps_divisibility_but_not_the_remainder(monke
     assert fuzz_equivalence(rule, 1000, seed=0).mismatches == off_congruence > 0
 
 
+@pytest.mark.parametrize("rule", [TestRule.trim(7), TestRule.sum(13), TestRule.left_trim(3, 2), TestRule.talmud()])
+def test_fuzz_checks_its_arguments_once_not_once_a_trial(monkeypatch, rule):
+    """The oracle's own checks run before the first trial; apply_once's (digits' own _check_int) are not counted."""
+    check_int, checks = oracle._check_int, []
+
+    def counting_check_int(*args):
+        checks.append(args[0])
+        return check_int(*args)
+
+    monkeypatch.setattr(oracle, "_check_int", counting_check_int)
+    counts = []
+    for trials in (1, 200):
+        checks.clear()
+        assert fuzz_equivalence(rule, trials, seed=trials).mismatches == 0
+        counts.append(len(checks))
+    assert counts[0] == counts[1] and sorted(checks) == ["max_digits", "seed", "trials"]
+
+
 def test_fuzz_accepts_the_digit_cap():
     report = fuzz_equivalence(TestRule.last_digits(8), 2, max_digits=MAX_DIGITS, seed=1)
     assert report.trials == 2 and report.mismatches == 0

@@ -97,7 +97,7 @@ def test_the_integer_message_is_written_once():
 def test_only_the_makers_of_checked_digits_skip_the_digit_check():
     """``DigitString._unchecked`` builds a value without ``__post_init__``. Only the four makers whose
     digits are right by construction read it: parse after its translate check, from_int from
-    ``_digits_of``, abs of a checked value, and random_digit_string on a random.Random's own draws."""
+    ``_digits_of``, abs of a checked value, and ``oracle._draw`` on a random.Random's own draws."""
     readers = {
         (module, owner)
         for module, tree in MODULES.items()
@@ -108,5 +108,5 @@ def test_only_the_makers_of_checked_digits_skip_the_digit_check():
         ("digits.py", "parse"),
         ("digits.py", "DigitString.from_int"),
         ("digits.py", "DigitString.__abs__"),
-        ("oracle.py", "random_digit_string"),
+        ("oracle.py", "_draw"),
     }
