@@ -37,11 +37,16 @@ power x**h (``fold(coeffs, x, -1)`` reads the coefficients top first, as
 base**h, each squaring its powers once per call. Below ``_LEAF`` digits
 they fall back to Horner's rule and to one divmod per digit.
 
-``fold(coeffs, x, order, q)`` is that number mod q, and builds no big
-number. When the weights x**i % q recur (``_cycle``, searched once per
-x and q), ``_residue`` takes it as a few C-level sums of strided slices,
-each class of equal weights summed on its own, with no power of x;
-otherwise the divide and conquer reduces each power and each join mod q.
+``fold(coeffs, x, order, q)`` is that number mod q: the same divide and
+conquer with each power and each join reduced mod q, building no big
+number. A split verdict is one ``_residue``: a single pass over a value's
+own digits, digit p of the fold order weighing y**(p % k) * x**(p // k)
+mod q. Where x**i % q recurs, ``_cycle`` lists those weights once per
+(x, q, y, k), and the verdict is one C-level dot product with the list
+or, for longer folds, a few C-level sums of strided slices, each class of
+equal weights summed on its own and a class of weight 0 not read at all;
+up to _LEAF digits (k = 1), or where the weights do not recur, it is
+``fold`` mod q.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain, cycle
 from math import log2
 from operator import mul
 
@@ -84,13 +90,10 @@ def fold(coeffs: tuple[int, ...], x: int, order: int = 1, q: int | None = None) 
 
     Halves of the (reversed) index range are joined by powers of x, down to Horner's
     rule on _LEAF coefficients; a leaf of the reversed range is read forwards, in place.
-    With q, a fold of over _LEAF coefficients is ``_residue``'s, which builds no power of
-    x, when the weights x**i % q recur (``_cycle``) with _PER_CLASS or more coefficients to
-    each class of them; any other is the same divide and conquer with each power and each
-    join reduced mod q, so it builds no number much past q times a leaf's.
+    With q, each power and each join is reduced mod q, so it builds no number much past
+    q times a leaf's: a verdict's fold of last digits' low k digits, of up to _LEAF digits, or of
+    weights that do not recur (``_residue``).
     """
-    if q is not None and len(coeffs) > _LEAF and (cycle := _cycle(x, q)) and len(coeffs) >= _PER_CLASS * cycle[2]:
-        return _residue(coeffs, order, q, *cycle)
     powers: list[int] = []  # powers[i] = x**(_LEAF * 2**i), mod q with q
     while _LEAF << len(powers) < len(coeffs):
         power = powers[-1] * powers[-1] if powers else x**_LEAF
@@ -118,36 +121,60 @@ def _fold(
 
 
 @lru_cache(maxsize=256)
-def _cycle(x: int, q: int) -> tuple[tuple[int, ...], int, int] | None:
-    """The weights x**i % q up to their first recurrence, w_0 .. w_{mu + lam - 1}, with their preperiod
-    mu and period lam (w_{i + lam} = w_i for i >= mu), or None if none recurs within _LEAF steps.
-    Cached: every verdict of a rule folds with the same weight and q."""
-    first: dict[int, int] = {}  # each weight, in order, to the first i it appears at
+def _cycle(x: int, q: int, y: int = 1, k: int = 1) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The weights w_p = y**(p % k) * x**(p // k) % q of a fold's coefficients p = 0, 1, ... in fold order, as
+    their preperiod w_0 .. w_{mu - 1} and one period w_mu .. w_{mu + lam - 1} (w_{p + lam} = w_p for p >= mu),
+    mu and lam multiples of k; None if the powers x**i % q do not recur within _LEAF steps.
+    Cached: every verdict of a rule has the same weights.
+    """
+    first: dict[int, int] = {}  # each power x**i % q, in order, to the first i it appears at
     w = 1 % q
     while w not in first:
         if len(first) == _LEAF:
             return None
         first[w] = len(first)
         w = w * x % q
-    return tuple(first), first[w], len(first) - first[w]
+    places = [y**j % q for j in range(k)]  # the weight y**j of place j < k within a group
+    # tuple() of a list: of a generator, it over-allocates, and a rule's first verdict peaks higher
+    weights, mu = tuple([power * place % q for power in first for place in places]), k * first[w]
+    return weights[:mu], weights[mu:]
 
 
-def _residue(coeffs: tuple[int, ...], order: int, q: int, weights: tuple[int, ...], mu: int, lam: int) -> int:
-    """fold(coeffs, x, order) % q from the recurring weights w_i = x**i % q that ``_cycle`` found.
+def _residue(coeffs: tuple[int, ...], order: int, q: int | None, x: int, y: int = 1, k: int = 1) -> int:
+    """sum(coeffs[p] * y**(p % k) * x**(p // k)) % q, p counted in fold order: from the first coefficient
+    (order 1), or with k = 1 from the last (order -1); with q None, the sum itself. Every split verdict
+    with alpha != 0 is one of these, one pass over coeffs in place.
 
-    The first mu coefficients (in fold order) take their own weights; past them, the
-    coefficients i = mu + r (mod lam) of each class r < lam share w_{mu + r}, which
-    multiplies the C-level ``sum`` of their strided slices, at most _LEAF coefficients
-    each. Order -1 reads each class down from the top with a negative stride, in place.
+    The sum itself, up to _LEAF coefficients with k = 1, and weights whose powers x**i % q do not recur
+    are ``fold``'s, one fold of the coefficients p = j (mod k) per place j < k. Any other fold reads its
+    weights off ``_cycle``: under _PER_CLASS * lam coefficients, one C-level dot product with the
+    preperiod and then the period over and over; from there the first mu coefficients take their own
+    weights, and the coefficients p = mu + r (mod lam) of each class r < lam share w_{mu + r}, which
+    multiplies the C-level ``sum`` of their strided slices, at most _LEAF coefficients each (order -1
+    slices down from the top). A class of weight 0 is not read, so a cycle that ends in 0 (binomial's
+    1, 2, 4, 0, ... for q = 8 in base 10) reads only its first mu coefficients.
     """
-    n, step = len(coeffs), order * lam
-    total = sum(map(mul, weights[:mu], coeffs if order == 1 else reversed(coeffs)))  # the preperiod
-    for r in range(lam):
-        part = 0
-        for lo in range(mu + r if order == 1 else n - 1 - mu - r, n if order == 1 else -1, _LEAF * step):
-            end = lo + _LEAF * step
-            part += sum(coeffs[lo : end if end >= 0 else None : step])
-        total += weights[mu + r] * part
+    n = len(coeffs)
+    if q is None or k == 1 and n <= _LEAF or not (weights := _cycle(x, q, y, k)):
+        if k == 1:
+            return fold(coeffs, x, order, q)
+        total = 0
+        for j in range(k):  # not sum() over a generator, whose closure and frame raise the peak heap
+            total += y**j * fold(coeffs[j::k], x, 1, q)
+        return total if q is None else total % q
+    head, period = weights
+    mu, lam = len(head), len(period)
+    ordered = coeffs if order == 1 else reversed(coeffs)
+    if n < _PER_CLASS * lam:
+        return sum(map(mul, chain(head, cycle(period)), ordered)) % q
+    total, step = sum(map(mul, head, ordered)), order * lam  # the preperiod
+    for r, weight in enumerate(period):
+        if weight:
+            part = 0
+            for lo in range(mu + r if order == 1 else n - 1 - mu - r, n if order == 1 else -1, _LEAF * step):
+                end = lo + _LEAF * step
+                part += sum(coeffs[lo : end if end >= 0 else None : step])
+            total += weight * part
     return total % q
 
 

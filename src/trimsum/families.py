@@ -35,7 +35,7 @@ it takes run on a buffer of the digits, each step's text one ``translate``,
 and the chain finishes on ints.
 
 Every verdict is ``divides_via``'s one pass over the digits of |a|, the rule's split chain
-run stacked as one ``_split_fold`` taken mod q, read off the weights' recurring residues with
+run stacked as one ``_split_fold`` taken mod q, read off each digit's recurring weight mod q with
 no big number built; a ``Trace`` decides its own with it when built. No verdict
 runs a chain or reads the chain kind: stacking changes what a trace prints, not what it
 decides. ``Trace.terminal`` reads a stacked chain's ``_split_fold`` too, and a plain chain's
@@ -56,7 +56,9 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
-from .digits import _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _int_of, _repr, _shown, _text, fold
+from .digits import (
+    _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _int_of, _repr, _residue, _shown, _text, fold
+)
 from .weights import _check_divisor, weight_inverse
 
 TRIM = "trim"
@@ -564,22 +566,18 @@ def _folded(a: DigitString, rule: TestRule) -> Iterator[tuple[int, int]]:
 def _split_fold(d: tuple[int, ...], rule: TestRule, q: int | None = None) -> int:
     """The split chain run on stacked base-B groups D_i of |a| (B = base**k) to one coefficient,
     F(a) = sum(alpha**i * beta**(N - 1 - i) * D_i): beta**(N - 1) * |a| (mod q), for alpha = beta * B.
-    With q, F(a) mod q, each ``fold`` taken mod q, which builds no F(a) when its weights recur.
+    With q, F(a) mod q; either is one ``_residue`` pass over d itself, which mod q builds no F(a).
 
-    Trim and sum (k = alpha = 1) are Horner from the top digit with beta, Khare's sum. With
-    beta = 1 it is fold(groups, alpha), as sum(base**j * fold(d[j::k], alpha)): binomial's and left
-    trim's fold(d, base - q); last digits (alpha = 0) is its first group alone, fold(d[:k], base),
-    as binomial is at q = base. ``TestRule`` admits no other shape.
+    Trim and sum (k = alpha = 1) are Horner from the top digit with beta, Khare's sum: digit p from the
+    top weighs beta**p. With beta = 1, digit p from the last weighs base**(p % k) * alpha**(p // k), and
+    F(a) is sum(base**j * fold(d[j::k], alpha)): binomial's and left trim's fold(d, base - q). Last digits
+    (alpha = 0) is its first group alone, fold(d[:k], base), as binomial is at q = base. ``TestRule``
+    admits no other shape.
     """
-    base, (k, alpha, beta) = rule.base, rule.split
-    if k == alpha == 1:
-        return fold(d, beta, -1, q)
+    base, (k, alpha, _) = rule.base, rule.split
     if not alpha:
         return fold(d[:k], base, 1, q)
-    total = 0
-    for j in range(k):  # not sum() over a generator, whose closure and frame raise the peak heap
-        total += base**j * fold(d[j::k], alpha, 1, q)
-    return total if q is None else total % q
+    return _residue(d, -1 if k == alpha == 1 else 1, q, _weight(rule), base, k)
 
 
 def _carried_steps(n: int, rule: TestRule) -> int:
@@ -611,7 +609,8 @@ def iterate(a: DigitString, rule: TestRule, *, stacked: bool = False) -> Trace:
 
 
 def divides_via(a: DigitString, rule: TestRule) -> bool:
-    """Decide q | a, as a ``Trace`` does when built: F(a) mod q from one pass over |a|'s digits, read off the
-    recurring weights (``_split_fold`` with q), running no chain, building no big number, converting none."""
+    """Decide q | a, as a ``Trace`` does when built: F(a) mod q from one pass over |a|'s digits, read off each
+    digit's recurring weight (``_split_fold`` with q: one ``_residue`` of a.digits itself, or last digits'
+    low k), skipping digits of weight 0, running no chain, building no big number, converting none."""
     _check_operands(a, rule)
     return _split_fold(a.digits, rule, rule.q) == 0

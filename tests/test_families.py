@@ -344,18 +344,61 @@ def test_plain_chain_folds_only_what_the_rule_reads(monkeypatch):
     assert lengths and max(lengths) <= rule.k
 
 
+class _CountedDigits(tuple):
+    """A digit tuple that appends to ``lengths`` how many of its digits each read takes: an index, a
+    slice, or an iteration (forwards or reversed) as far as it is run."""
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        self.lengths.append(len(got) if isinstance(index, slice) else 1)
+        return got
+
+    def _counted(self, items):
+        self.lengths.append(0)
+        for item in items:
+            self.lengths[-1] += 1
+            yield item
+
+    def __iter__(self):
+        return self._counted(super().__iter__())
+
+    def __reversed__(self):
+        return self._counted(super().__getitem__(slice(None, None, -1)))
+
+
+@pytest.mark.parametrize("q,base,mu", [(8, 10, 3), (16, 10, 4), (25, 10, 2), (27, 36, 2)])
+def test_verdicts_whose_weights_reach_zero_read_only_their_preperiod(q, base, mu):
+    """Binomial and left-trim weights (base - q)**i % q that reach 0 after mu digits (2**i % 8: 1, 2, 4, 0)
+    leave every digit above the low mu out of F(a) mod q, so a verdict reads those mu digits alone."""
+    rng = random.Random(q)
+    for family in ("binomial", "left_trim"):
+        rule = TestRule(family, q, base)
+        v = rng.randrange(base**2999, base**3000)
+        for m in (v, v - v % q):
+            plain = DigitString.from_int(m, base)
+            counted = _CountedDigits(plain.digits)
+            counted.lengths = []
+            assert divides_via(DigitString._unchecked(1, base, counted), rule) is (remainder(plain, q) == 0)
+            assert counted.lengths and sum(counted.lengths) <= mu, (rule, counted.lengths[:5])
+
+
 def test_chains_collapse_only_their_terminal(monkeypatch):
-    fold, int_of, calls = families.fold, families._int_of, []
+    fold, residue, int_of, calls = families.fold, families._residue, families._int_of, []
 
     def counting_fold(coeffs, x, order=1, q=None):
         calls.append((coeffs, q))
         return fold(coeffs, x, order, q)
+
+    def counting_residue(coeffs, order, q, x, y=1, k=1):
+        calls.append((coeffs, q))
+        return residue(coeffs, order, q, x, y, k)
 
     def counting_int_of(ds, base):
         calls.append(("int_of", ds))
         return int_of(ds, base)
 
     monkeypatch.setattr(families, "fold", counting_fold)
+    monkeypatch.setattr(families, "_residue", counting_residue)
     monkeypatch.setattr(families, "_int_of", counting_int_of)
     for a in (parse("3" * 50), parse("3" * 500)):  # Horner's rule mod 7, and the recurring weights
         calls.clear()
@@ -372,8 +415,8 @@ def test_chains_collapse_only_their_terminal(monkeypatch):
     [
         (TestRule.left_trim(7), 3000, 1024 * 1024),
         (TestRule.trim(7), 300, 64 * 1024),
-        # a reversed or padded copy of 3000 digits takes 24 kB; Talmud's strided folds read
-        # its even digits, then its odd ones, 12 kB at a time
+        # a reversed or padded copy of 3000 digits takes 24 kB; a verdict reads the digits in
+        # place, Talmud's included, summing slices of at most 64 of them
         (TestRule.trim(7), 3000, 16 * 1024),
         (TestRule.talmud(), 3000, 20 * 1024),
         # weights x**i % q that do not recur within _LEAF steps (10 has order 96 mod 97): every power and
@@ -656,27 +699,34 @@ def _verdict_rules(base):
 
 
 def _verdict_reads(d, rule):
-    """The folds a verdict makes, as (coeffs, x, order, q), each taken mod q: one pass over the digits d of |a|.
+    """The reads a verdict makes of the digits d of |a|, each taken mod q: one ``_residue`` pass over d itself,
+    (coeffs, order, q, x, y, k), or for last digits one fold of its low k digits, (coeffs, x, order, q).
 
-    Trim, sum and stacked trim fold d from the top with omega, binomial and left trim from
-    the last digit with base - q; Talmud folds its two strided halves with 2, and last
-    digits folds its low k digits with the base.
+    Digit p in fold order weighs y**(p % k) * x**(p // k): trim, sum and stacked trim read d from the
+    top with omega, binomial and left trim from the last digit with base - q, and Talmud from the last
+    digit with base**j on place j of each group of two and 2**i on group i; last digits folds its low
+    k digits with the base.
     """
-    if rule.family in ("binomial", "left_trim"):
-        return [(d, rule.base - rule.q, 1, rule.q)]
-    if rule.family == "talmud":
-        return [(d[0::2], 2, 1, rule.q), (d[1::2], 2, 1, rule.q)]
     if rule.family == "last_digits":
         return [(d[: rule.k], rule.base, 1, rule.q)]
-    return [(d, rule.omega, -1, rule.q)]
+    if rule.family == "talmud":
+        return [(d, 1, rule.q, 2, rule.base, 2)]
+    if rule.family in ("binomial", "left_trim"):
+        return [(d, 1, rule.q, rule.base - rule.q, rule.base, 1)]
+    return [(d, -1, rule.q, rule.omega, rule.base, 1)]
 
 
 def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
-    fold, int_of, from_int, folded, converted = families.fold, families._int_of, DigitString.from_int.__func__, [], []
+    fold, residue, int_of = families.fold, families._residue, families._int_of
+    from_int, folded, converted = DigitString.from_int.__func__, [], []
 
     def recording_fold(coeffs, x, order=1, q=None):
         folded.append((coeffs, x, order, q))
         return fold(coeffs, x, order, q)
+
+    def recording_residue(coeffs, order, q, x, y=1, k=1):
+        folded.append((coeffs, order, q, x, y, k))
+        return residue(coeffs, order, q, x, y, k)
 
     def recording_int_of(ds, base):
         folded.append(("int_of", ds, base))
@@ -695,6 +745,7 @@ def test_plain_verdicts_fold_the_input_once_and_convert_nothing(monkeypatch):
             return divides_via(x, rule)
 
     monkeypatch.setattr(families, "fold", recording_fold)
+    monkeypatch.setattr(families, "_residue", recording_residue)
     monkeypatch.setattr(families, "_int_of", recording_int_of)
     monkeypatch.setattr(DigitString, "from_int", classmethod(counting_from_int))
     for name in ("_plain_chain", "_values", "_smaller", "_digits_of"):
@@ -737,18 +788,20 @@ def test_plain_verdicts_at_ten_thousand_digits(base):
                 assert divides_via(multiple, rule) is True, (text[:20], rule)
 
 
-# Talmud needs base**2 = 2 (mod q); q = 8, 12 and 33 share a factor with a binomial weight
+# Talmud needs base**2 = 2 (mod q); q = 8, 12, 16, 25 and 33 share a factor with a binomial weight
 # base - q (preperiod weights), q = 97 and 10**40 + 7 mostly have weights that do not recur
-_RESIDUE_QS = (1, 2, 3, 4, 7, 8, 9, 12, 13, 31, 33, 37, 97, 647, 10**40 + 7)
+_RESIDUE_QS = (1, 2, 3, 4, 7, 8, 9, 12, 13, 16, 25, 31, 33, 37, 97, 647, 10**40 + 7)
 
 
 def _residue_lengths(rule):
-    """1, 2 and 700 digits, and the lengths about each fold's weight period lam times _LEAF and
-    about the _PER_CLASS * lam coefficients from which a fold is read off its recurring weights."""
+    """1, 2 and 700 digits, and one digit either side of where a verdict's ``_residue`` changes method:
+    _LEAF (Horner's rule up to it), _PER_CLASS * lam (a dot product with the weight table below it,
+    class sums from it) and lam * _LEAF (each class summed _LEAF digits at a time), where lam is the
+    per-digit period of the rule's weight table, k times its group weight's."""
     k = rule.split[0]
-    cycle = digits._cycle(families._weight(rule), rule.q)
-    lam = cycle[2] if cycle else 1
-    ends = {k * lam * digits._LEAF, k * max(digits._LEAF + 1, digits._PER_CLASS * lam)}
+    weights = digits._cycle(families._weight(rule), rule.q, rule.base, k)
+    lam = len(weights[1]) if weights else 1
+    ends = {digits._LEAF, digits._PER_CLASS * lam, lam * digits._LEAF}
     return sorted({1, 2, 700} | {n + d for n in ends for d in (-1, 0, 1)})
 
 

@@ -35,10 +35,15 @@ _FOLD_STEP = """if order == 1:
 
 # name: (module, function, snippet, its replacement)
 MUTANTS = {
-    "order_flipped": (families, "_split_fold", "fold(d, beta, -1, q)", "fold(d, beta, 1, q)"),
-    "alpha_beta_swapped": (families, "_split_fold", "base, (k, alpha, beta)", "base, (k, beta, alpha)"),
-    # groups aligned to the top of an odd digit count, not to its last digit
-    "talmud_top_group_misaligned": (families, "_split_fold", "d[j::k], alpha, 1", "d[j + len(d) % k :: k], alpha, 1"),
+    "order_flipped": (families, "_split_fold", "-1 if k == alpha == 1 else 1", "1"),
+    "alpha_beta_swapped": (families, "_split_fold", "base, (k, alpha, _)", "base, (k, _, alpha)"),
+    # groups aligned to the top of an odd digit count, not to its last digit, where Talmud's weights do not recur
+    "talmud_top_group_misaligned": (
+        digits,
+        "_residue",
+        "fold(coeffs[j::k], x, 1, q)",
+        "fold(coeffs[j + len(coeffs) % k :: k], x, 1, q)",
+    ),
     "carried_steps_one_higher": (families, "_carried_steps", "-(-n // k) - 1 - keep", "-(-n // k) - keep"),
     # sum's (1, 1, omega) and binomial's (1, base - q, 1) carried as if their chain split like trim's
     "split_key_dropped": (
@@ -53,20 +58,17 @@ MUTANTS = {
     "smaller_bit_bound_one_high": (families, "_smaller", "n * (base.bit_length() - 1)", "n * base.bit_length()"),
     # the step's digits reversed: the sum test's weights attach from the last digit up, not from the top down
     "sum_folded_from_last_digit": (families, "_digit_sum", "_digits(x, r.base)", "_digits(x, r.base)[::-1]"),
-    "binomial_weight_one_high": (
-        families,
-        "_split_fold",
-        "fold(d[j::k], alpha, 1, q)",
-        "fold(d[j::k], alpha + (rule.family == BINOMIAL), 1, q)",
-    ),
-    # the verdict's residue: the weights' period one short, the preperiod's own weights left out, and
-    # the negative stride that reads a fold from the top (order -1) starting one position off
-    "residue_period_one_short": (digits, "_cycle", "len(first) - first[w]", "len(first) - first[w] - 1"),
+    "binomial_weight_one_high": (families, "_split_fold", "_weight(rule)", "_weight(rule) + (rule.family == BINOMIAL)"),
+    # the verdict's residue: the weights' period one short, the weight y**j of place j in a group one
+    # power high, the preperiod's own weights left out, and the negative stride that reads a fold from
+    # the top (order -1) starting one position off
+    "residue_period_one_short": (digits, "_cycle", "weights[mu:]", "weights[mu:-1]"),
+    "place_weight_one_power_high": (digits, "_cycle", "y**j % q", "y ** (j + 1) % q"),
     "residue_preperiod_dropped": (
         digits,
         "_residue",
-        "total = sum(map(mul, weights[:mu], coeffs if order == 1 else reversed(coeffs)))",
-        "total = 0",
+        "total, step = sum(map(mul, head, ordered)), order * lam",
+        "total, step = 0, order * lam",
     ),
     "residue_reversed_start_one_off": (digits, "_residue", "n - 1 - mu - r", "n - 2 - mu - r"),
     # the ladder's powers of a fold mod q whose weights do not recur, reduced by the wrong modulus
@@ -109,12 +111,14 @@ SURVIVORS = {
     "carried_steps_guard_alpha_up_to_big": (families, "_carried_steps", "0 < alpha <= big // 2", "0 < alpha <= big"),
 }
 
-# (family, q, base); talmud's q = 9 in base 10 and q = 5 in base 36 break the obligation base**2 = 2 (mod q)
+# (family, q, base); talmud's q = 9 in base 10 and q = 5 in base 36 break the obligation base**2 = 2 (mod q),
+# and its q = 14 shares a factor with the base, so the weight of a digit's place in its group is no unit
 RULES = [
     ("trim", 7, 10),
     ("trim", 13, 10),
     ("talmud", 7, 10),
     ("talmud", 9, 10),
+    ("talmud", 14, 10),
     ("last_digits", 8, 10),
     ("trim", 3, 2),
     ("last_digits", 4, 2),
