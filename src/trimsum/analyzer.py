@@ -11,9 +11,8 @@ summing, and why trimming beats both per decision.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .digits import DigitString, _digit_count, _repr, _shown, _text
+from .digits import DigitString, _digit_count, _Record, _shown, _text
 from .families import BINOMIAL, FAMILY_TABLE, SUM, TRIM, TestRule, _digit_sum, _split, _values, _weight
 
 CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermediate_digits"
@@ -21,24 +20,35 @@ CSV_HEADER = "q,base,family,weight_magnitude,iterations,digit_ops,max_intermedia
 _COMPARE_FAMILIES = (BINOMIAL, SUM, TRIM)
 
 
-@dataclass(frozen=True)
-class CostReport:
-    q: int
-    base: int
-    family: str
-    weight_magnitude: int
-    iterations: int
-    digit_ops: int
-    max_intermediate_digits: int
+class CostReport(_Record):
+    __slots__ = _fields = (
+        "q", "base", "family", "weight_magnitude", "iterations", "digit_ops", "max_intermediate_digits"
+    )
 
-    __repr__ = _repr
+    def __init__(
+        self,
+        q: int,
+        base: int,
+        family: str,
+        weight_magnitude: int,
+        iterations: int,
+        digit_ops: int,
+        max_intermediate_digits: int,
+    ) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "weight_magnitude", weight_magnitude)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "digit_ops", digit_ops)
+        object.__setattr__(self, "max_intermediate_digits", max_intermediate_digits)
 
-    # vars(self) holds the fields in declaration order; astuple and asdict would deep-copy each one
+    # the fields in declaration order, which is CSV_HEADER's
     def as_csv_row(self) -> str:
-        return ",".join(v if type(v) is str else _text(v, 10) for v in vars(self).values())
+        return ",".join(v if type(v) is str else _text(v, 10) for v in self._astuple())
 
     def as_json(self) -> dict:
-        return dict(vars(self))
+        return dict(zip(self._fields, self._astuple()))
 
 
 def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
@@ -62,9 +72,11 @@ def cost_profile(a: DigitString, rule: TestRule) -> CostReport:
     return CostReport(rule.q, base, rule.family, abs(_weight(rule)), steps, ops, digits)
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[CostReport, ...]
+class ComparisonTable(_Record):
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[CostReport, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER, *(r.as_csv_row() for r in self.rows)]) + "\n"

@@ -47,12 +47,20 @@ or, for longer folds, a few C-level sums of strided slices, each class of
 equal weights summed on its own and a class of weight 0 not read at all;
 up to _LEAF digits (k = 1), or where the weights do not recur, it is
 ``fold`` mod q.
+
+Every value type of the package (``DigitString``; ``TestRule``, ``TraceStep``,
+``Trace``, ``Family``; ``CostReport``, ``ComparisonTable``; ``FuzzReport``) is a
+``_Record``: a frozen, slotted class that names its fields in ``_fields`` and sets
+them in its own ``__init__`` with ``object.__setattr__``. ``_Record`` gives them a
+frozen dataclass's semantics (equality and a hash over the compared fields, no
+assignment or deletion, the dataclass repr, which ``_repr`` writes, and copies and
+pickles, by way of ``_rebuilt``) without ``dataclasses``, whose import, with the
+``inspect`` it loads, took longer than all the rest of ``import trimsum``.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, cycle
 from math import log2
@@ -284,7 +292,7 @@ def _shown(value: object) -> str:
     if isinstance(value, int) and not -_SHOWN_BELOW < value < _SHOWN_BELOW:
         return f"{'-' if value < 0 else ''}<{_digit_count(abs(value), 10)}-digit int>"
     try:
-        if type(value) is DigitString:  # its dataclass repr
+        if type(value) is DigitString:  # its repr
             return f"DigitString(sign={value.sign!r}, base={value.base!r}, digits={_head(value.digits)!r})"[:60]
         return str(value) if type(value) is int else f"{_head(value)!r:.60}"
     except Exception:  # a caller's repr may raise anything; a tuple holding an int past the int->str limit does
@@ -307,11 +315,60 @@ def _repr_of(value: object) -> str:
     return repr(value)
 
 
-def _repr(self) -> str:
-    """The dataclass repr of self, each field written by ``_repr_of``: the ``__repr__`` of a dataclass
-    that may hold an int past the int->str digit limit (``TestRule``, ``Trace``, ``TraceStep``, ``CostReport``)."""
-    shown = (f"{f.name}={_repr_of(getattr(self, f.name))}" for f in fields(self) if f.repr)
+def _repr(self: _Record) -> str:
+    """A ``_Record``'s repr, as a dataclass writes it, but each of its ``_fields`` written by ``_repr_of``: an int
+    past the int->str digit limit (in a ``TestRule``, ``Trace``, ``TraceStep`` or ``CostReport``) does not raise."""
+    shown = (f"{name}={_repr_of(value)}" for name, value in zip(self._fields, self._astuple()))
     return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def _rebuilt(cls: type[_Record], values: tuple, state: dict | None) -> _Record:
+    """The cls record with these field values and ``__dict__`` state, as ``_Record.__reduce__`` hands it to
+    ``copy`` and ``pickle``: set as ``__init__`` sets them, with no check run again."""
+    self = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(self, name, value)
+    if state:
+        self.__dict__.update(state)
+    return self
+
+
+class _Record:
+    """A frozen value with the named ``_fields``, compared, hashed, written and copied as a frozen dataclass is.
+
+    A subclass declares ``__slots__``, its ``_fields`` in order, and an ``__init__`` that sets
+    them with ``object.__setattr__`` and then calls its ``__post_init__``, if it has checks.
+    Records are equal when they are of one class and their ``_key()`` values are equal,
+    every field unless the class says otherwise; another type compares as NotImplemented.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        """The field values, in order."""
+        return tuple(map(self.__getattribute__, self._fields))
+
+    _key = _astuple  # what == and hash() compare
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _rebuilt, (type(self), self._astuple(), getattr(self, "__dict__", None))
+
+    __repr__ = _repr
 
 
 def _check_int(name: str, value: int, least: int | None = None, most: int | None = None) -> None:
@@ -333,16 +390,19 @@ def _in_range(digits: tuple[int, ...], base: int) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(_Record):
     """Canonical form: sign * sum(digits[i] * base**i).
 
     Zero is the single digit 0 with positive sign.
     """
 
-    sign: int
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = _fields = ("sign", "base", "digits")
+
+    def __init__(self, sign: int, base: int, digits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", digits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_int("base", self.base, 2)
@@ -369,7 +429,7 @@ class DigitString:
         if cls is not DigitString:  # a subclass (from_int's cls) may add fields or checks of its own
             return cls(sign, base, digits)
         self = object.__new__(cls)
-        # set as the dataclass __init__ sets them; a __dict__.update would give each value a dict of its own
+        # set as __init__ sets them, past the frozen __setattr__
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "digits", digits)

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
 from math import gcd
 from operator import add
 
 from .digits import (
-    _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _int_of, _repr, _residue, _shown, _text, fold
+    _CHAR_TABLE, _DIGIT_CHARS, DigitString, _chars, _digits_of, _int_of, _Record, _residue, _shown, _text, fold
 )
 from .weights import _check_divisor, weight_inverse
 
@@ -73,8 +72,7 @@ DIVISIBLE = "divisible"
 NOT_DIVISIBLE = "not_divisible"
 
 
-@dataclass(frozen=True)
-class TestRule:
+class TestRule(_Record):
     """A divisibility test: a family plus the divisor it decides.
 
     The family's record in ``FAMILY_TABLE`` checks (q, base) and derives the weight omega, k and the
@@ -82,14 +80,14 @@ class TestRule:
     rule that builds is a sound test, and must have a shape ``_split_fold`` folds.
     """
 
-    family: str
-    q: int
-    base: int = 10
-    omega: int | None = field(init=False)
-    k: int | None = field(init=False)  # set for last digits only
-    split: tuple[int, int, int] = field(init=False)
+    # omega, k (set for last digits only) and split are derived from the family, q and base
+    __slots__ = _fields = ("family", "q", "base", "omega", "k", "split")
 
-    __repr__ = _repr  # the dataclass repr, past the int->str digit limit too
+    def __init__(self, family: str, q: int, base: int = 10) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "base", base)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILY_TABLE:
@@ -137,8 +135,7 @@ class TestRule:
         return cls(LAST_DIGITS, q, base)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     """One chain step: its int value and its coefficients, least significant first, which fold to it.
 
     A stacked or left-trim step's coefficients are its fold beside the digits not yet
@@ -146,12 +143,13 @@ class TraceStep:
     ``collapsed`` are views the benchmark harness (perfbench/spans.py) still reads.
     """
 
-    op: str
-    value: int
-    coeffs: tuple[int, ...]
-    base: int
+    __slots__ = _fields = ("op", "value", "coeffs", "base")
 
-    __repr__ = _repr
+    def __init__(self, op: str, value: int, coeffs: tuple[int, ...], base: int) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "base", base)
 
     @property
     def stacked(self) -> TraceStep:
@@ -162,8 +160,7 @@ class TraceStep:
         return DigitString.from_int(self.value, self.base)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """A rule's chain on a; its ``terminal`` and ``steps`` are built the first time they are read.
 
     Building one checks its operands and ``stacked``, decides the ``verdict`` with ``divides_via``, which
@@ -176,12 +173,17 @@ class Trace:
     Traces are equal when their rule, input and chain kind (``stacked``) are.
     """
 
-    rule: TestRule
-    a: DigitString
-    stacked: bool = False
-    verdict: str = field(init=False, compare=False)
+    _fields = ("rule", "a", "stacked", "verdict")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds terminal and steps once read
 
-    __repr__ = _repr
+    def __init__(self, rule: TestRule, a: DigitString, stacked: bool = False) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "stacked", stacked)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return self.rule, self.a, self.stacked  # not the verdict, which they decide
 
     def __post_init__(self) -> None:
         if type(self.stacked) is not bool:
@@ -324,18 +326,28 @@ def _weight(rule: TestRule) -> int:
     return beta if k == alpha == 1 else alpha
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Record):
     """What sets one test family apart; ``FAMILY_TABLE`` has one record each. A family whose chain can
     stack has an ``order``: at q = base - 1 both fold shapes apply, so the split cannot say it.
     The cost table reads a family's work off its ``step`` and split, so the record carries no cost."""
 
-    derive: Callable[[int, int], _Derived]  # checks (q, base), returns (omega, k, split)
-    step: Callable[[_Magnitude, TestRule], int]  # one application to |a|: digits, or a plain chain's int
-    order: int | None = None  # its stacked chain folds digits[::order] (low digit first), if it can stack
-    chain_op: str | None = None  # the op name of the stacked chain's trace steps, if its chain can stack
-    always_stacked: bool = False  # its chain runs stacked even without stacked=True
-    default_q: int | None = None  # the divisor the family is fixed at, if any
+    __slots__ = _fields = ("derive", "step", "order", "chain_op", "always_stacked", "default_q")
+
+    def __init__(
+        self,
+        derive: Callable[[int, int], _Derived],  # checks (q, base), returns (omega, k, split)
+        step: Callable[[_Magnitude, TestRule], int],  # one application to |a|: digits, or a plain chain's int
+        order: int | None = None,  # its stacked chain folds digits[::order] (low digit first), if it can stack
+        chain_op: str | None = None,  # the op name of the stacked chain's trace steps, if its chain can stack
+        always_stacked: bool = False,  # its chain runs stacked even without stacked=True
+        default_q: int | None = None,  # the divisor the family is fixed at, if any
+    ) -> None:
+        object.__setattr__(self, "derive", derive)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "chain_op", chain_op)
+        object.__setattr__(self, "always_stacked", always_stacked)
+        object.__setattr__(self, "default_q", default_q)
 
 
 FAMILY_TABLE = {

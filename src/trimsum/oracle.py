@@ -16,9 +16,8 @@ own once and then calls only those two in each trial.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 
-from .digits import DigitString, _check_int, _shown
+from .digits import DigitString, _check_int, _Record, _shown
 from .families import SUM, TRIM, TestRule, apply_once
 
 # fuzz_equivalence's caps: a run's time grows with trials * max_digits
@@ -96,16 +95,18 @@ def _draw(rng: random.Random, base: int, max_digits: int) -> DigitString:
     return DigitString._unchecked(sign, base, tuple(digits))
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    rule: TestRule
-    trials: int
-    mismatches: int
-    mean_length_drop: float
-    seed: int
+class FuzzReport(_Record):
+    __slots__ = _fields = ("rule", "trials", "mismatches", "mean_length_drop", "seed")
+
+    def __init__(self, rule: TestRule, trials: int, mismatches: int, mean_length_drop: float, seed: int) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "mismatches", mismatches)
+        object.__setattr__(self, "mean_length_drop", mean_length_drop)
+        object.__setattr__(self, "seed", seed)
 
     def as_json(self) -> dict:
-        return {**asdict(self), "rule": self.rule.as_json()}
+        return dict(zip(self._fields, self._astuple()), rule=self.rule.as_json())
 
 
 def fuzz_equivalence(rule: TestRule, trials: int, max_digits: int = 60, seed: int = 0) -> FuzzReport:

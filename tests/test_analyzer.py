@@ -1,17 +1,18 @@
-import dataclasses
+import copy
 import json
 import math
 import pathlib
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
 from trimsum import analyzer
-from trimsum.analyzer import CSV_HEADER, CostReport, compare, cost_profile
+from trimsum.analyzer import CSV_HEADER, ComparisonTable, CostReport, compare, cost_profile
 from trimsum.digits import DigitString, _digit_count, _text, parse
-from trimsum.families import FAMILIES, TestRule, iterate
-from trimsum.oracle import random_digit_string
+from trimsum.families import FAMILIES, FAMILY_TABLE, Family, TestRule, Trace, TraceStep, iterate
+from trimsum.oracle import FuzzReport, fuzz_equivalence, random_digit_string
 
 A = parse("32184")
 GOLDEN = pathlib.Path(__file__).parent / "data" / "compare_golden.csv"
@@ -192,10 +193,66 @@ def test_cost_profile_counts_digits_without_converting(monkeypatch):
         counted.clear()
 
 
+# each value type's fields, in declaration order
+FIELDS = {
+    DigitString: ("sign", "base", "digits"),
+    TestRule: ("family", "q", "base", "omega", "k", "split"),
+    TraceStep: ("op", "value", "coeffs", "base"),
+    Trace: ("rule", "a", "stacked", "verdict"),
+    Family: ("derive", "step", "order", "chain_op", "always_stacked", "default_q"),
+    CostReport: ("q", "base", "family", "weight_magnitude", "iterations", "digit_ops", "max_intermediate_digits"),
+    ComparisonTable: ("rows",),
+    FuzzReport: ("rule", "trials", "mismatches", "mean_length_drop", "seed"),
+}
+
+
 def _dataclass_repr(value):
-    """The repr the dataclass decorator would write: each repr field as name=repr(value)."""
-    shown = ", ".join(f"{f.name}={getattr(value, f.name)!r}" for f in dataclasses.fields(value) if f.repr)
+    """The repr the dataclass decorator would write: each field as name=repr(value)."""
+    shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in FIELDS[type(value)])
     return f"{type(value).__qualname__}({shown})"
+
+
+def _one_of_each_type():
+    """One value of each type, a Trace both unread and with its terminal and steps read."""
+    a, rule = parse("-32184"), TestRule.trim(7)
+    read = iterate(a, rule, stacked=True)
+    assert read.terminal and read.steps
+    table = compare([7, 13], [a, parse("91")])
+    values = [a, rule, read.steps[0], iterate(a, rule), read, FAMILY_TABLE["trim"], table.rows[0], table]
+    values.append(fuzz_equivalence(rule, 20, seed=3))
+    assert {type(v) for v in values} == set(FIELDS)
+    return values
+
+
+@pytest.mark.parametrize(
+    "route", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_values_copy_and_pickle_to_equal_values(route):
+    for value in _one_of_each_type():
+        twin = route(value)
+        names = FIELDS[type(value)]
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value), value
+        assert [getattr(twin, name) for name in names] == [getattr(value, name) for name in names], value
+        if type(value) is Trace:
+            assert twin.terminal == value.terminal and twin.steps == value.steps
+
+
+def test_values_are_frozen_and_compare_only_with_their_own_type():
+    values = _one_of_each_type()
+    for value in values:
+        for name in (*FIELDS[type(value)], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for other in (object(), 5, *(v for v in values if type(v) is not type(value))):
+            assert value.__eq__(other) is NotImplemented and value != other and not value == other, (value, other)
+
+
+def test_traces_that_differ_only_in_their_verdict_are_equal():
+    trace, other = iterate(parse("32184"), TestRule.trim(7)), iterate(parse("32184"), TestRule.trim(7))
+    object.__setattr__(other, "verdict", "divisible")  # what no built trace decides: 32184 = 7 * 4597 + 5
+    assert trace.verdict == "not_divisible" and trace == other and hash(trace) == hash(other)
 
 
 def test_reprs_of_ordinary_values_are_the_dataclass_reprs():
@@ -209,6 +266,8 @@ def test_reprs_of_ordinary_values_are_the_dataclass_reprs():
         report = cost_profile(trace.a, trace.rule)
         for value in (trace.rule, trace, *trace.steps, report):
             assert repr(value) == _dataclass_repr(value), family
+    for value in _one_of_each_type():
+        assert repr(value) == _dataclass_repr(value)
 
 
 def test_reprs_write_ints_past_the_int_to_str_limit():

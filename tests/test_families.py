@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -16,6 +15,7 @@ from trimsum.families import (
     FAMILIES,
     FAMILY_TABLE,
     NOT_DIVISIBLE,
+    Family,
     TestRule,
     Trace,
     apply_once,
@@ -224,7 +224,9 @@ def test_a_split_rule_has_one_of_the_two_folded_shapes(monkeypatch, family, q):
     omega, k, _ = record.derive(q, 10)
     bad = (3, 32, 3)  # sound for q = 7 and q = 8 in base 10: 3 * 1000 = 32 mod 56
     assert math.gcd(3, q) == 1 and (32 - 3 * 10**3) % q == 0
-    monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(record, derive=lambda q, base: (omega, k, bad)))
+    derive = lambda q, base: (omega, k, bad)  # noqa: E731
+    bad_record = Family(derive, record.step, record.order, record.chain_op, record.always_stacked, record.default_q)
+    monkeypatch.setitem(FAMILY_TABLE, family, bad_record)
     with pytest.raises(ValueError, match=r"\(k, alpha, beta\) = \(3, 32, 3\) needs .* beta = 1 or k = alpha = 1"):
         TestRule(family, q)
 
@@ -240,7 +242,8 @@ def test_every_split_rule_is_checked_against_the_obligation(monkeypatch, family,
     # (2, 3, 1) breaks alpha = beta * base**k (mod q); (1, 0, q) keeps it, but beta = q is no unit
     for bad in [(2, 3, 1), (1, 0, q)]:
         derive = lambda q, base, bad=bad: (omega, k, bad)  # noqa: E731
-        monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(record, derive=derive))
+        bad_record = Family(derive, record.step, record.order, record.chain_op, record.always_stacked, record.default_q)
+        monkeypatch.setitem(FAMILY_TABLE, family, bad_record)
         with pytest.raises(ValueError) as error:
             TestRule(family, q)
         assert f"(k, alpha, beta) = {bad} needs" in str(error.value), error.value

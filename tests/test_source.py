@@ -2,14 +2,17 @@
 ``src/trimsum``, and every module uses each name it imports. No package or test module defines
 one name twice, as the second definition silently replaces the first. The exact-int message is
 written in one function, so every int argument is refused in one form, and only the four makers
-of canonical digits build a ``DigitString`` that skips its checks.
+of canonical digits build a ``DigitString`` that skips its checks. ``import trimsum`` loads no
+``dataclasses``, nor the ``inspect`` it imports.
 
 A private helper that only the tests read is code the library does not run; these checks
-parse the source with ``ast`` and import nothing.
+parse the source with ``ast`` and import nothing, but for one fresh interpreter that imports the package.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 TESTS = pathlib.Path(__file__).parent
@@ -110,3 +113,26 @@ def test_only_the_makers_of_checked_digits_skip_the_digit_check():
         ("digits.py", "DigitString.__abs__"),
         ("oracle.py", "_draw"),
     }
+
+
+def test_no_module_imports_dataclasses():
+    """The value types are ``digits._Record``s; ``dataclasses`` (which imports ``inspect``) took about half of
+    ``import trimsum``."""
+    imported = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:  # "from . import x" names no module
+                imported.append((module, node.module))
+    assert [(module, name) for module, name in imported if name.split(".")[0] == "dataclasses"] == []
+
+
+def test_a_fresh_import_of_the_package_and_its_cli_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import trimsum, trimsum.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    argv = [sys.executable, "-I", "-c", code, str(SOURCE.parent)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
